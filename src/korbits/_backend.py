@@ -1,46 +1,26 @@
-"""Hot kernels: group closure and k-tuple orbit partitioning.
-
-Two interchangeable implementations live here: numba @njit kernels and a
-pure-numpy path. Selection is via the environment variable
-``KORBITS_BACKEND`` ("numba", "numpy"; default: numba when importable).
-``benchmarks/bench_kernels.py`` compares the two.
+"""Hot kernels: group closure and k-tuple orbit partitioning, in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
 equals lexicographic order on image sequences. Keys fit int64 for
-degree <= 12, which is far beyond the configured generation caps.
+degree <= MAX_KEY_DEGREE. The closure keeps the keys it has found as a
+sorted array, so it serves every such degree; the tuple-orbit kernel
+indexes a dense array by tuple key, so n**k is bounded by
+_DENSE_SPACE_LIMIT.
 """
 
-import os
+import itertools
 
 import numpy as np
 
 from .errors import ResourceLimitError
 
+BACKEND = "numpy"
+
 MAX_KEY_DEGREE = 12
 
-# dense visited arrays are used while n**width stays below this
+# the tuple-orbit kernel allocates n**k orbit labels
 _DENSE_SPACE_LIMIT = 40_000_000
-
-
-def _want_numba():
-    choice = os.environ.get("KORBITS_BACKEND", "numba").strip().lower()
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"KORBITS_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    return choice == "numba"
-
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
 def powers_for(n, width):
@@ -66,87 +46,26 @@ def decode_key(key, n, width):
 # closure
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _closure_dense_nb(gens, cap):
-        m, n = gens.shape
-        space = 1
-        for _ in range(n):
-            space *= n
-        visited = np.zeros(space, np.uint8)
-        elems = np.empty((cap + 1, n), np.int64)
-        for j in range(n):
-            elems[0, j] = j
-        ident_key = 0
-        for j in range(n):
-            ident_key = ident_key * n + j
-        visited[ident_key] = 1
-        count = 1
-        head = 0
-        prod = np.empty(n, np.int64)
-        while head < count:
-            e = elems[head]
-            head += 1
-            for gi in range(m):
-                g = gens[gi]
-                key = 0
-                for v in range(n):
-                    pv = e[g[v]]
-                    prod[v] = pv
-                    key = key * n + pv
-                if visited[key] == 0:
-                    visited[key] = 1
-                    if count > cap:
-                        return elems[:0]
-                    elems[count] = prod
-                    count += 1
-        if count > cap:
-            return elems[:0]
-        return elems[:count]
-
-
-def _closure_dense_np(gens, cap):
-    m, n = gens.shape
+def _closure(gens, cap):
+    """Breadth-first closure; None when it passes `cap` elements."""
+    n = gens.shape[1]
     pw = powers_for(n, n)
-    ident = np.arange(n, dtype=np.int64)
-    elems = ident[None, :]
-    all_keys = np.array([ident @ pw], dtype=np.int64)
-    frontier = elems
-    while frontier.shape[0]:
-        prods = np.concatenate([frontier[:, g] for g in gens], axis=0)
-        keys = prods @ pw
-        uniq, idx = np.unique(keys, return_index=True)
-        fresh = ~np.isin(uniq, all_keys, assume_unique=False)
+    frontier = np.arange(n, dtype=np.int64)[None, :]
+    found = [frontier]
+    seen = frontier @ pw            # sorted keys of every element found
+    while True:
+        prods = frontier[:, gens].reshape(-1, n)
+        keys, idx = np.unique(prods @ pw, return_index=True)
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[np.minimum(pos, seen.size - 1)] != keys
         if not fresh.any():
             break
         frontier = prods[idx[fresh]]
-        elems = np.concatenate([elems, frontier], axis=0)
-        all_keys = np.union1d(all_keys, uniq[fresh])
-        if elems.shape[0] > cap:
-            return elems[:0]
-    return elems
-
-
-def _closure_bigdeg(gens, cap):
-    """Dict-based closure for degrees where dense key space is too big."""
-    n = gens.shape[1]
-    ident = tuple(range(n))
-    seen = {ident}
-    queue = [ident]
-    glist = [tuple(g) for g in gens]
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
-        for g in glist:
-            p = tuple(e[g[v]] for v in range(n))
-            if p not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(p)
-                queue.append(p)
-    return np.array(queue, dtype=np.int64)
+        found.append(frontier)
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+        if seen.size > cap:
+            return None
+    return np.concatenate(found)
 
 
 def closure_images(gen_images, degree, max_elements):
@@ -157,21 +76,10 @@ def closure_images(gen_images, degree, max_elements):
     """
     n = degree
     gens = np.asarray(gen_images, dtype=np.int64).reshape(-1, n)
-    if gens.shape[0] == 0:
-        return np.arange(n, dtype=np.int64)[None, :]
-    if n ** n <= _DENSE_SPACE_LIMIT:
-        if HAVE_NUMBA:
-            elems = _closure_dense_nb(gens, max_elements)
-        else:
-            elems = _closure_dense_np(gens, max_elements)
-        if elems.shape[0] == 0:
-            raise ResourceLimitError("max-elements", max_elements, f"> {max_elements}",
-                                     flag="--max-elements")
-    else:
-        elems = _closure_bigdeg(gens, max_elements)
-        if elems is None:
-            raise ResourceLimitError("max-elements", max_elements, f"> {max_elements}",
-                                     flag="--max-elements")
+    elems = _closure(gens, max_elements)
+    if elems is None:
+        raise ResourceLimitError("max-elements", max_elements, f"> {max_elements}",
+                                 flag="--max-elements")
     keys = encode_rows(elems, n)
     return elems[np.argsort(keys)]
 
@@ -180,61 +88,10 @@ def closure_images(gen_images, degree, max_elements):
 # k-tuple orbit partitioning
 # ---------------------------------------------------------------------------
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _tuple_orbits_dense_nb(images, k, total):
-        m, n = images.shape
-        space = 1
-        for _ in range(k):
-            space *= n
-        orbit_of = np.full(space, -1, np.int32)
-        out_tuples = np.empty((total, k), np.int64)
-        out_orbit = np.empty(total, np.int32)
-        t = np.empty(k, np.int64)
-        member = np.empty(k, np.int64)
-        used = np.zeros(n, np.uint8)
-        pos = 0
-        n_orbits = 0
-        for key in range(space):
-            rem = key
-            ok = True
-            for i in range(k - 1, -1, -1):
-                t[i] = rem % n
-                rem //= n
-            for i in range(n):
-                used[i] = 0
-            for i in range(k):
-                if used[t[i]]:
-                    ok = False
-                    break
-                used[t[i]] = 1
-            if not ok:
-                continue
-            if orbit_of[key] < 0:
-                oid = n_orbits
-                n_orbits += 1
-                for r in range(m):
-                    mk = 0
-                    for i in range(k):
-                        mv = images[r, t[i]]
-                        member[i] = mv
-                        mk = mk * n + mv
-                    orbit_of[mk] = oid
-            for i in range(k):
-                out_tuples[pos, i] = t[i]
-            out_orbit[pos] = orbit_of[key]
-            pos += 1
-        return out_tuples[:pos], out_orbit[:pos]
-
-
-def _tuple_orbits_np(images, k, total):
-    import itertools
-
+def _tuple_orbits(images, k, total):
     m, n = images.shape
     pw = powers_for(n, k)
-    space = n ** k
-    orbit_of = np.full(space, -1, np.int32)
+    orbit_of = np.full(n ** k, -1, dtype=np.int32)
     out_tuples = np.empty((total, k), dtype=np.int64)
     out_orbit = np.empty(total, dtype=np.int32)
     pos = 0
@@ -268,8 +125,5 @@ def tuple_orbits(images, k, max_tuples):
     if total > max_tuples:
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
-        raise ResourceLimitError("max-tuples", _DENSE_SPACE_LIMIT, n ** k,
-                                 flag="--max-tuples")
-    if HAVE_NUMBA:
-        return _tuple_orbits_dense_nb(images, k, total)
-    return _tuple_orbits_np(images, k, total)
+        raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
+    return _tuple_orbits(images, k, total)

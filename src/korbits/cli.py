@@ -65,9 +65,6 @@ def build_parser():
                         default=DEFAULT_SUBGROUP_CAP)
         sp.add_argument("--convention", choices=("classical", "paper"),
                         default="paper")
-        sp.add_argument("--jobs", type=_positive, default=1,
-                        help="worker bound (execution is serial; ordering "
-                             "is canonical either way)")
         sp.add_argument("--out", help="write machine-readable report here")
 
     common(sub.add_parser("orbits", help="k-orbits with coherence verdicts"),
@@ -230,7 +227,8 @@ def cmd_check(args):
 
 def cmd_fks(args):
     G = load_group(args.group, max_elements=args.max_elements)
-    trace = fks.fks_pipeline(G, max_subgroup_order=args.max_subgroup_order)
+    trace = fks.fks_pipeline(G, max_subgroup_order=args.max_subgroup_order,
+                             max_degree=args.max_degree)
     text = fks.render_trace(trace)
     summary = (f"fixed-point-free prime-power element: "
                f"{trace.result['element']} of order {trace.result['order']}\n")
@@ -246,7 +244,8 @@ def cmd_fks(args):
 
 def cmd_audit(args):
     G = load_group(args.group, max_elements=args.max_elements)
-    record = fks.proof_audit(G, max_subgroup_order=args.max_subgroup_order)
+    record = fks.proof_audit(G, max_subgroup_order=args.max_subgroup_order,
+                             max_degree=args.max_degree)
     _emit(args, [record.as_dict()],
           f"closed: {record.closed}, normalizer proper: "
           f"{record.normalizer_proper}, k = {record.chosen_k}\n")

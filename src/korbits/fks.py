@@ -16,9 +16,12 @@ roundtrip-stable.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParseError
-from .group import (block_systems, is_primitive, is_transitive,
-                    normalizer_in_sym, quotient_action)
+from .group import (DEFAULT_NORMALIZER_DEGREE_CAP, block_images, block_systems,
+                    is_primitive, is_transitive, normalizer_in_sym, perm_to_row,
+                    quotient_action, row_to_perm)
 from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
                      setwise_point_stabilizer, translates_of_kset)
 from .partition import Partition
@@ -53,10 +56,12 @@ def _perm_power(g, e):
 def preimages_of(G, Q, g_quot):
     """All g in G whose induced action on the classes of Q is g_quot,
     in canonical element order."""
-    quot, mapping = quotient_action(G, Q)
-    if g_quot.degree != quot.degree or g_quot not in quot:
-        raise DomainError("element is not in the quotient image")
-    return [g for g in G.elements if mapping[g] == g_quot]
+    rows = block_images(G, Q)
+    if g_quot.degree == rows.shape[1]:
+        match = np.all(rows == perm_to_row(g_quot), axis=1)
+        if match.any():
+            return [row_to_perm(r) for r in G.images[match]]
+    raise DomainError("element is not in the quotient image")
 
 
 def lift_fpf(G, Q, g_quot, preimage=None):
@@ -175,14 +180,15 @@ class AuditRecord:
         }
 
 
-def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
+                max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
     """Audit the reduction argument for the terminal case on G.
 
     Preconditions are checked and violations named: G must be
     transitive, primitive in the non-Abelian sense, and have no proper
     transitive subgroup.  Findings are reported even when they
     contradict the claims the audit is probing (e.g. no qualifying
-    partition exists)."""
+    partition exists).  max_degree caps the n! normalizer search."""
     if not is_transitive(G):
         raise DomainError("audit hypothesis violated: group is intransitive")
     if not is_primitive(G, "paper"):
@@ -195,7 +201,7 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
             "audit hypothesis violated: proper transitive subgroup "
             f"<{', '.join(g.cycle_string() for g in trans[0].generators)}> "
             f"of order {trans[0].order}")
-    N = normalizer_in_sym(G)
+    N = normalizer_in_sym(G, max_degree=max_degree)
     report = automorphic_analysis(G)
     k = report.max_automorphic_degree_divisor() or 1
     k_var = report.max_automorphic_order_divisor() or 1
@@ -270,7 +276,8 @@ def trace_from_dict(d):
                           result=dict(d["result"]))
 
 
-def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
+                 max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
     """Run the reduction argument on a transitive group G and return a
     ReductionTrace ending in a verified fpf prime-power element.
 
@@ -291,7 +298,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     if systems:
         for Q in systems:
             quot, _ = quotient_action(G, Q)
-            sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order)
+            sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
+                               max_degree=max_degree)
             g_quot = sub.element()
             try:
                 lifted = lift_fpf(G, Q, g_quot)
@@ -315,7 +323,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
         trans = _transitive_proper_subgroups(G, max_order=max_subgroup_order)
         if trans:
             A = trans[0]
-            sub = fks_pipeline(A, max_subgroup_order=max_subgroup_order)
+            sub = fks_pipeline(A, max_subgroup_order=max_subgroup_order,
+                               max_degree=max_degree)
             reduced = sub.element()
             steps.append({"kind": "descend-to-transitive-subgroup",
                           "subgroup_generators": [g.cycle_string()
@@ -325,7 +334,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
                           "element": reduced.cycle_string()})
         else:
             try:
-                audit = proof_audit(G, max_subgroup_order=max_subgroup_order).as_dict()
+                audit = proof_audit(G, max_subgroup_order=max_subgroup_order,
+                                    max_degree=max_degree).as_dict()
                 audit_error = None
             except Exception as exc:   # caps; recorded, never fatal
                 audit = None

@@ -113,8 +113,7 @@ def close_group(generators, degree=None, max_elements=DEFAULT_ELEMENT_CAP):
     if degree < 1:
         raise DomainError("degree must be positive")
     if degree > _backend.MAX_KEY_DEGREE:
-        raise ResourceLimitError("max-degree", _backend.MAX_KEY_DEGREE, degree,
-                                 flag="--max-degree")
+        raise ResourceLimitError("key-degree", _backend.MAX_KEY_DEGREE, degree)
     for g in generators:
         if g.degree != degree:
             raise DomainError(f"generator degree {g.degree} != {degree}")
@@ -146,11 +145,6 @@ def reduce_generators(degree, images):
         gens.append(row_to_perm(images[idx]))
         have = close_group(gens, degree=degree)
     return tuple(gens)
-
-
-def subgroup_from_rows(G, rows, generators=None):
-    """Subgroup of G given its full (closed) element rows."""
-    return group_from_images(G.degree, rows, generators=generators)
 
 
 def is_subgroup(A, G):
@@ -328,30 +322,32 @@ def _is_invariant(G, part):
     return True
 
 
+def block_images(G, Q):
+    """0-based images of the classes of a G-invariant partition Q under
+    every element of G, aligned with G.images rows.
+
+    Class i is the i-th class of Q.classes (canonical order).
+    """
+    if Q.domain != frozenset(range(1, G.degree + 1)):
+        raise DomainError("partition domain must be the full point set")
+    if not _is_invariant(G, Q):
+        raise DomainError("partition is not G-invariant")
+    class_of = np.empty(G.degree, dtype=np.int64)
+    for i, c in enumerate(Q.classes):
+        class_of[[x - 1 for x in c]] = i
+    firsts = [min(c) - 1 for c in Q.classes]
+    return class_of[G.images[:, firsts]]
+
+
 def quotient_action(G, Q):
     """Induced group on the classes of a G-invariant partition Q,
     plus the element-to-element reduction map.
 
     Classes are numbered 1..|Q| in canonical order.
     """
-    if Q.domain != frozenset(range(1, G.degree + 1)):
-        raise DomainError("partition domain must be the full point set")
-    if not _is_invariant(G, Q):
-        raise DomainError("partition is not G-invariant")
-    classes = Q.classes
-    class_idx = {c: i + 1 for i, c in enumerate(classes)}
-
-    def induced(g):
-        imgs = []
-        for c in classes:
-            img = frozenset(g(x) for x in c)
-            imgs.append(class_idx[img])
-        return Permutation(imgs)
-
-    mapping = {g: induced(g) for g in G.elements}
-    image_rows = np.array(sorted({tuple(v - 1 for v in p.images) for p in mapping.values()}),
-                          dtype=np.int64)
-    quot = group_from_images(len(classes), image_rows,
+    rows = block_images(G, Q)
+    mapping = {g: row_to_perm(r) for g, r in zip(G.elements, rows)}
+    quot = group_from_images(len(Q.classes), np.unique(rows, axis=0),
                              generators=tuple(mapping[g] for g in G.generators))
     return quot, mapping
 

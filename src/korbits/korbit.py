@@ -322,19 +322,6 @@ def setwise_point_stabilizer(G, points):
     return group_from_images(G.degree, G.images[mask])
 
 
-def sym_on_points(points, degree):
-    """Sym(points) embedded at the given degree, fixing other points."""
-    pts = sorted(points)
-    rows = []
-    base = np.arange(degree, dtype=np.int64)
-    for perm in itertools.permutations(pts):
-        row = base.copy()
-        for src, dst in zip(pts, perm):
-            row[src - 1] = dst - 1
-        rows.append(row)
-    return np.stack(rows)
-
-
 @functools.lru_cache(maxsize=4096)
 def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
     """{s in Sym(union of coordinate sets) : sX = X}, embedded at the

@@ -1,14 +1,10 @@
-"""Closure and tuple-orbit kernels against brute-force oracles, and the
-numpy fallback path selected by KORBITS_BACKEND."""
+"""Closure and tuple-orbit kernels against brute-force oracles."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from korbits import _backend
@@ -42,6 +38,27 @@ def gen_lists(max_degree=6, max_gens=3):
         lambda n: st.tuples(st.just(n), one(n)))
 
 
+def _cycle(n):
+    return tuple((i + 1) % n for i in range(n))
+
+
+def _dihedral(n):
+    return [_cycle(n), tuple(-i % n for i in range(n))]
+
+
+def _wreath(base, top):
+    """(degree, generator rows) of base wr top: the base generators act
+    on the first block {0..a-1}, the top ones permute the b blocks."""
+    a, b = len(base[0]), len(top[0])
+    gens = [tuple(g) + tuple(range(a, a * b)) for g in base]
+    gens += [tuple(h[p // a] * a + p % a for p in range(a * b)) for h in top]
+    return a * b, gens
+
+
+C3 = [_cycle(3)]
+S2, S3, S5 = [(1, 0)], [(1, 0, 2), _cycle(3)], [(1, 0, 2, 3, 4), _cycle(5)]
+
+
 class TestClosure:
     def test_trivial(self):
         out = _backend.closure_images(np.empty((0, 3), dtype=np.int64), 3, 10)
@@ -57,8 +74,26 @@ class TestClosure:
         gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
         with pytest.raises(ResourceLimitError):
             _backend.closure_images(gens, 4, 23)
+        n, gens = _wreath(S2, S5)           # order 2**5 * 120 = 3840
+        with pytest.raises(ResourceLimitError):
+            _backend.closure_images(gens, n, 3839)
+        assert _backend.closure_images(gens, n, 3840).shape == (3840, n)
+
+    @pytest.mark.parametrize("base, top, order",
+                             [(S3, S3, 1296), (S5, S2, 28800)],
+                             ids=["S3wrS3", "S5wrS2"])
+    def test_wreath_products_sorted(self, base, top, order):
+        n, gens = _wreath(base, top)
+        out = _backend.closure_images(gens, n, order)
+        assert out.shape == (order, n)
+        assert np.all(np.diff(_backend.encode_rows(out, n)) > 0)
 
     @given(gen_lists())
+    @example((9, [_cycle(9)]))
+    @example((9, _dihedral(9)))
+    @example(_wreath(C3, C3))
+    @example((11, [_cycle(11)]))
+    @example((12, _dihedral(12)))
     def test_matches_brute_force(self, data):
         n, gens = data
         out = _backend.closure_images(np.array(gens, dtype=np.int64), n, 10 ** 4)
@@ -121,36 +156,8 @@ class TestTupleOrbits:
             _backend.tuple_orbits(images, 3, 10)
 
 
-class TestBackendSelection:
-    def test_current_backend_valid(self):
-        assert _backend.BACKEND in ("numba", "numpy")
-
-    def test_numpy_backend_subprocess(self):
-        """The pure-numpy path must produce the exact same arrays."""
-        script = (
-            "import numpy as np\n"
-            "from korbits import _backend\n"
-            "assert _backend.BACKEND == 'numpy', _backend.BACKEND\n"
-            "gens = np.array([[1,0,2,3],[1,2,3,0]], dtype=np.int64)\n"
-            "out = _backend.closure_images(gens, 4, 100)\n"
-            "t, i = _backend.tuple_orbits(out, 2, 100)\n"
-            "print(out.shape[0], t.tolist(), i.tolist())\n"
-        )
-        env = dict(os.environ, KORBITS_BACKEND="numpy")
-        res = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        here = _backend.closure_images(
-            np.array([[1, 0, 2, 3], [1, 2, 3, 0]], dtype=np.int64), 4, 100)
-        t, i = _backend.tuple_orbits(here, 2, 100)
-        assert res.stdout.strip() == f"{here.shape[0]} {t.tolist()} {i.tolist()}"
-
-    def test_bad_backend_rejected(self):
-        env = dict(os.environ, KORBITS_BACKEND="cuda")
-        res = subprocess.run([sys.executable, "-c", "import korbits._backend"],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode != 0
-        assert "KORBITS_BACKEND" in res.stderr
+def test_backend_is_numpy():
+    assert _backend.BACKEND == "numpy"
 
 
 class TestEncoding:

@@ -1,0 +1,46 @@
+"""Every ResourceLimitError raise site: the cap it names, and the flag
+that raises it.  A user cap names its flag, and one more unit of that
+cap lets the computation through; a hard limit names no flag."""
+
+import pytest
+
+from korbits.errors import ResourceLimitError
+from korbits.group import (close_group, cyclic_group, normalizer_in_sym,
+                           symmetric_group)
+from korbits.korbit import aut_of_kset, k_orbits, orbit_of_tuple
+from korbits.subgroups import subgroup_classes
+
+# (cap name, flag, call taking the cap value or None, cap that fails)
+SITES = [
+    ("max-elements", "--max-elements",
+     lambda cap: symmetric_group(5, max_elements=cap), 119),
+    ("max-tuples", "--max-tuples",
+     lambda cap: k_orbits(cyclic_group(4), 2, max_tuples=cap), 11),
+    ("max-subgroup-order", "--max-subgroup-order",
+     lambda cap: subgroup_classes(symmetric_group(4), max_order=cap), 23),
+    ("max-degree", "--max-degree",
+     lambda cap: normalizer_in_sym(cyclic_group(5), max_degree=cap), 4),
+    ("max-aut-points", "--max-degree",
+     lambda cap: aut_of_kset(orbit_of_tuple(cyclic_group(3), (1, 2)),
+                             max_points=cap), 2),
+    ("tuple-key-space", None,
+     lambda cap: k_orbits(cyclic_group(9), 8, max_tuples=10 ** 8), None),
+    ("key-degree", None,
+     lambda cap: close_group([], degree=13), None),
+]
+
+
+@pytest.mark.parametrize("name, flag, call, cap", SITES,
+                         ids=[site[0] for site in SITES])
+def test_raise_site(name, flag, call, cap):
+    with pytest.raises(ResourceLimitError) as info:
+        call(cap)
+    exc = info.value
+    assert (exc.cap_name, exc.flag) == (name, flag)
+    assert str(exc).startswith(f"{name} cap exceeded")
+    if flag is None:
+        assert "raise with" not in str(exc)
+    else:
+        assert exc.cap_value == cap
+        assert str(exc).endswith(f"(raise with {flag})")
+        call(cap + 1)

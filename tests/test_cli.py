@@ -1,6 +1,7 @@
 """The command-line front end: subcommands, exit codes, deterministic
 machine-readable output."""
 
+import itertools
 import json
 
 import pytest
@@ -9,13 +10,30 @@ from korbits.catalog import save_catalog, transitive_catalog
 from korbits.cli import main
 from korbits.group import (close_group, klein_four_group, save_group,
                            symmetric_group)
-from korbits.perm import parse_permutation
+from korbits.perm import Permutation, parse_permutation
 
 
 @pytest.fixture
 def klein_file(tmp_path):
     path = tmp_path / "klein.grp"
     save_group(klein_four_group(), path)
+    return str(path)
+
+
+@pytest.fixture
+def a5_on_pairs_file(tmp_path):
+    """A5 acting on the 10 pairs of {1..5}: primitive, order 60, no
+    proper transitive subgroup."""
+    pairs = list(itertools.combinations(range(1, 6), 2))
+
+    def on_pairs(cycle):
+        p = parse_permutation(cycle, 5)
+        return Permutation(pairs.index(tuple(sorted((p(a), p(b))))) + 1
+                           for a, b in pairs)
+
+    path = tmp_path / "a5_10.grp"
+    save_group(close_group([on_pairs("(1 2 3 4 5)"), on_pairs("(1 2 3)")]),
+               path)
     return str(path)
 
 
@@ -161,12 +179,28 @@ class TestFks:
         code, out, err = run(capsys, "fks", "--group", str(path))
         assert code == 2 and "error:" in err
 
+    def test_max_degree_reaches_audit(self, capsys, a5_on_pairs_file):
+        code, out, err = run(capsys, "fks", "--group", a5_on_pairs_file,
+                             "--max-degree", "9")
+        assert code == 0
+        records = [json.loads(l) for l in out.splitlines()
+                   if l.startswith("{")]
+        [step] = [r for r in records if r["record"] == "step"]
+        assert step["kind"] == "primitive-terminal"
+        assert "cap is 9" in step["audit_error"]
+
 
 class TestAudit:
     def test_hypothesis_violation_named(self, capsys, klein_file):
         code, out, err = run(capsys, "audit", "--group", klein_file)
         assert code == 2
         assert "error:" in err and "hypothesis violated" in err
+
+    def test_max_degree_reaches_normalizer(self, capsys, a5_on_pairs_file):
+        code, out, err = run(capsys, "audit", "--group", a5_on_pairs_file,
+                             "--max-degree", "9")
+        assert code == 2
+        assert "max-degree cap exceeded: need 10, cap is 9" in err
 
 
 class TestUsage:

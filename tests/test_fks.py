@@ -9,11 +9,11 @@ from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
                          lift_fpf, load_trace, parse_trace, preimages_of,
                          proof_audit, render_trace, replay_trace, save_trace,
                          trace_from_dict, trace_to_dict)
-from korbits.group import (close_group, cyclic_group, dihedral_group,
-                           klein_four_group, normalizer_in_sym,
-                           symmetric_group)
+from korbits.group import (block_systems, close_group, cyclic_group,
+                           dihedral_group, klein_four_group,
+                           normalizer_in_sym, symmetric_group)
 from korbits.partition import Partition
-from korbits.perm import analyze_element, parse_permutation
+from korbits.perm import Permutation, analyze_element, parse_permutation
 
 
 class TestDirectSearch:
@@ -80,6 +80,19 @@ class TestLift:
         with pytest.raises(DomainError):
             lift_fpf(G, Q, parse_permutation("(1 2 3)", 3),
                      preimage=parse_permutation("()", 6))
+
+    def test_preimages_match_induced_action(self):
+        """Reference: induce each element's action on the classes."""
+        for entry in transitive_catalog(6):
+            G = entry.group()
+            for Q in block_systems(G):
+                classes = list(Q.classes)
+                induced = {g: Permutation(
+                    classes.index(frozenset(g(x) for x in c)) + 1
+                    for c in classes) for g in G.elements}
+                for g_quot in set(induced.values()):
+                    assert preimages_of(G, Q, g_quot) == \
+                        [g for g in G.elements if induced[g] == g_quot]
 
     def test_rejects_element_outside_quotient(self):
         G = cyclic_group(6)

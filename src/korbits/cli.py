@@ -14,8 +14,7 @@ import sys
 from . import catalog as cat
 from . import fks, propcheck
 from .errors import KorbitsError
-from .group import (DEFAULT_ELEMENT_CAP, is_primitive, is_transitive,
-                    load_group, render_group)
+from .group import DEFAULT_ELEMENT_CAP, is_primitive, is_transitive, load_group
 from .korbit import (DEFAULT_TUPLE_CAP, classify_coherence, co_analysis,
                      k_blocks, k_orbits, render_norbit)
 from .subgroups import DEFAULT_SUBGROUP_CAP

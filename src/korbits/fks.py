@@ -297,7 +297,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                                     tuple(tuple(sorted(c)) for c in p.classes)))
     if systems:
         for Q in systems:
-            quot, _ = quotient_action(G, Q)
+            quot = quotient_action(G, Q)
             sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
                                max_degree=max_degree)
             g_quot = sub.element()

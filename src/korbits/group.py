@@ -34,15 +34,16 @@ class PermGroup:
 
     `images` holds every element as a 0-based image row, sorted
     lexicographically (the canonical element order); `keys` the matching
-    encoded keys. Equality is by degree and element set.
+    encoded keys. Equality is by degree and element set. `generators`
+    is the given tuple, or else computed by `reduce_generators` on
+    first read.
     """
 
-    __slots__ = ("degree", "generators", "images", "keys", "key_set", "order",
-                 "_elements", "_inv_images", "_key_index")
+    __slots__ = ("degree", "images", "keys", "key_set", "order",
+                 "_generators", "_elements", "_inv_images")
 
-    def __init__(self, degree, generators, images):
+    def __init__(self, degree, images, generators=None):
         object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "generators", tuple(generators))
         images = np.asarray(images, dtype=np.int64)
         keys = _backend.encode_rows(images, degree)
         if not np.all(np.diff(keys) > 0):
@@ -53,12 +54,20 @@ class PermGroup:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "key_set", frozenset(int(k) for k in keys))
         object.__setattr__(self, "order", int(images.shape[0]))
+        object.__setattr__(self, "_generators",
+                           None if generators is None else tuple(generators))
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_inv_images", None)
-        object.__setattr__(self, "_key_index", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PermGroup is immutable")
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            gens = reduce_generators(self.degree, self.images)
+            object.__setattr__(self, "_generators", gens)
+        return self._generators
 
     @property
     def elements(self):
@@ -119,15 +128,7 @@ def close_group(generators, degree=None, max_elements=DEFAULT_ELEMENT_CAP):
             raise DomainError(f"generator degree {g.degree} != {degree}")
     rows = np.array([perm_to_row(g) for g in generators], dtype=np.int64).reshape(-1, degree)
     images = _backend.closure_images(rows, degree, max_elements)
-    return PermGroup(degree, generators, images)
-
-
-def group_from_images(degree, images, generators=None):
-    """Wrap an already-closed element array (trusted, not re-closed)."""
-    images = np.asarray(images, dtype=np.int64)
-    if generators is None:
-        generators = reduce_generators(degree, images)
-    return PermGroup(degree, generators, images)
+    return PermGroup(degree, images, generators)
 
 
 def reduce_generators(degree, images):
@@ -341,15 +342,16 @@ def block_images(G, Q):
 
 def quotient_action(G, Q):
     """Induced group on the classes of a G-invariant partition Q,
-    plus the element-to-element reduction map.
+    generated by the images of G's generators.
 
     Classes are numbered 1..|Q| in canonical order.
     """
     rows = block_images(G, Q)
-    mapping = {g: row_to_perm(r) for g, r in zip(G.elements, rows)}
-    quot = group_from_images(len(Q.classes), np.unique(rows, axis=0),
-                             generators=tuple(mapping[g] for g in G.generators))
-    return quot, mapping
+    gen_rows = np.array([perm_to_row(g) for g in G.generators],
+                        dtype=np.int64).reshape(-1, G.degree)
+    gen_at = np.searchsorted(G.keys, _backend.encode_rows(gen_rows, G.degree))
+    return PermGroup(len(Q.classes), np.unique(rows, axis=0),
+                     tuple(row_to_perm(r) for r in rows[gen_at]))
 
 
 def is_primitive(G, convention="paper"):
@@ -379,7 +381,7 @@ def normalizer_in_sym(G, max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
     n = G.degree
     if n > max_degree:
         raise ResourceLimitError("max-degree", max_degree, n, flag="--max-degree")
-    sym = group_from_images(n, _sym_images(n))
+    sym = PermGroup(n, _sym_images(n))
     return normalizer_in(sym, G)
 
 
@@ -387,13 +389,11 @@ def normalizer_in(W, G):
     """N_W(G) = {x in W : x G x^-1 = G}."""
     if G.degree != W.degree:
         raise DomainError("degree mismatch")
-    gens = G.generators if G.generators else ()
     mask = np.ones(W.order, dtype=bool)
-    for h in gens:
+    for h in G.generators:
         keys = conjugate_elementwise(W, h)
         mask &= np.isin(keys, G.keys)
-    rows = W.images[mask]
-    return group_from_images(W.degree, rows)
+    return PermGroup(W.degree, W.images[mask])
 
 
 # ---------------------------------------------------------------------------

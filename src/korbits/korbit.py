@@ -16,10 +16,8 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
-from .group import (PermGroup, group_from_images, is_subgroup, is_transitive,
-                    perm_to_row)
+from .group import PermGroup, is_subgroup, perm_to_row
 from .partition import Partition, SetFamily, smash
-from .perm import Permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_TUPLE_CAP = 10 ** 7
@@ -301,7 +299,7 @@ def stab_of_ksuborbit(G, Y):
     if max(Y.union_of_points()) > G.degree:
         raise DomainError("point out of range for this group")
     mask = _elements_fixing_kset(G, Y)
-    stab = group_from_images(G.degree, G.images[mask])
+    stab = PermGroup(G.degree, G.images[mask])
     transitive = orbit_of_tuple(stab, Y.tuples[0]) == Y
     return stab, transitive
 
@@ -311,7 +309,7 @@ def pointwise_tuple_stabilizer(G, t):
     t = check_ktuple(t)
     cols = np.array(t, dtype=np.int64) - 1
     mask = np.all(G.images[:, cols] == cols[None, :], axis=1)
-    return group_from_images(G.degree, G.images[mask])
+    return PermGroup(G.degree, G.images[mask])
 
 
 def setwise_point_stabilizer(G, points):
@@ -319,7 +317,7 @@ def setwise_point_stabilizer(G, points):
     pts = np.array(sorted(p - 1 for p in points), dtype=np.int64)
     imgs = np.sort(G.images[:, pts], axis=1)
     mask = np.all(imgs == pts[None, :], axis=1)
-    return group_from_images(G.degree, G.images[mask])
+    return PermGroup(G.degree, G.images[mask])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -350,7 +348,7 @@ def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
             keys = np.sort(cand[rows] @ pw)
             if np.array_equal(keys, target):
                 out.append(cand)
-    return group_from_images(degree, np.stack(out))
+    return PermGroup(degree, np.stack(out))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ import functools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ResourceLimitError
-from .group import (alternating_group, close_group, is_abelian, is_primitive,
+from .group import (PermGroup, alternating_group, close_group, is_primitive,
                     is_transitive, normalizer_in, normalizer_in_sym)
 from .korbit import (KSet, aut_of_kset, automorphic_analysis,
                      classify_coherence, k_blocks, k_orbits, orbit_of_tuple,
@@ -106,13 +108,7 @@ def _is_normal(H, G):
 
 
 def _group_intersection(A, B):
-    from .group import group_from_images
-    import numpy as np
-
-    keys = sorted(A.key_set & B.key_set)
-    idx = {int(k): i for i, k in enumerate(A.keys)}
-    rows = np.stack([A.images[idx[k]] for k in keys])
-    return group_from_images(A.degree, rows)
+    return PermGroup(A.degree, A.images[np.isin(A.keys, B.keys)])
 
 
 @functools.lru_cache(maxsize=16384)
@@ -133,10 +129,6 @@ def _has_proper_transitive_subgroup(G, max_order):
         if cls.order < G.order and is_transitive(cls.rep):
             return cls.rep
     return None
-
-
-def _aut(X, degree):
-    return aut_of_kset(X, degree=degree)
 
 
 def _suborbit_pool(G, X, max_order):
@@ -185,7 +177,7 @@ def _eval_P_stab_co(ctx, caps):
     G = setwise_point_stabilizer(W, co)
     H = pointwise_tuple_stabilizer(G, alpha)
     X = orbit_of_tuple(G, alpha)
-    aut = _aut(X, W.degree)
+    aut = aut_of_kset(X, degree=W.degree)
     if not _is_normal(H, G):
         return _fail("P_stab_co", ctx,
                      {"reason": "tuple stabilizer not normal in the "
@@ -351,7 +343,7 @@ def _eval_C_no_tr(ctx, caps):
 def _eval_P_equal_classes(ctx, caps):
     G = _ctx_group(ctx)
     X = _orbit_from_ctx(G, ctx)
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         sizes = {len(c) for c in orbits_on_kset(cls.rep, X).classes}
         if len(sizes) > 1:
@@ -385,7 +377,7 @@ def _eval_L_grAB(ctx, caps):
         pairs = [(A, B, alpha)]
     else:
         X = _orbit_from_ctx(G, ctx)
-        aut = _aut(X, G.degree)
+        aut = aut_of_kset(X, degree=G.degree)
         t0 = X.tuples[0]
         regs = _regular_aut_suborbits(aut, t0, caps.max_subgroup_order)
         pairs = [(A, B, t0) for A, _ in regs for B, _ in regs][:caps.max_pairs]
@@ -502,7 +494,7 @@ def _eval_P_capcup(ctx, caps):
 def _eval_L_H_order(ctx, caps):
     G = _ctx_group(ctx)
     X = _orbit_from_ctx(G, ctx)
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("L_H_order", ctx,
@@ -525,7 +517,7 @@ def _eval_P_incoherent(ctx, caps):
     if verdict.kind != "incoherent":
         return _na("P_incoherent", ctx, f"k-orbit is {verdict.kind}"
                                         + (" (trivial)" if verdict.trivial else ""))
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     notes = None
     _, blocks = k_blocks(X, max_aut_points=caps.max_aut_points)
     if len(blocks) == 2:
@@ -544,7 +536,7 @@ def _eval_P_incoherent(ctx, caps):
 def _eval_P_triv_norm(ctx, caps):
     G = _ctx_group(ctx)
     X = _orbit_from_ctx(G, ctx)
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("P_triv_norm", ctx,
@@ -573,7 +565,7 @@ def _eval_T_coherent(ctx, caps):
                                  max_subgroup_order=caps.max_subgroup_order)
     if not verdict.is_coherent or verdict.trivial:
         return _na("T_coherent", ctx, "k-orbit is not (non-trivially) coherent")
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("T_coherent", ctx,
@@ -593,7 +585,7 @@ def _eval_L_elcoh_part(ctx, caps):
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("L_elcoh_part", ctx, "k-orbit is not elementary coherent")
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _fail("L_elcoh_part", ctx,
@@ -610,7 +602,7 @@ def _eval_T_elcoh(ctx, caps):
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("T_elcoh", ctx, "k-orbit is not elementary coherent")
-    aut = _aut(X, G.degree)
+    aut = aut_of_kset(X, degree=G.degree)
     if aut.order != len(X):
         return _fail("T_elcoh", ctx,
                      {"reason": "elementary coherent k-orbit with "

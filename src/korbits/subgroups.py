@@ -15,9 +15,8 @@ import numpy as np
 
 from . import _backend
 from .errors import ResourceLimitError
-from .group import (PermGroup, close_group, conjugate_elementwise,
-                    conjugate_rows_by, group_from_images, perm_to_row,
-                    row_to_perm)
+from .group import (PermGroup, conjugate_elementwise, conjugate_rows_by,
+                    perm_to_row, row_to_perm)
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
 
@@ -60,11 +59,6 @@ def _prime_power_order(p):
     return primes == 1
 
 
-def _bare_group(degree, rows):
-    """PermGroup wrapper without generator reduction (images-only use)."""
-    return PermGroup(degree, (), rows)
-
-
 @functools.lru_cache(maxsize=64)
 def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     """All subgroups of G up to G-conjugacy.
@@ -80,7 +74,6 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     elems = G.elements
     pp_keys = sorted(int(G.keys[i]) for i in range(G.order)
                      if _prime_power_order(elems[i]))
-    key_to_row = {int(k): G.images[i] for i, k in enumerate(G.keys)}
 
     seen = {}          # frozenset of keys -> class index in `raw`
     raw = []           # dicts: rep_rows, gens, keys, conjugates
@@ -102,8 +95,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
                     queue.append(ck)
         conjugates = sorted(orbit, key=lambda s: tuple(sorted(s)))
         best = conjugates[0]
-        best_rows_keys = np.sort(np.fromiter(best, dtype=np.int64, count=len(best)))
-        rep_rows = np.stack([key_to_row[int(k)] for k in best_rows_keys])
+        best_keys = np.sort(np.fromiter(best, dtype=np.int64, count=len(best)))
+        rep_rows = G.images[np.searchsorted(G.keys, best_keys)]
         raw.append({"rep_rows": rep_rows, "gens": gens,
                     "keys": keys0, "rows": rows, "conjugates": conjugates})
         for ck in conjugates:
@@ -124,14 +117,14 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         for hg in gens:
             ck = conjugate_elementwise(G, hg)
             mask &= np.isin(ck, h_keys_arr)
-        norm = _bare_group(n, G.images[mask])
+        norm = PermGroup(n, G.images[mask])
         # extension candidates: prime-power elements outside H,
         # one per conjugation orbit of the normalizer
         visited = set()
         for key in pp_keys:
             if key in h_keys or key in visited:
                 continue
-            cand = row_to_perm(key_to_row[key])
+            cand = row_to_perm(G.images[np.searchsorted(G.keys, key)])
             orbit_keys = conjugate_elementwise(norm, cand)
             visited.update(int(k) for k in orbit_keys)
             new_gens = gens + [cand]
@@ -147,7 +140,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     out = []
     for new_id, i in enumerate(indexed):
         e = raw[i]
-        rep = group_from_images(n, e["rep_rows"])
+        rep = PermGroup(n, e["rep_rows"])
         out.append(SubgroupClass(new_id, rep, tuple(e["conjugates"])))
     return out
 
@@ -156,10 +149,10 @@ def all_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):
     """Every subgroup of G (all conjugates expanded), as PermGroups,
     canonically ordered."""
     out = []
-    key_to_row = {int(k): G.images[i] for i, k in enumerate(G.keys)}
     for cls in subgroup_classes(G, max_order=max_order):
         for ks in cls.conjugates:
-            rows = np.stack([key_to_row[k] for k in sorted(ks)])
-            out.append(group_from_images(G.degree, rows))
+            keys = np.sort(np.fromiter(ks, dtype=np.int64, count=len(ks)))
+            rows = G.images[np.searchsorted(G.keys, keys)]
+            out.append(PermGroup(G.degree, rows))
     out.sort(key=lambda H: (H.order, tuple(int(k) for k in H.keys)))
     return out

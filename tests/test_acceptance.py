@@ -113,7 +113,7 @@ class TestLiftTotality:
             if G.order > 10 ** 3:
                 continue
             for Q in block_systems(G):
-                quot, _ = quotient_action(G, Q)
+                quot = quotient_action(G, Q)
                 for gq in quot.elements:
                     if not analyze_element(gq).is_fpf_prime_power:
                         continue

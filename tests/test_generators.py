@@ -1,0 +1,78 @@
+"""The generator contract of groups built from their elements.
+
+Every group generates itself: closing `H.generators` gives `H` back.
+A group built from images alone gets the greedy generators of
+`reduce_generators`, computed on first read.
+"""
+
+import itertools
+
+import pytest
+
+from korbits.group import (PermGroup, block_systems, close_group,
+                           cyclic_group, dihedral_group, normalizer_in,
+                           normalizer_in_sym, quotient_action,
+                           reduce_generators, symmetric_group)
+from korbits.korbit import (aut_of_kset, k_orbits, orbit_of_tuple,
+                            stab_of_ksuborbit)
+from korbits.propcheck import _group_intersection
+from korbits.subgroups import all_subgroups, subgroup_classes
+
+AMBIENT = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6),
+           "C6": lambda: cyclic_group(6)}
+
+
+def assert_generates(H):
+    assert close_group(H.generators, degree=H.degree) == H
+
+
+def assert_images_only(H):
+    assert_generates(H)
+    assert H.generators == reduce_generators(H.degree, H.images)
+
+
+@pytest.fixture(params=sorted(AMBIENT))
+def G(request):
+    return AMBIENT[request.param]()
+
+
+def test_generators_computed_on_first_read(G):
+    H = PermGroup(G.degree, G.images)
+    assert H._generators is None
+    assert_images_only(H)
+    assert H._generators is H.generators
+
+
+def test_given_generators_kept():
+    S3 = symmetric_group(3)
+    gens = tuple(reversed(S3.elements[1:]))
+    assert PermGroup(3, S3.images, gens).generators == gens
+
+
+def test_subgroup_class_reps_and_normalizers(G):
+    for cls in subgroup_classes(G):
+        assert_images_only(cls.rep)
+        assert_images_only(normalizer_in(G, cls.rep))
+        assert_images_only(normalizer_in_sym(cls.rep))
+
+
+def test_stabilizers_and_automorphism_groups(G):
+    reps = [cls.rep for cls in subgroup_classes(G)]
+    for X in k_orbits(G, 2):
+        assert_images_only(aut_of_kset(X, degree=G.degree))
+        for H in reps:
+            stab, _ = stab_of_ksuborbit(G, orbit_of_tuple(H, X.tuples[0]))
+            assert_images_only(stab)
+
+
+def test_intersections(G):
+    subs = all_subgroups(G)
+    for A, B in itertools.combinations(subs[::3], 2):
+        assert_images_only(_group_intersection(A, B))
+
+
+def test_quotients(G):
+    for Q in block_systems(G):
+        quot = quotient_action(G, Q)
+        assert_generates(quot)
+        assert len(quot.generators) == len(G.generators)

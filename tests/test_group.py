@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from korbits.errors import DomainError, ParseError, ResourceLimitError
-from korbits.group import (alternating_group, block_systems, close_group,
-                           cyclic_group, dihedral_group,
+from korbits.group import (alternating_group, block_images, block_systems,
+                           close_group, cyclic_group, dihedral_group,
                            invariant_partitions_bruteforce, is_abelian,
                            is_primitive, is_subgroup, is_transitive,
                            klein_four_group, normalizer_in, normalizer_in_sym,
                            orbits_on_points, parse_group, quotient_action,
-                           render_group, save_group, load_group,
-                           symmetric_group)
+                           reduce_generators, render_group, row_to_perm,
+                           save_group, load_group, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, parse_permutation
 
@@ -113,18 +113,20 @@ class TestQuotient:
     def test_c6_quotient_to_blocks_of_two(self):
         G = cyclic_group(6)
         Q = Partition([{1, 4}, {2, 5}, {3, 6}])
-        quot, mapping = quotient_action(G, Q)
+        quot = quotient_action(G, Q)
         assert quot.order == 3 and quot.degree == 3
-        g = parse_permutation("(1 2 3 4 5 6)", 6)
-        assert mapping[g] == parse_permutation("(1 2 3)", 3)
+        assert quot.generators == (parse_permutation("(1 2 3)", 3),)
 
     def test_reduction_is_homomorphism(self):
         G = dihedral_group(4)
         Q = block_systems(G)[0]
-        quot, mapping = quotient_action(G, Q)
+        quot = quotient_action(G, Q)
+        reduce = {g: row_to_perm(r)
+                  for g, r in zip(G.elements, block_images(G, Q))}
+        assert set(reduce.values()) == set(quot.elements)
         for a in G.elements:
             for b in G.elements:
-                assert mapping[a * b] == mapping[a] * mapping[b]
+                assert reduce[a * b] == reduce[a] * reduce[b]
 
     def test_rejects_non_invariant_partition(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,13 @@
-"""Hot kernels: group closure and k-tuple orbit partitioning, in numpy.
+"""Hot kernels: group closure and orbit labelling, in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
-equals lexicographic order on image sequences. Keys fit int64 for
-degree <= MAX_KEY_DEGREE. The closure keeps the keys it has found as a
-sorted array, so it serves every such degree; the tuple-orbit kernel
-indexes a dense array by tuple key, so n**k is bounded by
-_DENSE_SPACE_LIMIT.
+equals lexicographic order on image sequences; a row of k points is
+keyed the same way with k digits. Keys fit int64 for degree <=
+MAX_KEY_DEGREE. The closure keeps the keys it has found as a sorted
+array; `orbit_labels` reads every orbit from the full element array,
+matching image keys against the sorted keys of the rows by
+`searchsorted`, so neither allocates anything indexed by the key space.
 """
 
 import itertools
@@ -19,8 +20,19 @@ BACKEND = "numpy"
 
 MAX_KEY_DEGREE = 12
 
-# the tuple-orbit kernel allocates n**k orbit labels
+# Hard limit on n**k in tuple_orbits. Nothing is allocated per key, so
+# it bounds no memory; it stays because lifting it turns the 4 degree-9
+# ops of the `orbits` benchmark workload that fail on it into about
+# 1.45 M more classified tuples, which changes that workload's work,
+# memory and seed-0 digest. It goes together with a sparse path for
+# large k and a benchmark update.
 _DENSE_SPACE_LIMIT = 40_000_000
+
+# Image keys gathered per batch of orbit_labels: a batch takes
+# max(1, _BATCH_KEYS // |G|) rows, so its temporaries hold about
+# max(_BATCH_KEYS, |G|) keys, while the batches, one Python iteration
+# each, stay few.
+_BATCH_KEYS = 4096
 
 
 def powers_for(n, width):
@@ -85,29 +97,33 @@ def closure_images(gen_images, degree, max_elements):
 
 
 # ---------------------------------------------------------------------------
-# k-tuple orbit partitioning
+# orbits
 # ---------------------------------------------------------------------------
 
-def _tuple_orbits(images, k, total):
-    m, n = images.shape
-    pw = powers_for(n, k)
-    orbit_of = np.full(n ** k, -1, dtype=np.int32)
-    out_tuples = np.empty((total, k), dtype=np.int64)
-    out_orbit = np.empty(total, dtype=np.int32)
-    pos = 0
-    n_orbits = 0
-    for t in itertools.permutations(range(n), k):
-        ta = np.array(t, dtype=np.int64)
-        key = int(ta @ pw)
-        if orbit_of[key] < 0:
-            members = images[:, ta]
-            mkeys = members @ pw
-            orbit_of[mkeys] = n_orbits
-            n_orbits += 1
-        out_tuples[pos] = ta
-        out_orbit[pos] = orbit_of[key]
-        pos += 1
-    return out_tuples, out_orbit
+def orbit_labels(images, rows):
+    """Orbit ids of point rows under the group whose full element array
+    is `images`.
+
+    `rows` is an (R, k) array of 0-based points in lexicographic order,
+    so their keys ascend. Ids are numbered in order of each orbit's least
+    row. Returns None when some image of a row is not a row.
+    """
+    pw = powers_for(images.shape[1], rows.shape[1])
+    keys = rows @ pw
+    least = np.full(keys.size, -1, dtype=np.int64)
+    batch = max(1, _BATCH_KEYS // images.shape[0])
+    start = 0
+    while True:
+        todo = start + np.flatnonzero(least[start:] < 0)[:batch]
+        if not todo.size:
+            break
+        img = images[:, rows[todo]] @ pw            # (|G|, batch) image keys
+        pos = np.minimum(np.searchsorted(keys, img), keys.size - 1)
+        if not np.array_equal(keys[pos], img):
+            return None
+        least[pos] = img.min(axis=0)                # each column is one orbit
+        start = todo[-1] + 1
+    return np.unique(least, return_inverse=True)[1]
 
 
 def tuple_orbits(images, k, max_tuples):
@@ -118,7 +134,7 @@ def tuple_orbits(images, k, max_tuples):
     assigned in order of least tuple.
     """
     images = np.asarray(images, dtype=np.int64)
-    m, n = images.shape
+    n = images.shape[1]
     total = 1
     for i in range(k):
         total *= n - i
@@ -126,4 +142,6 @@ def tuple_orbits(images, k, max_tuples):
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
         raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
-    return _tuple_orbits(images, k, total)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
+    tuples = np.fromiter(flat, dtype=np.int64, count=total * k).reshape(total, k)
+    return tuples, orbit_labels(images, tuples)

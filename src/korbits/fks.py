@@ -122,11 +122,9 @@ def iso_partitions(G, N, k):
                 extend(chosen + [s], covered | s)
 
     extend([], frozenset())
-    n_elems = [x for x in N.elements]
     qualified = []
     for classes in out:
-        first = classes[0]
-        class_orbit = {frozenset(x(v) for v in first) for x in n_elems}
+        class_orbit = {frozenset(r) for r in _restriction(N, classes[0]).tolist()}
         if not all(c in class_orbit for c in classes[1:]):
             continue
         projs = [orbit_of_tuple(G, tuple(sorted(c))) for c in classes]
@@ -143,9 +141,9 @@ def _transitive_proper_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):
             if c.order < G.order and is_transitive(c.rep)]
 
 
-def _restriction_order(A, points):
-    pts = sorted(points)
-    return len({tuple(g(v) for v in pts) for g in A.elements})
+def _restriction(A, points):
+    """Images of the sorted points under every element of A, 1-based."""
+    return A.images[:, sorted(p - 1 for p in points)] + 1
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,9 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
         sizes_ok = [len(X) == G.order for X in projs]
         A = setwise_point_stabilizer(G, min(part.classes, key=min))
         inv = [c for c in part.classes
-               if {A_g(v) for A_g in A.generators for v in c} <= set(c)]
-        iso = bool(inv) and all(_restriction_order(A, c) == A.order for c in inv)
+               if set(_restriction(A, c).ravel().tolist()) <= c]
+        iso = bool(inv) and all(len(np.unique(_restriction(A, c), axis=0)) == A.order
+                                for c in inv)
         finding = {
             "classes": [sorted(c) for c in part.classes],
             "projections_elementary_coherent": el_coh,

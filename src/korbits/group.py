@@ -208,24 +208,10 @@ def klein_four_group():
 
 def orbits_on_points(G):
     """Partition of 1..n into G-orbits."""
-    n = G.degree
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in G.generators:
-        for v in range(n):
-            a, b = find(v), find(g(v + 1) - 1)
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v + 1)
-    return Partition(groups.values())
+    classes = {}
+    for v, least in enumerate(G.images.min(axis=0).tolist(), start=1):
+        classes.setdefault(least, set()).add(v)   # least point of v's orbit
+    return Partition(classes.values())
 
 
 def is_transitive(G):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
-from .group import PermGroup, is_subgroup, perm_to_row
+from .group import PermGroup, is_subgroup, orbits_on_points
 from .partition import Partition, SetFamily, smash
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
@@ -206,21 +206,8 @@ def k_blocks(X, max_aut_points=DEFAULT_AUT_POINT_CAP):
 
 def acts_transitively_on(G, points):
     """Whether G acts transitively on the given point subset."""
-    points = sorted(points)
-    if not points:
-        return True
-    start = points[0] - 1
-    seen = {start}
-    queue = [start]
-    gen_rows = [perm_to_row(g) for g in G.generators]
-    while queue:
-        v = queue.pop()
-        for g in gen_rows:
-            w = int(g[v])
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return set(p - 1 for p in points) <= seen
+    points = frozenset(points)
+    return not points or any(points <= c for c in orbits_on_points(G).classes)
 
 
 @dataclass(frozen=True)
@@ -358,28 +345,16 @@ def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
 @functools.lru_cache(maxsize=32768)
 def orbits_on_kset(A, X):
     """Partition of X's tuples into A-orbits (X must be A-invariant)."""
-    index = {t: i for i, t in enumerate(X.tuples)}
-    parent = list(range(len(X.tuples)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in A.generators:
-        for t, i in index.items():
-            img = left_act(g, t)
-            j = index.get(img)
-            if j is None:
-                raise DomainError("k-set is not invariant under the subgroup")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups = {}
-    for t, i in index.items():
-        groups.setdefault(find(i), set()).add(t)
-    return Partition(groups.values())
+    rows = X.as_rows()
+    if rows.max() >= A.degree:
+        raise DomainError("point out of range for this group")
+    labels = _backend.orbit_labels(A.images, rows)
+    if labels is None:
+        raise DomainError("k-set is not invariant under the subgroup")
+    classes = [[] for _ in range(int(labels.max()) + 1)]
+    for t, oid in zip(X.tuples, labels.tolist()):
+        classes[oid].append(t)
+    return Partition(classes)
 
 
 @functools.lru_cache(maxsize=32768)
@@ -450,18 +425,15 @@ def _divisors(m):
 
 @functools.lru_cache(maxsize=128)
 def automorphic_analysis(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
-    from .group import orbits_on_points
-
     classes = subgroup_classes(G, max_order=max_subgroup_order)
     sizes = set()
     subsets = set()
     for cls in classes:
-        orbs = orbits_on_points(cls.rep)
-        for c in orbs.classes:
+        for c in orbits_on_points(cls.rep).classes:
             sizes.add(len(c))
-            for r in range(G.order):
-                img = frozenset(int(G.images[r][p - 1]) + 1 for p in c)
-                subsets.add(img)
+            cols = sorted(p - 1 for p in c)
+            imgs = np.unique(np.sort(G.images[:, cols], axis=1), axis=0) + 1
+            subsets.update(frozenset(r) for r in imgs.tolist())
     order_div = tuple((k, k in sizes) for k in _divisors(G.order))
     degree_div = tuple((k, k in sizes) for k in _divisors(G.degree))
     return AutomorphicReport(order_divisors=order_div,
@@ -531,8 +503,6 @@ def render_norbit(G, chain):
     """Plain-text bordered matrix of the n-orbit of G, rows grouped into
     cells by the left-coset partitions of the nested chain subgroups,
     columns grouped by the finest chain subgroup's point orbits."""
-    from .group import orbits_on_points
-
     if not chain or chain[-1] != G:
         raise DomainError("chain must end at the group itself")
     for a, b in zip(chain, chain[1:]):

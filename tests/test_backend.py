@@ -57,6 +57,7 @@ def _wreath(base, top):
 
 C3 = [_cycle(3)]
 S2, S3, S5 = [(1, 0)], [(1, 0, 2), _cycle(3)], [(1, 0, 2, 3, 4), _cycle(5)]
+S7_FIXING_8 = [(1, 0, 2, 3, 4, 5, 6, 7), _cycle(7) + (7,)]
 
 
 class TestClosure:
@@ -127,6 +128,8 @@ def _brute_tuple_orbits(images, k, n):
 
 class TestTupleOrbits:
     @given(gen_lists(max_degree=5), st.integers(min_value=1, max_value=3))
+    @example((9, [_cycle(9)]), 5)             # rows need several batches
+    @example((8, S7_FIXING_8), 2)             # |G| alone exceeds the batch budget
     def test_matches_brute_force(self, data, k):
         n, gens = data
         if k > n:

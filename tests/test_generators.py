@@ -2,7 +2,8 @@
 
 Every group generates itself: closing `H.generators` gives `H` back.
 A group built from images alone gets the greedy generators of
-`reduce_generators`, computed on first read.
+`reduce_generators`, computed on first read, and orbits never read
+them.
 """
 
 import itertools
@@ -10,11 +11,12 @@ import itertools
 import pytest
 
 from korbits.group import (PermGroup, block_systems, close_group,
-                           cyclic_group, dihedral_group, normalizer_in,
-                           normalizer_in_sym, quotient_action,
-                           reduce_generators, symmetric_group)
-from korbits.korbit import (aut_of_kset, k_orbits, orbit_of_tuple,
-                            stab_of_ksuborbit)
+                           cyclic_group, dihedral_group, is_transitive,
+                           normalizer_in, normalizer_in_sym, orbits_on_points,
+                           quotient_action, reduce_generators,
+                           symmetric_group)
+from korbits.korbit import (acts_transitively_on, aut_of_kset, k_orbits,
+                            orbit_of_tuple, orbits_on_kset, stab_of_ksuborbit)
 from korbits.propcheck import _group_intersection
 from korbits.subgroups import all_subgroups, subgroup_classes
 
@@ -41,6 +43,19 @@ def test_generators_computed_on_first_read(G):
     assert H._generators is None
     assert_images_only(H)
     assert H._generators is H.generators
+
+
+def test_orbits_read_no_generators(G):
+    H = PermGroup(G.degree, G.images)
+    subs = [PermGroup(c.rep.degree, c.rep.images) for c in subgroup_classes(G)]
+    orbits_on_points(H)
+    is_transitive(H)
+    acts_transitively_on(H, {1, 2})
+    # bypass the caches, which may hold results for an equal group
+    for X in k_orbits.__wrapped__(H, 2):
+        for A in [H] + subs:
+            orbits_on_kset.__wrapped__(A, X)
+    assert all(A._generators is None for A in [H] + subs)
 
 
 def test_given_generators_kept():

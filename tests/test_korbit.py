@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from korbits.errors import DomainError, ParseError, ResourceLimitError
-from korbits.group import (cyclic_group, dihedral_group, klein_four_group,
-                           symmetric_group)
+from korbits.group import (PermGroup, cyclic_group, dihedral_group,
+                           klein_four_group, symmetric_group)
 from korbits.korbit import (KSet, acts_transitively_on, aut_of_kset,
                             automorphic_analysis, classify_coherence,
                             co_analysis, coset_k_partitions, initial_tuple,
@@ -21,6 +21,7 @@ from korbits.korbit import (KSet, acts_transitively_on, aut_of_kset,
                             setwise_point_stabilizer, stab_of_ksuborbit,
                             translates_of_kset)
 from korbits.perm import Permutation, parse_permutation
+from korbits.subgroups import subgroup_classes
 
 
 def kset(*tuples):
@@ -211,6 +212,13 @@ class TestKBlocks:
         _, blocks = k_blocks(kset((1, 2)))
         assert blocks[0].aut_transitive is False
 
+    @pytest.mark.parametrize("points, expected",
+                             [({3, 4}, True), (set(), True), ({1, 3}, False),
+                              ({1, 5}, False), ({5}, False)])
+    def test_acts_transitively_on(self, points, expected):
+        G = PermGroup(4, [[0, 1, 2, 3], [1, 0, 3, 2]])      # <(1 2)(3 4)>
+        assert acts_transitively_on(G, points) is expected
+
 
 class TestStabilizers:
     def test_pointwise(self):
@@ -288,6 +296,22 @@ class TestTranslatesAndCosets:
     def test_orbits_on_kset_requires_invariance(self):
         with pytest.raises(DomainError):
             orbits_on_kset(cyclic_group(3), kset((1, 2)))
+
+    def test_orbits_on_kset_rejects_point_beyond_degree(self):
+        with pytest.raises(DomainError):
+            orbits_on_kset(cyclic_group(3), kset((1, 4)))
+
+    def test_orbits_on_kset_matches_expansion(self):
+        """Oracle: the A-orbit of a tuple is its image under every
+        element of A."""
+        G = symmetric_group(4)
+        for k in (1, 2, 3):
+            for X in k_orbits(G, k):
+                for cls in subgroup_classes(G):
+                    A = cls.rep
+                    want = {frozenset(tuple(int(g[v - 1]) + 1 for v in t)
+                                      for g in A.images) for t in X}
+                    assert set(orbits_on_kset(A, X).classes) == want
 
     def test_coset_k_partitions_counts(self):
         G = symmetric_group(3)

@@ -1,4 +1,4 @@
-"""Hot kernels: group closure and orbit labelling, in numpy.
+"""Hot kernels: closure, orbit labels and label meet/join, in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
@@ -46,12 +46,9 @@ def encode_rows(rows, n):
     return rows @ powers_for(n, rows.shape[1])
 
 
-def decode_key(key, n, width):
-    out = np.empty(width, dtype=np.int64)
-    for i in range(width - 1, -1, -1):
-        out[i] = key % n
-        key //= n
-    return out
+def decode_keys(keys, n, width):
+    """The inverse of encode_rows: 0-based point rows of int64 keys."""
+    return np.asarray(keys, dtype=np.int64)[..., None] // powers_for(n, width) % n
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +121,27 @@ def orbit_labels(images, rows):
         least[pos] = img.min(axis=0)                # each column is one orbit
         start = todo[-1] + 1
     return np.unique(least, return_inverse=True)[1]
+
+
+def meet_labels(a, b):
+    """Labels of the meet of the partitions given by the label arrays a
+    and b, numbered in order of their (a, b) pairs."""
+    return np.unique(a * (b.max() + 1) + b, return_inverse=True)[1]
+
+
+def join_labels(a, b):
+    """Labels of the join of the label arrays a and b, numbered by least
+    index: each index takes the least index of its a-class, then of its
+    b-class, until nothing changes."""
+    lab = np.arange(a.size)
+    while True:
+        prev = lab
+        for cls in (a, b):
+            least = np.full(cls.max() + 1, a.size)
+            np.minimum.at(least, cls, lab)
+            lab = least[cls]
+        if np.array_equal(lab, prev):
+            return np.unique(lab, return_inverse=True)[1]
 
 
 def tuple_orbits(images, k, max_tuples):

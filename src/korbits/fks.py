@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .errors import DomainError, ParseError
 from .group import (DEFAULT_NORMALIZER_DEGREE_CAP, block_images, block_systems,
                     is_primitive, is_transitive, normalizer_in_sym, perm_to_row,
                     quotient_action, row_to_perm)
 from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
-                     setwise_point_stabilizer, translates_of_kset)
+                     setwise_point_stabilizer, translate_keys)
 from .partition import Partition
 from .perm import Permutation, analyze_element, parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
@@ -128,9 +129,10 @@ def iso_partitions(G, N, k):
         if not all(c in class_orbit for c in classes[1:]):
             continue
         projs = [orbit_of_tuple(G, tuple(sorted(c))) for c in classes]
-        proj_orbit = {frozenset(x_proj.tuples)
-                      for x_proj in translates_of_kset(N, projs[0])[0]}
-        if not all(frozenset(p.tuples) in proj_orbit for p in projs[1:]):
+        # the key rows of the N-translates of the first projection
+        keys = {r.tobytes() for r in translate_keys(N, projs[0].as_rows())[0]}
+        if not all(_backend.encode_rows(p.as_rows(), n).tobytes() in keys
+                   for p in projs[1:]):
             continue
         qualified.append((Partition(set(c) for c in classes), tuple(projs)))
     return qualified

@@ -38,9 +38,9 @@ def check_ktuple(t):
 class KSet:
     """A finite set of k-tuples of distinct points, canonically sorted."""
 
-    __slots__ = ("arity", "tuples", "tag")
+    __slots__ = ("arity", "tuples")
 
-    def __init__(self, tuples, tag=None):
+    def __init__(self, tuples):
         tuples = sorted({check_ktuple(t) for t in tuples})
         if not tuples:
             raise DomainError("empty k-set")
@@ -49,7 +49,6 @@ class KSet:
             raise DomainError("mixed arities in k-set")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "tuples", tuple(tuples))
-        object.__setattr__(self, "tag", tag)
 
     def __setattr__(self, *a):
         raise AttributeError("KSet is immutable")
@@ -87,6 +86,14 @@ class KSet:
         return f"KSet(k={self.arity}, {{{inner}}})"
 
 
+def _kset(rows):
+    """KSet of sorted, distinct 0-based point rows, without re-validation."""
+    X = object.__new__(KSet)
+    object.__setattr__(X, "arity", int(rows.shape[1]))
+    object.__setattr__(X, "tuples", tuple(map(tuple, (rows + 1).tolist())))
+    return X
+
+
 def initial_tuple(n):
     return tuple(range(1, n + 1))
 
@@ -100,7 +107,7 @@ def left_act(g, s):
     if isinstance(s, KSet):
         if max(max(t) for t in s.tuples) > g.degree:
             raise DomainError("point out of range for this permutation")
-        return KSet((left_act(g, t) for t in s.tuples), tag=s.tag)
+        return KSet(left_act(g, t) for t in s.tuples)
     t = tuple(s)
     if max(t) > g.degree:
         raise DomainError("point out of range for this permutation")
@@ -113,7 +120,7 @@ def right_act(t, g):
     if isinstance(t, KSet):
         if t.arity != g.degree:
             raise DomainError("right action needs arity equal to the degree")
-        return KSet((right_act(x, g) for x in t.tuples), tag=t.tag)
+        return KSet(right_act(x, g) for x in t.tuples)
     t = tuple(t)
     if len(t) != g.degree:
         raise DomainError("right action needs arity equal to the degree")
@@ -126,14 +133,14 @@ def orbit_of_tuple(G, t):
     t = check_ktuple(t)
     if max(t) > G.degree:
         raise DomainError("point out of range for this group")
-    cols = np.array(t, dtype=np.int64) - 1
-    rows = G.images[:, cols] + 1
-    return KSet(map(tuple, {tuple(r) for r in rows.tolist()}))
+    rows = G.images[:, np.array(t, dtype=np.int64) - 1]
+    first = np.unique(_backend.encode_rows(rows, G.degree), return_index=True)[1]
+    return _kset(rows[first])
 
 
 def n_orbit(G):
     """The n-orbit of G: all rows g<1..n>, g in G."""
-    return KSet(map(tuple, (G.images + 1).tolist()))
+    return _kset(G.images)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -143,12 +150,9 @@ def k_orbits(G, k, max_tuples=DEFAULT_TUPLE_CAP):
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     tuples, orbit_ids = _backend.tuple_orbits(G.images, k, max_tuples)
-    n_orbits = int(orbit_ids.max()) + 1 if orbit_ids.size else 0
-    buckets = [[] for _ in range(n_orbits)]
-    tl = (tuples + 1).tolist()
-    for row, oid in zip(tl, orbit_ids.tolist()):
-        buckets[oid].append(tuple(row))
-    return [KSet(b) for b in buckets]
+    by_orbit = tuples[np.argsort(orbit_ids, kind="stable")]
+    ends = np.cumsum(np.bincount(orbit_ids))[:-1]
+    return [_kset(rows) for rows in np.split(by_orbit, ends)]
 
 
 def project(X, I):
@@ -243,18 +247,18 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
         return CoherenceVerdict(kind="incoherent", witness=part)
     if len(fam) == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
-    v_points = part.domain
+    rows = X.as_rows()
     for cls in subgroup_classes(G, max_order=max_subgroup_order):
-        if cls.order == 1:
-            continue
-        sub = orbits_on_kset(cls.rep, X)
-        for yc in sub.classes:
-            if len(yc) < 2:
-                continue
-            u = frozenset(v for t in yc for v in t)
-            if u < v_points:
-                return CoherenceVerdict(kind="coherent",
-                                        witness=(u, KSet(yc)))
+        labels = _backend.orbit_labels(cls.rep.images, rows)
+        # points[c, p]: whether point p lies in a tuple of suborbit c
+        points = np.zeros((labels.max() + 1, G.degree), dtype=bool)
+        points[labels[:, None], rows] = True
+        hits = (np.bincount(labels) > 1) & (points.sum(axis=1) < len(part.domain))
+        if hits.any():
+            c = int(np.argmax(hits))
+            u = frozenset(int(p) + 1 for p in np.flatnonzero(points[c]))
+            return CoherenceVerdict(kind="coherent",
+                                    witness=(u, _kset(rows[labels == c])))
     return CoherenceVerdict(kind="elementary-coherent")
 
 
@@ -262,33 +266,41 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
 # stabilizers and automorphism groups
 # ---------------------------------------------------------------------------
 
-def _kset_keys(X, n):
-    return np.sort(_backend.encode_rows(X.as_rows(), n))
+def translate_keys(G, rows):
+    """The translates gY, g in G, of the k-set Y with these sorted 0-based
+    rows, as (keys, fixed, union, labels): the sorted keys of each gY in
+    G's element order, the mask of g with gY = Y, the sorted union keys,
+    and for each union key the index of its translate in order of least
+    key, or None when the translates overlap."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return _translates(G, rows.shape[1], rows.tobytes())
 
 
-def _elements_fixing_kset(G, Y):
-    """Mask over G.images rows of elements g with gY = Y."""
-    rows = Y.as_rows()
-    imgs = G.images[:, rows]               # (|G|, |Y|, k)
-    pw = _backend.powers_for(G.degree, Y.arity)
-    keys = imgs @ pw                        # (|G|, |Y|)
-    keys.sort(axis=1)
-    target = _kset_keys(Y, G.degree)
-    return np.all(keys == target[None, :], axis=1)
+@functools.lru_cache(maxsize=8192)
+def _translates(G, k, data):
+    rows = np.frombuffer(data, dtype=np.int64).reshape(-1, k)
+    pw = _backend.powers_for(G.degree, k)
+    keys = np.sort(G.images[:, rows] @ pw, axis=1)
+    fixed = np.all(keys == rows @ pw, axis=1)
+    union = np.unique(keys)
+    # the |G|/|Stab(Y)| distinct translates are disjoint iff their keys add up
+    if G.order // np.count_nonzero(fixed) * len(rows) != union.size:
+        return keys, fixed, union, None
+    least = np.empty_like(union)
+    least[np.searchsorted(union, keys)] = keys[:, :1]
+    return keys, fixed, union, np.unique(least, return_inverse=True)[1]
 
 
 @functools.lru_cache(maxsize=32768)
 def stab_of_ksuborbit(G, Y):
     """Setwise stabilizer {g in G : gY = Y} and whether it acts
     transitively on Y's tuples."""
-    if len(Y) == 0:
-        raise DomainError("empty k-suborbit")
     if max(Y.union_of_points()) > G.degree:
         raise DomainError("point out of range for this group")
-    mask = _elements_fixing_kset(G, Y)
-    stab = PermGroup(G.degree, G.images[mask])
-    transitive = orbit_of_tuple(stab, Y.tuples[0]) == Y
-    return stab, transitive
+    rows = Y.as_rows()
+    stab = PermGroup(G.degree, G.images[translate_keys(G, rows)[1]])
+    images = _backend.encode_rows(stab.images[:, rows[0]], G.degree)
+    return stab, np.unique(images).size == len(Y)
 
 
 def pointwise_tuple_stabilizer(G, t):
@@ -359,18 +371,13 @@ def orbits_on_kset(A, X):
 
 @functools.lru_cache(maxsize=32768)
 def translates_of_kset(G, Y):
-    """Deduplicated left translates {gY : g in G}, ordered by least
-    tuple, plus whether they form a partition of their union."""
-    rows = Y.as_rows()
-    pw = _backend.powers_for(G.degree, Y.arity)
-    imgs = G.images[:, rows]                    # (|G|, |Y|, k)
-    keys = np.sort(imgs @ pw, axis=1)           # (|G|, |Y|)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    classes = [KSet(map(tuple, (imgs[i] + 1).tolist())) for i in sorted(first)]
-    classes.sort(key=lambda ks: ks.tuples[0])
-    total = sum(len(c) for c in classes)
-    union = {t for c in classes for t in c.tuples}
-    return classes, total == len(union)
+    """Deduplicated left translates {gY : g in G}, ordered by least tuple
+    (then by first g), plus whether they form a partition of their union."""
+    keys, _, _, labels = translate_keys(G, Y.as_rows())
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    first = first[np.argsort(keys[first, 0], kind="stable")]
+    rows = _backend.decode_keys(keys[first], G.degree, Y.arity)
+    return [_kset(r) for r in rows], labels is not None
 
 
 @dataclass(frozen=True)

@@ -75,9 +75,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     def order(self):
         return math.lcm(1, *(len(c) for c in self.cycles()))
 

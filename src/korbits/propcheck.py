@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .errors import DomainError, ResourceLimitError
-from .group import (PermGroup, alternating_group, close_group, is_primitive,
-                    is_transitive, normalizer_in, normalizer_in_sym)
-from .korbit import (KSet, aut_of_kset, automorphic_analysis,
-                     classify_coherence, k_blocks, k_orbits, orbit_of_tuple,
-                     orbits_on_kset, pointwise_tuple_stabilizer,
+from .group import (PermGroup, alternating_group, close_group,
+                    conjugate_rows_by, is_primitive, is_transitive,
+                    normalizer_in, normalizer_in_sym)
+from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
+                     automorphic_analysis, classify_coherence, k_blocks,
+                     k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
                      setwise_point_stabilizer, stab_of_ksuborbit,
-                     translates_of_kset)
-from .partition import Partition, join, meet
+                     translate_keys)
 from .perm import parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
@@ -103,12 +104,13 @@ def _base_ctx(G, group_id=None):
 # ---------------------------------------------------------------------------
 
 def _is_normal(H, G):
-    return all(h.conjugate(g) in H
-               for g in G.generators for h in H.generators)
-
-
-def _group_intersection(A, B):
-    return PermGroup(A.degree, A.images[np.isin(A.keys, B.keys)])
+    """Whether g H g^-1 = H for each generator g of G, by H's element keys."""
+    for g in G.generators:
+        keys = _backend.encode_rows(conjugate_rows_by(H.images, g, g.inverse()), H.degree)
+        pos = np.minimum(np.searchsorted(H.keys, keys), H.order - 1)
+        if not np.array_equal(H.keys[pos], keys):
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=16384)
@@ -134,26 +136,21 @@ def _has_proper_transitive_subgroup(G, max_order):
 def _suborbit_pool(G, X, max_order):
     """Canonical suborbits of X: the orbit of X's least tuple under each
     subgroup conjugacy-class representative, deduplicated."""
-    t0 = X.tuples[0]
-    seen = []
-    for cls in subgroup_classes(G, max_order=max_order):
-        Y = orbit_of_tuple(cls.rep, t0)
-        if Y not in seen:
-            seen.append(Y)
-    seen.sort(key=lambda Y: (len(Y), Y.tuples))
-    return seen
+    pool = {orbit_of_tuple(cls.rep, X.tuples[0])
+            for cls in subgroup_classes(G, max_order=max_order)}
+    return sorted(pool, key=lambda Y: (len(Y), Y.tuples))
 
 
 @functools.lru_cache(maxsize=4096)
 def _aut_suborbit_partition_failure(Gaut, X, max_order):
     """First suborbit Y of X (orbit of a subgroup of Aut) whose Aut
     translate set is not a partition; None when all are partitions."""
+    rows = X.as_rows()
     for cls in subgroup_classes(Gaut, max_order=max_order):
-        part = orbits_on_kset(cls.rep, X)
-        for c in part.classes:
-            Y = KSet(c)
-            if not translates_of_kset(Gaut, Y)[1]:
-                return Y
+        labels = _backend.orbit_labels(cls.rep.images, rows)
+        for c in range(labels.max() + 1):
+            if translate_keys(Gaut, rows[labels == c])[3] is None:
+                return _kset(rows[labels == c])
     return None
 
 
@@ -205,11 +202,9 @@ def _eval_P_LkRk(ctx, caps):
     if not h_trans:
         return _na("P_LkRk", ctx, "stabilizer is not transitive on the "
                                   "k-set: not a suborbit")
-    L, l_part = translates_of_kset(G, Y)
-    R = orbits_on_kset(H, X)
-    same = l_part and ({frozenset(c.tuples) for c in L}
-                       == set(R.classes))
-    if not same:
+    left = translate_keys(G, Y.as_rows())[3]
+    if left is None or not np.array_equal(
+            left, _backend.orbit_labels(H.images, X.as_rows())):
         return _na("P_LkRk", ctx, "L_k != R_k")
     if not _is_normal(H, G):
         return _fail("P_LkRk", ctx,
@@ -291,15 +286,20 @@ def _eval_P_giso(ctx, caps):
     if why:
         return _na("P_giso", ctx, why)
     for k in range(1, G.degree + 1):
-        a_orbits = {frozenset(X.tuples) for X in k_orbits(A, k)}
-        for Z_f in sorted(a_orbits, key=lambda s: sorted(s)):
-            Z = KSet(Z_f)
-            for T in translates_of_kset(G, Z)[0]:
-                if T != Z and frozenset(T.tuples) in a_orbits:
-                    return _pass("P_giso", ctx,
-                                 notes={"k": k,
-                                        "orbit": _ser_kset(Z),
-                                        "translate": _ser_kset(T)})
+        tuples, ids = _backend.tuple_orbits(A.images, k, DEFAULT_TUPLE_CAP)
+        keys = _backend.encode_rows(tuples, G.degree)
+        sizes = np.bincount(ids)
+        for z in range(sizes.size):
+            Z = tuples[ids == z]
+            T = np.unique(translate_keys(G, Z)[0], axis=0)
+            at = ids[np.searchsorted(keys, T)]
+            hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
+                   & (at[:, 0] != z))
+            if hit.any():
+                T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
+                return _pass("P_giso", ctx,
+                             notes={"k": k, "orbit": (Z + 1).tolist(),
+                                    "translate": (T + 1).tolist()})
     return _fail("P_giso", ctx,
                  {"reason": "no pair of distinct G-isomorphic k-orbits of A "
                             "for any k"})
@@ -344,9 +344,10 @@ def _eval_P_equal_classes(ctx, caps):
     G = _ctx_group(ctx)
     X = _orbit_from_ctx(G, ctx)
     aut = aut_of_kset(X, degree=G.degree)
+    rows = X.as_rows()
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
-        sizes = {len(c) for c in orbits_on_kset(cls.rep, X).classes}
-        if len(sizes) > 1:
+        sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
+        if sizes.min() != sizes.max():
             return _na("P_equal_classes", ctx,
                        "a subgroup of Aut(X) has unequal class sizes on X")
     if aut.order != len(X):
@@ -355,17 +356,6 @@ def _eval_P_equal_classes(ctx, caps):
                                 "partitions X into equal classes",
                       "aut_order": aut.order, "orbit_size": len(X)})
     return _pass("P_equal_classes", ctx)
-
-
-def _regular_aut_suborbits(aut, t0, max_order):
-    """Subgroup class reps of Aut whose orbit of t0 has size equal to the
-    subgroup order (a regular suborbit)."""
-    out = []
-    for cls in subgroup_classes(aut, max_order=max_order):
-        Y = orbit_of_tuple(cls.rep, t0)
-        if len(Y) == cls.order:
-            out.append((cls.rep, Y))
-    return out
 
 
 def _eval_L_grAB(ctx, caps):
@@ -379,8 +369,11 @@ def _eval_L_grAB(ctx, caps):
         X = _orbit_from_ctx(G, ctx)
         aut = aut_of_kset(X, degree=G.degree)
         t0 = X.tuples[0]
-        regs = _regular_aut_suborbits(aut, t0, caps.max_subgroup_order)
-        pairs = [(A, B, t0) for A, _ in regs for B, _ in regs][:caps.max_pairs]
+        # subgroup class reps of Aut whose orbit of t0 is regular
+        regs = [cls.rep for cls in subgroup_classes(
+                    aut, max_order=caps.max_subgroup_order)
+                if len(orbit_of_tuple(cls.rep, t0)) == cls.order]
+        pairs = [(A, B, t0) for A in regs for B in regs][:caps.max_pairs]
     checked = 0
     for A, B, alpha in pairs:
         Y = orbit_of_tuple(A, alpha)
@@ -405,25 +398,13 @@ def _eval_L_grAB(ctx, caps):
     return _pass("L_grAB", ctx, notes={"pairs_checked": checked})
 
 
-@functools.lru_cache(maxsize=32768)
-def _translate_classes(G, Y):
-    """G-translate classes of Y as frozensets of tuples, plus the
-    partition flag."""
-    classes, is_part = translates_of_kset(G, Y)
-    return frozenset(frozenset(c.tuples) for c in classes), is_part
-
-
-def _translate_partition_matches(G, Y, target_classes):
-    """Whether the G-translates of Y form a partition whose class set is
-    exactly target_classes (a set of frozensets of tuples)."""
-    classes, is_part = _translate_classes(G, Y)
-    return is_part and classes == target_classes
-
-
-@functools.lru_cache(maxsize=32768)
-def _translate_partition(G, Y):
-    classes, _ = translates_of_kset(G, Y)
-    return Partition(frozenset(c.tuples) for c in classes)
+def _translates_match(G, keys, k, union, labels):
+    """Whether the G-translates of the k-set with these sorted keys
+    partition `union` as the label array `labels` does."""
+    _, _, u, lab = translate_keys(G, _backend.decode_keys(keys, G.degree, k))
+    # two partitions agree when they have as many classes as their meet
+    return (lab is not None and np.array_equal(u, union)
+            and lab.max() == labels.max() == _backend.meet_labels(lab, labels).max())
 
 
 def _eval_P_capcup(ctx, caps):
@@ -434,7 +415,7 @@ def _eval_P_capcup(ctx, caps):
     else:
         X = _orbit_from_ctx(G, ctx)
         pool = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
-                if translates_of_kset(G, Y)[1]]
+                if translate_keys(G, Y.as_rows())[3] is not None]
         pairs = [(pool[i], pool[j])
                  for i in range(len(pool)) for j in range(i + 1, len(pool))]
         pairs = pairs[:caps.max_pairs]
@@ -450,39 +431,34 @@ def _eval_P_capcup(ctx, caps):
         def fail(detail):
             return _fail("P_capcup", ctx, detail, witness_ctx=wctx)
 
-        _, py = _translate_classes(G, Y)
-        _, pz = _translate_classes(G, Z)
-        _, ty = stab_of_ksuborbit(G, Y)
-        _, tz = stab_of_ksuborbit(G, Z)
-        if Y == Z or not (py and pz and ty and tz):
+        # row 0 of G is the identity, so ky[0] holds the keys of Y itself
+        ky, fy, union, ly = translate_keys(G, Y.as_rows())
+        kz, fz, z_union, lz = translate_keys(G, Z.as_rows())
+        SY, ty = stab_of_ksuborbit(G, Y)
+        SZ, tz = stab_of_ksuborbit(G, Z)
+        if Y == Z or ly is None or lz is None or not (ty and tz):
             continue
+        if not np.array_equal(union, z_union):
+            raise DomainError("domain mismatch in meet")
         checked += 1
-        M = meet(_translate_partition(G, Y), _translate_partition(G, Z))
-        J = join(_translate_partition(G, Y), _translate_partition(G, Z))
-        m_classes = frozenset(M.classes)
-        j_classes = frozenset(J.classes)
-        t0 = Y.tuples[0]
-        CM = KSet(M.class_of(t0))
-        CJ = KSet(J.class_of(t0))
-        if not _translate_partition_matches(G, CM, m_classes):
+        m = _backend.meet_labels(ly, lz)
+        j = _backend.join_labels(ly, lz)
+        at = np.searchsorted(union, ky[0, 0])
+        CJ = union[j == j[at]]
+        if not _translates_match(G, union[m == m[at]], Y.arity, union, m):
             return fail({"reason": "meet is not a G-translate partition"})
-        if not _translate_partition_matches(G, CJ, j_classes):
+        if not _translates_match(G, CJ, Y.arity, union, j):
             return fail({"reason": "join is not a G-translate partition"})
-        common = set(Y.tuples) & set(Z.tuples)
-        if common:
-            T = KSet(common)
-            U = CJ
-            if not _translate_partition_matches(G, T, m_classes):
+        T = np.intersect1d(ky[0], kz[0])
+        if T.size:
+            # U = CJ, whose translates were matched with the join above
+            if not _translates_match(G, T, Y.arity, union, m):
                 return fail({"reason": "meet != G(Y ∩ Z)"})
-            if not _translate_partition_matches(G, U, j_classes):
-                return fail({"reason": "join != GU for the class U "
-                                       "containing Y and Z"})
-            SY, _ = stab_of_ksuborbit(G, Y)
-            SZ, _ = stab_of_ksuborbit(G, Z)
-            ST, _ = stab_of_ksuborbit(G, T)
-            SU, _ = stab_of_ksuborbit(G, U)
-            if ST != _group_intersection(SY, SZ):
+            T_rows = _backend.decode_keys(T, G.degree, Y.arity)
+            if not np.array_equal(translate_keys(G, T_rows)[1], fy & fz):
                 return fail({"reason": "Stab(T) != Stab(Y) ∩ Stab(Z)"})
+            U_rows = _backend.decode_keys(CJ, G.degree, Y.arity)
+            SU = PermGroup(G.degree, G.images[translate_keys(G, U_rows)[1]])
             if SU != _join_groups(SY, SZ, G.degree):
                 return fail({"reason": "Stab(U) != gr(Stab(Y), Stab(Z))"})
     if not checked:

@@ -169,8 +169,9 @@ class TestEncoding:
         width = data.draw(st.integers(min_value=1, max_value=min(n, 4)))
         row = data.draw(st.lists(st.integers(0, n - 1),
                                  min_size=width, max_size=width))
-        key = int(_backend.encode_rows(np.array([row]), n)[0])
-        assert _backend.decode_key(key, n, width).tolist() == row
+        keys = _backend.encode_rows(np.array([row, row[::-1]]), n)
+        assert _backend.decode_keys(keys, n, width).tolist() == [row, row[::-1]]
+        assert _backend.decode_keys(keys[0], n, width).tolist() == row
 
     def test_key_order_is_lex_order(self):
         rows = np.array(list(itertools.permutations(range(4))), dtype=np.int64)

@@ -6,8 +6,6 @@ A group built from images alone gets the greedy generators of
 them.
 """
 
-import itertools
-
 import pytest
 
 from korbits.group import (PermGroup, block_systems, close_group,
@@ -17,8 +15,8 @@ from korbits.group import (PermGroup, block_systems, close_group,
                            symmetric_group)
 from korbits.korbit import (acts_transitively_on, aut_of_kset, k_orbits,
                             orbit_of_tuple, orbits_on_kset, stab_of_ksuborbit)
-from korbits.propcheck import _group_intersection
-from korbits.subgroups import all_subgroups, subgroup_classes
+from korbits.propcheck import _is_normal
+from korbits.subgroups import subgroup_classes
 
 AMBIENT = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6),
            "C6": lambda: cyclic_group(6)}
@@ -80,10 +78,14 @@ def test_stabilizers_and_automorphism_groups(G):
             assert_images_only(stab)
 
 
-def test_intersections(G):
-    subs = all_subgroups(G)
-    for A, B in itertools.combinations(subs[::3], 2):
-        assert_images_only(_group_intersection(A, B))
+def test_normality_reads_no_generators(G):
+    """`_is_normal` looks conjugates up among H's element keys; oracle:
+    every element of G conjugates every element of H into H."""
+    for cls in subgroup_classes(G):
+        H = PermGroup(cls.rep.degree, cls.rep.images)
+        want = all(h.conjugate(g) in H for g in G.elements for h in H.elements)
+        assert _is_normal(H, G) == want == (len(cls.conjugates) == 1)
+        assert H._generators is None
 
 
 def test_quotients(G):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from korbits import _backend
+from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
                            klein_four_group, symmetric_group)
@@ -19,7 +21,7 @@ from korbits.korbit import (KSet, acts_transitively_on, aut_of_kset,
                             pointwise_tuple_stabilizer, project,
                             render_kset, render_norbit, right_act, save_kset,
                             setwise_point_stabilizer, stab_of_ksuborbit,
-                            translates_of_kset)
+                            translate_keys, translates_of_kset)
 from korbits.perm import Permutation, parse_permutation
 from korbits.subgroups import subgroup_classes
 
@@ -312,6 +314,37 @@ class TestTranslatesAndCosets:
                     want = {frozenset(tuple(int(g[v - 1]) + 1 for v in t)
                                       for g in A.images) for t in X}
                     assert set(orbits_on_kset(A, X).classes) == want
+
+    def test_translate_keys_match_expansion(self):
+        """Oracle: gY is every element g applied to every tuple of Y; the
+        translates partition X when the distinct ones are disjoint. Y runs
+        over every suborbit of every subgroup-class rep on X, over S4 and
+        the degree-5 catalog."""
+        covering = 0
+        for G in [symmetric_group(4)] + [e.group() for e in transitive_catalog(5)]:
+            def code(tuples):
+                rows = [[v - 1 for v in t] for t in tuples]
+                return _backend.encode_rows(rows, G.degree).tolist()
+
+            for X in (X for k in (1, 2, 3) for X in k_orbits(G, k)):
+                for cls in subgroup_classes(G):
+                    for Y in map(KSet, orbits_on_kset(cls.rep, X).classes):
+                        gY = [frozenset(tuple(int(g[v - 1]) + 1 for v in t)
+                                        for t in Y) for g in G.images]
+                        union = sorted(set().union(*gY))
+                        distinct = sorted(set(gY), key=min)
+                        keys, fixed, u, labels = translate_keys(G, Y.as_rows())
+                        assert keys.tolist() == [sorted(code(T)) for T in gY]
+                        assert fixed.tolist() == [T == set(Y) for T in gY]
+                        assert u.tolist() == code(union)
+                        if sum(map(len, distinct)) > len(union):
+                            covering += 1
+                            assert labels is None
+                        else:
+                            assert labels.tolist() == [
+                                next(i for i, T in enumerate(distinct) if t in T)
+                                for t in union]
+        assert covering > 0
 
     def test_coset_k_partitions_counts(self):
         G = symmetric_group(3)

@@ -1,9 +1,11 @@
 """Partition lattice operations and overlapping set families."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from korbits import _backend
 from korbits.errors import DomainError
 from korbits.partition import Partition, SetFamily, join, meet, smash
 
@@ -105,6 +107,18 @@ class TestLattice:
         p, r = map(_from_assign, pair)
         assert meet(p, join(p, r)) == p
         assert join(p, meet(p, r)) == p
+
+    @given(paired_partitions())
+    def test_label_meet_and_join(self, pair):
+        """The label-array kernels against the tuple-level operators."""
+        p, r = map(_from_assign, pair)
+        a, b = (np.array(x) for x in pair)
+        m = _backend.meet_labels(a, b)
+        j = _backend.join_labels(a, b)
+        assert _from_assign(m.tolist()) == meet(p, r)
+        assert _from_assign(j.tolist()) == join(p, r)
+        # join classes are numbered by least index
+        assert np.all(np.diff(np.unique(j, return_index=True)[1]) > 0)
 
 
 class TestSmash:

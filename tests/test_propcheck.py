@@ -96,24 +96,31 @@ CTX_GRAB = {
     "subgroup2": ["(1 2)(3 4)", "(1 3 2 4)"],
 }
 
+# t7.5, PSL(3,2) on 7 points: it lies in A7 and is its own normalizer in
+# S7, because its two A7-classes fuse in S7.
+CTX_PSL32 = {
+    "degree": 7,
+    "group": ["(4 5)(6 7)", "(4 6)(5 7)", "(2 3)(6 7)", "(2 4)(3 5)",
+              "(1 2)(5 6)"],
+}
+
+RECORDED = [
+    ("P_index", CTX_ORDER36),
+    ("P_giso", CTX_ORDER36),
+    ("L_grAB", CTX_GRAB),
+    ("L_alt_norm", CTX_PSL32),
+]
+
 
 class TestCounterexamples:
-    @pytest.mark.parametrize("check_id,ctx", [
-        ("P_index", CTX_ORDER36),
-        ("P_giso", CTX_ORDER36),
-        ("L_grAB", CTX_GRAB),
-    ])
+    @pytest.mark.parametrize("check_id,ctx", RECORDED)
     def test_recorded_failures_still_fail(self, check_id, ctx):
         res = run_check(check_id, ctx)
         assert res.verdict == "fail"
         assert res.witness is not None
         assert "context" in res.witness and "detail" in res.witness
 
-    @pytest.mark.parametrize("check_id,ctx", [
-        ("P_index", CTX_ORDER36),
-        ("P_giso", CTX_ORDER36),
-        ("L_grAB", CTX_GRAB),
-    ])
+    @pytest.mark.parametrize("check_id,ctx", RECORDED)
     def test_witness_replays_standalone(self, check_id, ctx):
         witness = run_check(check_id, ctx).witness
         replay = replay_witness(witness, check_id)

@@ -1,4 +1,5 @@
-"""Hot kernels: closure, orbit labels and label meet/join, in numpy.
+"""Hot kernels: closure, orbit labels, label meet/join and sorted-key
+membership, in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
@@ -49,6 +50,13 @@ def encode_rows(rows, n):
 def decode_keys(keys, n, width):
     """The inverse of encode_rows: 0-based point rows of int64 keys."""
     return np.asarray(keys, dtype=np.int64)[..., None] // powers_for(n, width) % n
+
+
+def in_sorted(sorted_keys, keys):
+    """Whether each of `keys` occurs in the non-empty ascending int64
+    array `sorted_keys`."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
 
 
 # ---------------------------------------------------------------------------

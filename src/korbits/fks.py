@@ -33,7 +33,9 @@ from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 def find_fpf_prime_power(G):
     """Canonically least element of G that moves every point and has
     prime-power order; None when no such element exists."""
-    for g in G.elements:           # canonical (lexicographic) order
+    moves_all = (G.images != np.arange(G.degree)).all(axis=1)
+    for row in G.images[moves_all]:     # canonical (lexicographic) order
+        g = row_to_perm(row)
         if analyze_element(g).is_fpf_prime_power:
             return g
     return None

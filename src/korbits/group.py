@@ -34,12 +34,13 @@ class PermGroup:
 
     `images` holds every element as a 0-based image row, sorted
     lexicographically (the canonical element order); `keys` the matching
-    encoded keys. Equality is by degree and element set. `generators`
-    is the given tuple, or else computed by `reduce_generators` on
-    first read.
+    encoded keys, the group's identity: equality and hashing are by
+    degree and `keys`, membership by `searchsorted` into `keys`.
+    `generators` is the given tuple, or else computed by
+    `reduce_generators` on first read.
     """
 
-    __slots__ = ("degree", "images", "keys", "key_set", "order",
+    __slots__ = ("degree", "images", "keys", "order", "_hash",
                  "_generators", "_elements", "_inv_images")
 
     def __init__(self, degree, images, generators=None):
@@ -52,8 +53,8 @@ class PermGroup:
             keys = keys[order]
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "key_set", frozenset(int(k) for k in keys))
         object.__setattr__(self, "order", int(images.shape[0]))
+        object.__setattr__(self, "_hash", hash((self.degree, keys.tobytes())))
         object.__setattr__(self, "_generators",
                            None if generators is None else tuple(generators))
         object.__setattr__(self, "_elements", None)
@@ -89,9 +90,8 @@ class PermGroup:
         if isinstance(p, Permutation):
             if p.degree != self.degree:
                 return False
-            key = int(_backend.encode_rows(perm_to_row(p)[None, :], self.degree)[0])
-            return key in self.key_set
-        return int(p) in self.key_set
+            p = _backend.encode_rows(perm_to_row(p)[None, :], self.degree)[0]
+        return bool(_backend.in_sorted(self.keys, int(p)))
 
     def __len__(self):
         return self.order
@@ -102,10 +102,10 @@ class PermGroup:
     def __eq__(self, other):
         return (isinstance(other, PermGroup)
                 and self.degree == other.degree
-                and self.key_set == other.key_set)
+                and np.array_equal(self.keys, other.keys))
 
     def __hash__(self):
-        return hash((self.degree, self.key_set))
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"
@@ -141,7 +141,7 @@ def reduce_generators(degree, images):
     for idx in order:
         if images.shape[0] == have.order:
             break
-        if int(keys[idx]) in have.key_set:
+        if keys[idx] in have:
             continue
         gens.append(row_to_perm(images[idx]))
         have = close_group(gens, degree=degree)
@@ -149,22 +149,19 @@ def reduce_generators(degree, images):
 
 
 def is_subgroup(A, G):
-    return A.degree == G.degree and A.key_set <= G.key_set
+    return A.degree == G.degree and bool(_backend.in_sorted(G.keys, A.keys).all())
 
 
-def conjugate_elementwise(G, h):
-    """Keys of x*h*x^-1 for every x in G, aligned with G.images rows."""
-    h0 = perm_to_row(h)
-    t = h0[G.inv_images]
-    conj = np.take_along_axis(G.images, t, axis=1)
+def conjugate_elementwise(G, h_row):
+    """Keys of x*h*x^-1 for every x in G, aligned with G.images rows;
+    h is a 0-based image row."""
+    conj = np.take_along_axis(G.images, h_row[G.inv_images], axis=1)
     return _backend.encode_rows(conj, G.degree)
 
 
-def conjugate_rows_by(rows, g, g_inv):
+def conjugate_rows_by(rows, g_row):
     """Rows of g*h*g^-1 for every row h in rows (0-based image rows)."""
-    g0 = perm_to_row(g)
-    ginv0 = perm_to_row(g_inv)
-    return g0[rows[:, ginv0]]
+    return g_row[rows[:, np.argsort(g_row)]]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,7 @@ def normalizer_in(W, G):
         raise DomainError("degree mismatch")
     mask = np.ones(W.order, dtype=bool)
     for h in G.generators:
-        keys = conjugate_elementwise(W, h)
-        mask &= np.isin(keys, G.keys)
+        mask &= _backend.in_sorted(G.keys, conjugate_elementwise(W, perm_to_row(h)))
     return PermGroup(W.degree, W.images[mask])
 
 

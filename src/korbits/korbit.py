@@ -256,7 +256,7 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
         hits = (np.bincount(labels) > 1) & (points.sum(axis=1) < len(part.domain))
         if hits.any():
             c = int(np.argmax(hits))
-            u = frozenset(int(p) + 1 for p in np.flatnonzero(points[c]))
+            u = frozenset((np.flatnonzero(points[c]) + 1).tolist())
             return CoherenceVerdict(kind="coherent",
                                     witness=(u, _kset(rows[labels == c])))
     return CoherenceVerdict(kind="elementary-coherent")

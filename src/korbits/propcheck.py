@@ -19,8 +19,9 @@ import numpy as np
 from . import _backend
 from .errors import DomainError, ResourceLimitError
 from .group import (PermGroup, alternating_group, close_group,
-                    conjugate_rows_by, is_primitive, is_transitive,
-                    normalizer_in, normalizer_in_sym)
+                    conjugate_rows_by, is_primitive, is_subgroup,
+                    is_transitive, normalizer_in, normalizer_in_sym,
+                    perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -106,9 +107,8 @@ def _base_ctx(G, group_id=None):
 def _is_normal(H, G):
     """Whether g H g^-1 = H for each generator g of G, by H's element keys."""
     for g in G.generators:
-        keys = _backend.encode_rows(conjugate_rows_by(H.images, g, g.inverse()), H.degree)
-        pos = np.minimum(np.searchsorted(H.keys, keys), H.order - 1)
-        if not np.array_equal(H.keys[pos], keys):
+        conj = conjugate_rows_by(H.images, perm_to_row(g))
+        if not _backend.in_sorted(H.keys, _backend.encode_rows(conj, H.degree)).all():
             return False
     return True
 
@@ -256,7 +256,7 @@ def _index_hypothesis(ctx, caps):
         return G, None, None, "no (A < H normal-in G, N_H(A) = A) instance"
     H = _ctx_group(ctx, "subgroup")
     A = _ctx_group(ctx, "subgroup2")
-    if not (A.key_set < H.key_set and A.order > 1):
+    if not (1 < A.order < H.order and is_subgroup(A, H)):
         return G, H, A, "A is not a proper non-trivial subgroup of H"
     if not (_is_normal(H, G) and H.order < G.order):
         return G, H, A, "H is not a proper normal subgroup of G"
@@ -312,7 +312,7 @@ def _eval_L_alt_norm(ctx, caps):
         return _na("L_alt_norm", ctx, "alternating group is trivial below "
                                       "degree 3")
     alt = alternating_group(n)
-    if not (G.key_set < alt.key_set):
+    if not (G.order < alt.order and is_subgroup(G, alt)):
         return _na("L_alt_norm", ctx,
                    "group is not a proper subgroup of the alternating group")
     N = normalizer_in_sym(G, max_degree=caps.max_degree)

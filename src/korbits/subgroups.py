@@ -3,9 +3,10 @@
 Every subgroup is generated by its prime-power-order elements, so
 breadth-first extension of known class representatives by one
 prime-power element at a time (reduced modulo conjugation by the
-representative's normalizer) reaches every conjugacy class. A global
-table of *all* conjugate subgroups (as element-key sets) makes class
-membership a hash lookup; class registration walks the conjugation
+representative's normalizer) reaches every conjugacy class. A subgroup
+is identified by the bytes of its sorted int64 element keys; a global
+table of *all* conjugate subgroups by those bytes makes class
+membership a hash lookup, and class registration walks the conjugation
 orbit once.
 """
 
@@ -17,6 +18,7 @@ from . import _backend
 from .errors import ResourceLimitError
 from .group import (PermGroup, conjugate_elementwise, conjugate_rows_by,
                     perm_to_row, row_to_perm)
+from .perm import analyze_element
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
 
@@ -25,8 +27,8 @@ class SubgroupClass:
     """One conjugacy class of subgroups of an ambient group.
 
     rep is the canonical representative (least element-key signature in
-    the class); conjugates lists every member as a frozenset of element
-    keys, canonically sorted.
+    the class); conjugates lists every member as the bytes of its sorted
+    int64 element keys, in lexicographic order of the key sequences.
     """
 
     __slots__ = ("class_id", "rep", "order", "conjugates")
@@ -42,21 +44,13 @@ class SubgroupClass:
                 f"size={len(self.conjugates)})")
 
 
-def _prime_power_order(p):
-    o = p.order()
-    if o == 1:
-        return False
-    d = 2
-    primes = 0
-    while d * d <= o:
-        if o % d == 0:
-            primes += 1
-            while o % d == 0:
-                o //= d
-        d += 1
-    if o > 1:
-        primes += 1
-    return primes == 1
+def _key_array(b):
+    return np.frombuffer(b, dtype=np.int64)
+
+
+def _rows_of(G, b):
+    """G's element rows for the sorted-key bytes b of a subgroup."""
+    return G.images[np.searchsorted(G.keys, _key_array(b))]
 
 
 @functools.lru_cache(maxsize=64)
@@ -70,89 +64,70 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         raise ResourceLimitError("max-subgroup-order", max_order, G.order,
                                  flag="--max-subgroup-order")
     n = G.degree
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
-    elems = G.elements
-    pp_keys = sorted(int(G.keys[i]) for i in range(G.order)
-                     if _prime_power_order(elems[i]))
+    gen_rows = [perm_to_row(g) for g in G.generators]
+    prime_power = np.fromiter(
+        (analyze_element(row_to_perm(r)).is_prime_power for r in G.images),
+        dtype=bool, count=G.order)
 
-    seen = {}          # frozenset of keys -> class index in `raw`
-    raw = []           # dicts: rep_rows, gens, keys, conjugates
+    seen = set()       # key bytes of every subgroup found so far
+    raw = []           # per class: (generator rows, keys, conjugates)
 
     def register(rows, gens):
-        """Walk the conjugation orbit of a new subgroup; returns class idx."""
-        keys0 = frozenset(int(k) for k in _backend.encode_rows(rows, n))
-        idx = len(raw)
-        orbit = {keys0: rows}
-        queue = [keys0]
+        """Walk the conjugation orbit of a new subgroup and record its class."""
+        keys = _backend.encode_rows(rows, n)
+        orbit = {keys.tobytes()}
+        queue = [rows]
         while queue:
-            ks = queue.pop()
-            r = orbit[ks]
-            for g, ginv in gen_pairs:
-                cr = conjugate_rows_by(r, g, ginv)
-                ck = frozenset(int(k) for k in _backend.encode_rows(cr, n))
+            r = queue.pop()
+            for g in gen_rows:
+                cr = conjugate_rows_by(r, g)
+                ck = np.sort(_backend.encode_rows(cr, n)).tobytes()
                 if ck not in orbit:
-                    orbit[ck] = cr
-                    queue.append(ck)
-        conjugates = sorted(orbit, key=lambda s: tuple(sorted(s)))
-        best = conjugates[0]
-        best_keys = np.sort(np.fromiter(best, dtype=np.int64, count=len(best)))
-        rep_rows = G.images[np.searchsorted(G.keys, best_keys)]
-        raw.append({"rep_rows": rep_rows, "gens": gens,
-                    "keys": keys0, "rows": rows, "conjugates": conjugates})
-        for ck in conjugates:
-            seen[ck] = idx
-        return idx
+                    orbit.add(ck)
+                    queue.append(cr)
+        members = list(orbit)
+        mat = _key_array(b"".join(members)).reshape(len(members), -1)
+        conjugates = tuple(members[i] for i in np.lexsort(mat.T[::-1]))
+        seen.update(conjugates)
+        raw.append((gens, keys, conjugates))
 
-    ident_rows = np.arange(n, dtype=np.int64)[None, :]
-    register(ident_rows, [])
+    register(np.arange(n, dtype=np.int64)[None, :], [])
     head = 0
     while head < len(raw):
-        entry = raw[head]
+        gens, h_keys, _ = raw[head]
         head += 1
-        h_keys = entry["keys"]
-        gens = entry["gens"]
         # normalizer of this representative in G
         mask = np.ones(G.order, dtype=bool)
-        h_keys_arr = np.sort(np.fromiter(h_keys, dtype=np.int64, count=len(h_keys)))
         for hg in gens:
-            ck = conjugate_elementwise(G, hg)
-            mask &= np.isin(ck, h_keys_arr)
+            mask &= _backend.in_sorted(h_keys, conjugate_elementwise(G, hg))
         norm = PermGroup(n, G.images[mask])
         # extension candidates: prime-power elements outside H,
         # one per conjugation orbit of the normalizer
-        visited = set()
-        for key in pp_keys:
-            if key in h_keys or key in visited:
+        todo = prime_power.copy()
+        todo[np.searchsorted(G.keys, h_keys)] = False
+        for i in np.flatnonzero(todo):
+            if not todo[i]:
                 continue
-            cand = row_to_perm(G.images[np.searchsorted(G.keys, key)])
-            orbit_keys = conjugate_elementwise(norm, cand)
-            visited.update(int(k) for k in orbit_keys)
+            cand = G.images[i]
+            todo[np.searchsorted(G.keys, conjugate_elementwise(norm, cand))] = False
             new_gens = gens + [cand]
-            gen_rows = np.stack([perm_to_row(p) for p in new_gens])
-            rows = _backend.closure_images(gen_rows, n, G.order)
-            ks = frozenset(int(k) for k in _backend.encode_rows(rows, n))
-            if ks not in seen:
+            rows = _backend.closure_images(np.stack(new_gens), n, G.order)
+            if _backend.encode_rows(rows, n).tobytes() not in seen:
                 register(rows, new_gens)
 
-    order_of = lambda e: e["rep_rows"].shape[0]
-    sig = lambda e: tuple(sorted(e["conjugates"][0]))
-    indexed = sorted(range(len(raw)), key=lambda i: (order_of(raw[i]), sig(raw[i])))
+    signature = lambda e: (e[1].size, _key_array(e[2][0]).tolist())
     out = []
-    for new_id, i in enumerate(indexed):
-        e = raw[i]
-        rep = PermGroup(n, e["rep_rows"])
-        out.append(SubgroupClass(new_id, rep, tuple(e["conjugates"])))
+    for new_id, (_, _, conjugates) in enumerate(sorted(raw, key=signature)):
+        rep = PermGroup(n, _rows_of(G, conjugates[0]))
+        out.append(SubgroupClass(new_id, rep, conjugates))
     return out
 
 
 def all_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):
     """Every subgroup of G (all conjugates expanded), as PermGroups,
     canonically ordered."""
-    out = []
-    for cls in subgroup_classes(G, max_order=max_order):
-        for ks in cls.conjugates:
-            keys = np.sort(np.fromiter(ks, dtype=np.int64, count=len(ks)))
-            rows = G.images[np.searchsorted(G.keys, keys)]
-            out.append(PermGroup(G.degree, rows))
-    out.sort(key=lambda H: (H.order, tuple(int(k) for k in H.keys)))
+    out = [PermGroup(G.degree, _rows_of(G, b))
+           for cls in subgroup_classes(G, max_order=max_order)
+           for b in cls.conjugates]
+    out.sort(key=lambda H: (H.order, H.keys.tolist()))
     return out

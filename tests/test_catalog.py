@@ -1,5 +1,7 @@
 """Transitive-group catalogs: counts, flags, persistence."""
 
+import hashlib
+
 import pytest
 
 from korbits.catalog import (enumerate_subgroups, load_catalog, parse_catalog,
@@ -9,6 +11,18 @@ from korbits.group import is_primitive, is_transitive, symmetric_group
 
 # number of transitive groups of degree n up to conjugacy
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 5, 6: 16, 7: 7}
+
+# SHA-256 of render_catalog(transitive_catalog(n)), recorded before
+# subgroups were identified by their key bytes instead of frozensets
+RENDER_SHA256 = {
+    1: "cf45b0dc6b8d365b327acdf04a605a31b6164fe7504793899abfb2ecb02d76c1",
+    2: "8e73fd8f09cd82531bf875e61a6378b44d8dfcc027009fce860f44eafb8edcec",
+    3: "13f5db32da98a96177cc9ba12c748793328a7c9addf096fbd8f49e98e9988e8c",
+    4: "042bbb12577ea46e2c7de8861c67212ac83477ceaecbb478d613cbcd9c5dcfdc",
+    5: "4d73d8b4012db8c845d5159383b6f107153f9db4436347fc3d2946de9988db3c",
+    6: "e0c082d7adbfe18a05291a563c996a5ed27fa80a724b0041079ac3a5b2e766dc",
+    7: "bae04e5fb2a54bd8e90b9189a5db3558cb9d90753f5e25f28a4893c88e4323af",
+}
 
 
 class TestGeneration:
@@ -22,6 +36,11 @@ class TestGeneration:
             assert e.transitive and is_transitive(G)
             assert e.order == G.order
             assert e.primitive == is_primitive(G, "classical")
+
+    @pytest.mark.parametrize("n", sorted(RENDER_SHA256))
+    def test_render_digest(self, n):
+        text = render_catalog(transitive_catalog(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[n]
 
     def test_ids_sequential(self):
         ids = [e.entry_id for e in transitive_catalog(5)]

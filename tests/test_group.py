@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from korbits.errors import DomainError, ParseError, ResourceLimitError
-from korbits.group import (alternating_group, block_images, block_systems,
+from korbits.group import (PermGroup, alternating_group, block_images, block_systems,
                            close_group, cyclic_group, dihedral_group,
                            invariant_partitions_bruteforce, is_abelian,
                            is_primitive, is_subgroup, is_transitive,
@@ -212,6 +212,43 @@ class TestSubgroupPredicate:
         assert is_subgroup(alternating_group(4), symmetric_group(4))
         assert not is_subgroup(symmetric_group(4), alternating_group(4))
         assert not is_subgroup(symmetric_group(3), symmetric_group(4))
+
+
+def _identity_cases():
+    from korbits.catalog import transitive_catalog
+    from korbits.subgroups import all_subgroups
+    return (all_subgroups(symmetric_group(4))
+            + [e.group() for e in transitive_catalog(5)])
+
+
+class TestIdentity:
+    """==, hash, `in` and is_subgroup against Python sets of image tuples."""
+
+    def test_equality_hash_and_subgroup_match_sets(self):
+        groups = _identity_cases()
+        # a copy built from the rows in reverse order, to be re-sorted
+        groups += [PermGroup(H.degree, H.images[::-1]) for H in groups[::7]]
+        sets = [(H.degree, {p.images for p in H.elements}) for H in groups]
+        for A, (da, ea) in zip(groups, sets):
+            for B, (db, eb) in zip(groups, sets):
+                assert (A == B) == (da == db and ea == eb)
+                if A == B:
+                    assert hash(A) == hash(B)
+                assert is_subgroup(A, B) == (da == db and ea <= eb)
+        assert len(set(groups)) == len({(d, frozenset(e)) for d, e in sets})
+
+    def test_membership_matches_sets(self):
+        for H in _identity_cases():
+            n = H.degree
+            elems = {p.images for p in H.elements}
+            for p in symmetric_group(n).elements:
+                key = sum((v - 1) * n ** (n - 1 - i)
+                          for i, v in enumerate(p.images))
+                assert (p in H) == (key in H) == (p.images in elems)
+            assert Permutation.identity(n + 1) not in H
+            assert Permutation.identity(n - 1) not in H
+            for key in (-1, n ** n, 2 ** 70):
+                assert key not in H
 
 
 @given(st.permutations(list(range(1, 6))))

@@ -1,7 +1,10 @@
 """Subgroup enumeration: class counts, Lagrange, conjugacy structure."""
 
+import numpy as np
 import pytest
 
+from korbits._backend import decode_keys
+from korbits.catalog import transitive_catalog
 from korbits.errors import ResourceLimitError
 from korbits.group import (alternating_group, cyclic_group, is_subgroup,
                            klein_four_group, symmetric_group)
@@ -61,11 +64,30 @@ class TestStructure:
         assert len(classes[-1].conjugates) == 1
 
     def test_ids_stable_and_ordered(self):
-        a = subgroup_classes(symmetric_group(4))
-        b = subgroup_classes(symmetric_group(4))
+        G = symmetric_group(4)
+        a = subgroup_classes(G)
+        b = subgroup_classes.__wrapped__(G)     # a fresh run, not the cache
+        assert a is not b
         assert [c.class_id for c in a] == list(range(len(a)))
-        assert [(c.order, c.conjugates) for c in a] == \
-            [(c.order, c.conjugates) for c in b]
+        assert [(c.order, c.conjugates, c.rep) for c in a] == \
+            [(c.order, c.conjugates, c.rep) for c in b]
+
+    @pytest.mark.parametrize("G", [symmetric_group(4)]
+                             + [e.group() for e in transitive_catalog(5)],
+                             ids=["S4"] + [f"t5.{i}" for i in range(1, 6)])
+    def test_conjugates_match_brute_force(self, G):
+        """Each class lists {x rep x^-1 : x in G}, each member as its
+        sorted elements, in lexicographic order of those sequences."""
+        for cls in subgroup_classes(G):
+            rep = cls.rep.elements
+            want = sorted({tuple(sorted((x * h * x.inverse()).images
+                                        for h in rep))
+                           for x in G.elements})
+            got = [tuple(map(tuple, (decode_keys(np.frombuffer(b, dtype=np.int64),
+                                                 G.degree, G.degree) + 1).tolist()))
+                   for b in cls.conjugates]
+            assert got == want
+            assert cls.rep.keys.tobytes() == cls.conjugates[0]
 
 
 class TestAllSubgroups:
@@ -74,7 +96,7 @@ class TestAllSubgroups:
         subs = all_subgroups(G)
         assert len(subs) == 30
         assert all(is_subgroup(H, G) for H in subs)
-        assert len({(H.order, H.key_set) for H in subs}) == 30
+        assert len(set(subs)) == 30
 
     def test_canonical_order(self):
         subs = all_subgroups(symmetric_group(3))

@@ -90,16 +90,18 @@ def build_parser():
     return p
 
 
-def _emit(args, records, summary):
-    """Machine records to --out (or stdout); summary to stdout."""
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+def _emit(args, text, summary=""):
+    """Machine text to --out (or stdout), then the summary to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        sys.stdout.write(summary)
     else:
         sys.stdout.write(text)
-        sys.stdout.write(summary)
+    sys.stdout.write(summary)
+
+
+def _jsonl(records):
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def _ks(args, degree):
@@ -129,13 +131,14 @@ def cmd_orbits(args):
         for X in k_orbits(G, k, max_tuples=args.max_tuples):
             v = classify_coherence(G, X,
                                    max_subgroup_order=args.max_subgroup_order)
+            rep = (X.rows[0] + 1).tolist()
             records.append({"record": "orbit", "k": k,
-                            "rep": list(X.tuples[0]), "size": len(X),
+                            "rep": rep, "size": len(X),
                             "kind": v.kind, "trivial": v.trivial})
-            lines.append(f"k={k} rep={','.join(map(str, X.tuples[0]))} "
+            lines.append(f"k={k} rep={','.join(map(str, rep))} "
                          f"size={len(X)} {v.kind}"
                          + (" (trivial)" if v.trivial else ""))
-    _emit(args, records, "\n".join(lines) + "\n")
+    _emit(args, _jsonl(records), "\n".join(lines) + "\n")
     return 0
 
 
@@ -147,8 +150,9 @@ def cmd_blocks(args):
         for X in k_orbits(G, k, max_tuples=args.max_tuples):
             fam, part, disjoint = co_analysis(X)
             _, blocks = k_blocks(X, max_aut_points=args.max_degree)
+            rep = (X.rows[0] + 1).tolist()
             records.append({
-                "record": "blocks", "k": k, "rep": list(X.tuples[0]),
+                "record": "blocks", "k": k, "rep": rep,
                 "size": len(X),
                 "coordinate_sets": [sorted(m) for m in fam],
                 "smash": [sorted(c) for c in part.classes],
@@ -157,10 +161,10 @@ def cmd_blocks(args):
                             "aut_order": b.aut.order,
                             "aut_transitive": b.aut_transitive}
                            for b in blocks]})
-            lines.append(f"k={k} rep={','.join(map(str, X.tuples[0]))} "
+            lines.append(f"k={k} rep={','.join(map(str, rep))} "
                          f"blocks={len(blocks)} smash={part.render()} "
                          f"{'partition' if disjoint else 'covering'}")
-    _emit(args, records, "\n".join(lines) + "\n")
+    _emit(args, _jsonl(records), "\n".join(lines) + "\n")
     return 0
 
 
@@ -168,26 +172,16 @@ def cmd_render(args):
     G = load_group(args.group, max_elements=args.max_elements)
     chain = [load_group(p, max_elements=args.max_elements)
              for p in args.subgroup] + [G]
-    text = render_norbit(G, chain)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, render_norbit(G, chain))
     return 0
 
 
 def cmd_catalog(args):
     c = cat.transitive_catalog(args.degree,
                                max_subgroup_order=args.max_subgroup_order)
-    text = cat.render_catalog(c)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(f"{len(c)} transitive groups of degree "
-                         f"{c.degree} written to {args.out}\n")
-    else:
-        sys.stdout.write(text)
+    _emit(args, cat.render_catalog(c),
+          f"{len(c)} transitive groups of degree {c.degree} written to "
+          f"{args.out}\n" if args.out else "")
     return 0
 
 
@@ -212,15 +206,8 @@ def cmd_check(args):
                                max_degree=args.max_degree,
                                max_aut_points=args.max_degree)
     report = propcheck.run_suite(c, k_range=k_range, check_ids=ids, caps=caps)
-    machine = propcheck.render_report(report)
-    summary = propcheck.render_summary(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(machine)
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(machine)
-        sys.stdout.write(summary)
+    _emit(args, propcheck.render_report(report),
+          propcheck.render_summary(report))
     return 1 if report.failures() else 0
 
 
@@ -228,16 +215,9 @@ def cmd_fks(args):
     G = load_group(args.group, max_elements=args.max_elements)
     trace = fks.fks_pipeline(G, max_subgroup_order=args.max_subgroup_order,
                              max_degree=args.max_degree)
-    text = fks.render_trace(trace)
-    summary = (f"fixed-point-free prime-power element: "
-               f"{trace.result['element']} of order {trace.result['order']}\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write(summary)
+    _emit(args, fks.render_trace(trace),
+          f"fixed-point-free prime-power element: "
+          f"{trace.result['element']} of order {trace.result['order']}\n")
     return 0
 
 
@@ -245,7 +225,7 @@ def cmd_audit(args):
     G = load_group(args.group, max_elements=args.max_elements)
     record = fks.proof_audit(G, max_subgroup_order=args.max_subgroup_order,
                              max_degree=args.max_degree)
-    _emit(args, [record.as_dict()],
+    _emit(args, _jsonl([record.as_dict()]),
           f"closed: {record.closed}, normalizer proper: "
           f"{record.normalizer_proper}, k = {record.chosen_k}\n")
     return 0

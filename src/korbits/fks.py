@@ -56,15 +56,21 @@ def _perm_power(g, e):
     return out
 
 
-def preimages_of(G, Q, g_quot):
-    """All g in G whose induced action on the classes of Q is g_quot,
-    in canonical element order."""
+def _preimage_rows(G, Q, g_quot):
+    """Image rows of the g in G whose induced action on the classes of Q
+    is g_quot, in canonical element order."""
     rows = block_images(G, Q)
     if g_quot.degree == rows.shape[1]:
         match = np.all(rows == perm_to_row(g_quot), axis=1)
         if match.any():
-            return [row_to_perm(r) for r in G.images[match]]
+            return G.images[match]
     raise DomainError("element is not in the quotient image")
+
+
+def preimages_of(G, Q, g_quot):
+    """All g in G whose induced action on the classes of Q is g_quot,
+    in canonical element order."""
+    return [row_to_perm(r) for r in _preimage_rows(G, Q, g_quot)]
 
 
 def lift_fpf(G, Q, g_quot, preimage=None):
@@ -81,10 +87,11 @@ def lift_fpf(G, Q, g_quot, preimage=None):
     if not a_quot.is_prime_power:
         raise DomainError(
             f"quotient element order {a_quot.order} is not a prime power")
-    pre = preimages_of(G, Q, g_quot)
+    pre = _preimage_rows(G, Q, g_quot)
     if preimage is None:
-        preimage = pre[0]
-    elif preimage not in pre:
+        preimage = row_to_perm(pre[0])
+    elif not (preimage.degree == G.degree
+              and (pre == perm_to_row(preimage)).all(axis=1).any()):
         raise DomainError("given preimage does not reduce to the quotient element")
     p = a_quot.prime_power_split[0][0]
     order = preimage.order()
@@ -369,14 +376,16 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                 "agrees": element == search})
 
 
-def replay_trace(trace, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
-    """Re-run the pipeline on the trace's group; True when the rerun
-    reproduces the trace exactly."""
+def replay_trace(trace, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
+                 max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
+    """Re-run the pipeline on the trace's group, with the caps it was
+    made with; True when the rerun reproduces the trace exactly."""
     from .group import close_group
 
     gens = [parse_permutation(s, trace.degree) for s in trace.generators]
     G = close_group(gens, degree=trace.degree)
-    return fks_pipeline(G, max_subgroup_order=max_subgroup_order) == trace
+    return fks_pipeline(G, max_subgroup_order=max_subgroup_order,
+                        max_degree=max_degree) == trace
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,14 @@ def klein_four_group():
 
 def orbits_on_points(G):
     """Partition of 1..n into G-orbits."""
-    classes = {}
-    for v, least in enumerate(G.images.min(axis=0).tolist(), start=1):
-        classes.setdefault(least, set()).add(v)   # least point of v's orbit
-    return Partition(classes.values())
+    # the least image of point v is the least point of v's orbit
+    return Partition.from_labels(range(1, G.degree + 1),
+                                 G.images.min(axis=0).tolist())
 
 
 def is_transitive(G):
-    return len(orbits_on_points(G)) == 1
+    """Whether the images of point 1 cover every point."""
+    return bool(np.bincount(G.images[:, 0], minlength=G.degree).all())
 
 
 def is_abelian(G):
@@ -221,33 +221,15 @@ def is_abelian(G):
 
 
 def _pair_closure(G, beta):
-    """Finest G-invariant partition of 1..n with 1 and beta together."""
+    """Finest G-invariant partition of the points of a transitive G with
+    1 and beta together: the components of the orbital graph whose
+    edges are the distinct pairs {g(1), g(beta)}, g in G."""
     n = G.degree
-    classes = Partition.discrete(range(1, n + 1))
-    current = [set(c) for c in classes.classes]
-
-    def merge_into(target_idx, src_idx, idx_of):
-        current[target_idx] |= current[src_idx]
-        for x in current[src_idx]:
-            idx_of[x] = target_idx
-        current[src_idx] = set()
-
-    idx_of = {x: i for i, c in enumerate(current) for x in c}
-    if idx_of[1] != idx_of[beta]:
-        merge_into(idx_of[1], idx_of[beta], idx_of)
-    changed = True
-    while changed:
-        changed = False
-        for g in G.generators:
-            for c in [c for c in current if len(c) > 1]:
-                imgs = {idx_of[g(x)] for x in c}
-                if len(imgs) > 1:
-                    it = iter(imgs)
-                    tgt = next(it)
-                    for other in it:
-                        merge_into(tgt, other, idx_of)
-                    changed = True
-    return Partition(c for c in current if c)
+    pairs = G.images[:, 0] * n + G.images[:, beta - 1]
+    edges = np.flatnonzero(np.bincount(pairs))          # distinct pairs
+    ends = np.stack([edges // n, edges % n], axis=1).ravel()
+    cells = _backend.join_labels(np.arange(ends.size) // 2, ends)
+    return Partition.from_labels((ends + 1).tolist(), cells.tolist())
 
 
 def block_systems(G):

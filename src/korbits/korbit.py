@@ -4,9 +4,8 @@ coordinate-set analysis, k-blocks, coherence classification,
 stabilizers, tuple-set automorphism groups, coset partitions and
 automorphic numbers.
 
-k-tuples are plain Python tuples of 1-based points; a KSet is a
-canonically sorted collection of them (the "matrix" view: one row per
-tuple)."""
+k-tuples are plain Python tuples of 1-based points; a KSet is the
+sorted int64 matrix of their 0-based points, one row per tuple."""
 
 import functools
 import itertools
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
-from .group import PermGroup, is_subgroup, orbits_on_points
-from .partition import Partition, SetFamily, smash
+from .group import PermGroup, is_subgroup, orbits_on_points, perm_to_row
+from .partition import Partition, SetFamily
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_TUPLE_CAP = 10 ** 7
@@ -36,44 +35,59 @@ def check_ktuple(t):
 
 
 class KSet:
-    """A finite set of k-tuples of distinct points, canonically sorted."""
+    """A finite set of k-tuples of distinct points.
 
-    __slots__ = ("arity", "tuples")
+    `rows` holds them as a read-only int64 matrix of 0-based points, one
+    row per tuple, sorted and without repeats: the k-set's identity.
+    Equality, hashing, length and membership read the rows; `tuples`
+    is computed from them on every read.
+    """
+
+    __slots__ = ("arity", "rows", "_hash")
 
     def __init__(self, tuples):
         tuples = sorted({check_ktuple(t) for t in tuples})
         if not tuples:
             raise DomainError("empty k-set")
-        arity = len(tuples[0])
-        if any(len(t) != arity for t in tuples):
+        if len({len(t) for t in tuples}) > 1:
             raise DomainError("mixed arities in k-set")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "tuples", tuple(tuples))
+        _kset(np.array(tuples, dtype=np.int64) - 1, self)
 
     def __setattr__(self, *a):
         raise AttributeError("KSet is immutable")
 
+    @property
+    def tuples(self):
+        return tuple(map(tuple, (self.rows + 1).tolist()))
+
     def __len__(self):
-        return len(self.tuples)
+        return self.rows.shape[0]
 
     def __iter__(self):
         return iter(self.tuples)
 
     def __contains__(self, t):
-        return tuple(t) in set(self.tuples)
+        try:
+            row = np.array(t, dtype=np.int64) - 1
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return (row.shape == (self.arity,)
+                and bool((self.rows == row).all(axis=1).any()))
 
     def __eq__(self, other):
-        return isinstance(other, KSet) and self.tuples == other.tuples
+        return (isinstance(other, KSet) and self._hash == other._hash
+                and self.arity == other.arity
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash(self.tuples)
+        return self._hash
 
     def union_of_points(self):
-        return frozenset(v for t in self.tuples for v in t)
+        return frozenset((np.unique(self.rows) + 1).tolist())
 
     def as_rows(self):
-        """0-based numpy matrix view, one row per tuple."""
-        return np.array(self.tuples, dtype=np.int64) - 1
+        """The stored 0-based matrix, one row per tuple (read-only)."""
+        return self.rows
 
     def render_matrix(self):
         return "\n".join(" ".join(str(v) for v in t) for t in self.tuples)
@@ -81,16 +95,20 @@ class KSet:
     def __repr__(self):
         inner = ", ".join("".join(map(str, t)) if max(t) <= 9
                           else str(t) for t in self.tuples[:6])
-        if len(self.tuples) > 6:
+        if len(self) > 6:
             inner += ", ..."
         return f"KSet(k={self.arity}, {{{inner}}})"
 
 
-def _kset(rows):
-    """KSet of sorted, distinct 0-based point rows, without re-validation."""
-    X = object.__new__(KSet)
+def _kset(rows, X=None):
+    """The KSet of sorted, distinct 0-based point rows, not validated
+    again; `KSet.__init__` passes itself as X."""
+    X = object.__new__(KSet) if X is None else X
+    rows = rows.view()      # read-only without touching the caller's array
+    rows.flags.writeable = False
     object.__setattr__(X, "arity", int(rows.shape[1]))
-    object.__setattr__(X, "tuples", tuple(map(tuple, (rows + 1).tolist())))
+    object.__setattr__(X, "rows", rows)
+    object.__setattr__(X, "_hash", hash((X.arity, rows.tobytes())))
     return X
 
 
@@ -105,9 +123,9 @@ def initial_tuple(n):
 def left_act(g, s):
     """Coordinate-wise application g<v1..vk> = <g(v1)..g(vk)>."""
     if isinstance(s, KSet):
-        if max(max(t) for t in s.tuples) > g.degree:
+        if s.rows.max() >= g.degree:
             raise DomainError("point out of range for this permutation")
-        return KSet(left_act(g, t) for t in s.tuples)
+        return _kset(np.unique(perm_to_row(g)[s.rows], axis=0))
     t = tuple(s)
     if max(t) > g.degree:
         raise DomainError("point out of range for this permutation")
@@ -120,7 +138,7 @@ def right_act(t, g):
     if isinstance(t, KSet):
         if t.arity != g.degree:
             raise DomainError("right action needs arity equal to the degree")
-        return KSet(right_act(x, g) for x in t.tuples)
+        return _kset(np.unique(t.rows[:, perm_to_row(g)], axis=0))
     t = tuple(t)
     if len(t) != g.degree:
         raise DomainError("right action needs arity equal to the degree")
@@ -161,21 +179,35 @@ def project(X, I):
     I = check_ktuple(I)
     if max(I) > X.arity:
         raise DomainError(f"position {max(I)} out of range for arity {X.arity}")
-    idx = [i - 1 for i in I]
-    return KSet(tuple(t[i] for i in idx) for t in X.tuples)
+    return _kset(np.unique(X.rows[:, [i - 1 for i in I]], axis=0))
 
 
 # ---------------------------------------------------------------------------
 # coordinate sets, blocks, coherence
 # ---------------------------------------------------------------------------
 
+def _smash_cells(rows):
+    """Smash labels of the (tuple, position) cells of these point rows:
+    the join of "same tuple" and "same point", numbered by least cell."""
+    return _backend.join_labels(np.arange(rows.size) // rows.shape[1],
+                                rows.ravel())
+
+
+def _smash_partition(rows, cells):
+    return Partition.from_labels((rows.ravel() + 1).tolist(), cells.tolist())
+
+
 def co_analysis(X):
     """The family of coordinate sets of X and its smash: the merged
     partition of the union plus whether the family was already disjoint
     (a partition) or overlapping (a covering)."""
-    fam = SetFamily(frozenset(t) for t in X.tuples)
-    part, disjoint = smash(fam)
-    return fam, part, disjoint
+    co = np.sort(X.rows, axis=1)
+    # one row per coordinate set, in order of first tuple: the family's
+    # iteration order breaks ties of least point by insertion order
+    sets = co[np.sort(np.unique(co, axis=0, return_index=True)[1])]
+    part = _smash_partition(sets, _smash_cells(sets))
+    fam = SetFamily(frozenset(s) for s in (sets + 1).tolist())
+    return fam, part, sets.size == len(part.domain)
 
 
 @dataclass(frozen=True)
@@ -195,17 +227,15 @@ def k_blocks(X, max_aut_points=DEFAULT_AUT_POINT_CAP):
 
     Returns (partition of X's tuples, list of KBlock in canonical
     order)."""
-    by_co = {}
-    for t in X.tuples:
-        by_co.setdefault(frozenset(t), []).append(t)
-    part = Partition(set(v) for v in by_co.values())
+    sets, label = np.unique(np.sort(X.rows, axis=1), axis=0,
+                            return_inverse=True)
     blocks = []
-    for co in sorted(by_co, key=lambda c: sorted(c)):
-        ks = KSet(by_co[co])
+    for i, co in enumerate((sets + 1).tolist()):
+        ks = _kset(X.rows[label == i])
         aut = aut_of_kset(ks, max_points=max_aut_points)
-        blocks.append(KBlock(kset=ks, points=co, aut=aut,
+        blocks.append(KBlock(kset=ks, points=frozenset(co), aut=aut,
                              aut_transitive=acts_transitively_on(aut, co)))
-    return part, blocks
+    return Partition.from_labels(X.tuples, label.tolist()), blocks
 
 
 def acts_transitively_on(G, points):
@@ -236,24 +266,33 @@ class CoherenceVerdict:
 
 @functools.lru_cache(maxsize=2048)
 def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
-    """Coherence classification of a k-orbit X of G."""
-    first = X.tuples[0]
-    if orbit_of_tuple(G, first) != X:
+    """Coherence classification of a k-orbit X of G, read from X's rows:
+    X is the image set of its first row, its coordinate sets are the
+    keys of its sorted rows, and their smash joins the tuples that share
+    a point."""
+    rows = X.rows
+    if rows.max() >= G.degree:
+        raise DomainError("point out of range for this group")
+    pw = _backend.powers_for(G.degree, X.arity)
+    if not np.array_equal(np.unique(G.images[:, rows[0]] @ pw), rows @ pw):
         raise DomainError("X is not a k-orbit of G")
     if X.arity == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
-    fam, part, disjoint = co_analysis(X)
-    if len(part) > 1:
-        return CoherenceVerdict(kind="incoherent", witness=part)
-    if len(fam) == 1:
+    # one row per coordinate set
+    sets = rows[np.unique(np.sort(rows, axis=1) @ pw, return_index=True)[1]]
+    if len(sets) == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
-    rows = X.as_rows()
+    cells = _smash_cells(sets)
+    if cells.max() > 0:
+        return CoherenceVerdict(kind="incoherent",
+                                witness=_smash_partition(sets, cells))
+    union = np.unique(sets).size
     for cls in subgroup_classes(G, max_order=max_subgroup_order):
         labels = _backend.orbit_labels(cls.rep.images, rows)
         # points[c, p]: whether point p lies in a tuple of suborbit c
         points = np.zeros((labels.max() + 1, G.degree), dtype=bool)
         points[labels[:, None], rows] = True
-        hits = (np.bincount(labels) > 1) & (points.sum(axis=1) < len(part.domain))
+        hits = (np.bincount(labels) > 1) & (points.sum(axis=1) < union)
         if hits.any():
             c = int(np.argmax(hits))
             u = frozenset((np.flatnonzero(points[c]) + 1).tolist())
@@ -295,9 +334,9 @@ def _translates(G, k, data):
 def stab_of_ksuborbit(G, Y):
     """Setwise stabilizer {g in G : gY = Y} and whether it acts
     transitively on Y's tuples."""
-    if max(Y.union_of_points()) > G.degree:
+    rows = Y.rows
+    if rows.max() >= G.degree:
         raise DomainError("point out of range for this group")
-    rows = Y.as_rows()
     stab = PermGroup(G.degree, G.images[translate_keys(G, rows)[1]])
     images = _backend.encode_rows(stab.images[:, rows[0]], G.degree)
     return stab, np.unique(images).size == len(Y)
@@ -329,14 +368,15 @@ def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
                                  flag="--max-degree")
     if degree is None:
         degree = max(u)
-    rows = X.as_rows()
+    rows = X.rows
     pw = _backend.powers_for(degree, X.arity)
     target = np.sort(rows @ pw)
-    t0 = X.tuples[0]
+    tuples = X.tuples
+    t0 = tuples[0]
     rest0 = [p for p in u if p not in t0]
     base = np.arange(degree, dtype=np.int64)
     out = []
-    for t1 in X.tuples:
+    for t1 in tuples:
         rest1 = [p for p in u if p not in t1]
         for perm in itertools.permutations(rest1):
             cand = base.copy()
@@ -354,26 +394,20 @@ def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
 # suborbits and coset partitions
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32768)
 def orbits_on_kset(A, X):
     """Partition of X's tuples into A-orbits (X must be A-invariant)."""
-    rows = X.as_rows()
-    if rows.max() >= A.degree:
+    if X.rows.max() >= A.degree:
         raise DomainError("point out of range for this group")
-    labels = _backend.orbit_labels(A.images, rows)
+    labels = _backend.orbit_labels(A.images, X.rows)
     if labels is None:
         raise DomainError("k-set is not invariant under the subgroup")
-    classes = [[] for _ in range(int(labels.max()) + 1)]
-    for t, oid in zip(X.tuples, labels.tolist()):
-        classes[oid].append(t)
-    return Partition(classes)
+    return Partition.from_labels(X.tuples, labels.tolist())
 
 
-@functools.lru_cache(maxsize=32768)
 def translates_of_kset(G, Y):
     """Deduplicated left translates {gY : g in G}, ordered by least tuple
     (then by first g), plus whether they form a partition of their union."""
-    keys, _, _, labels = translate_keys(G, Y.as_rows())
+    keys, _, _, labels = translate_keys(G, Y.rows)
     first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
     first = first[np.argsort(keys[first, 0], kind="stable")]
     rows = _backend.decode_keys(keys[first], G.degree, Y.arity)
@@ -456,7 +490,7 @@ def render_kset(X):
     """Exchange form: "arity k" header, one space-separated tuple per
     line, canonical order."""
     lines = [f"arity {X.arity}"]
-    lines += [" ".join(str(v) for v in t) for t in X.tuples]
+    lines += [" ".join(map(str, t)) for t in (X.rows + 1).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -28,8 +28,6 @@ class Partition:
         classes = _canonical(classes)
         seen = set()
         for c in classes:
-            if not c:
-                raise DomainError("empty class in partition")
             if seen & c:
                 raise DomainError(f"overlapping classes: {sorted(seen & c)}")
             seen |= c
@@ -51,6 +49,14 @@ class Partition:
     @classmethod
     def single(cls, domain):
         return cls([set(domain)])
+
+    @classmethod
+    def from_labels(cls, items, labels):
+        """The partition of `items` into classes of equal label."""
+        classes = {}
+        for x, label in zip(items, labels):
+            classes.setdefault(label, set()).add(x)
+        return cls(classes.values())
 
     def class_of(self, x):
         return self.classes[self._index[x]]
@@ -122,33 +128,15 @@ def _merge_overlapping(sets):
             x = parent[x]
         return x
 
-    disjoint = True
-    seen_member = {}
-    distinct = set()
-    for s in sets:
-        s = frozenset(s)
-        if s in distinct:
-            continue
+    distinct = {frozenset(s) for s in sets}
+    for s in distinct:
+        first = next(iter(s))
         for x in s:
-            if x in seen_member:
-                disjoint = False
-            seen_member[x] = True
-        distinct.add(s)
-        it = iter(s)
-        first = next(it)
-        if first not in parent:
-            parent[first] = first
-        root = find(first)
-        for x in it:
-            if x not in parent:
-                parent[x] = root
-            else:
-                parent[find(x)] = root
-                root = find(first)
-    groups = {}
-    for x in parent:
-        groups.setdefault(find(x), set()).add(x)
-    return Partition(groups.values()), disjoint
+            parent.setdefault(x, x)
+            parent[find(x)] = find(first)
+    points = list(parent)
+    return (Partition.from_labels(points, map(find, points)),
+            sum(map(len, distinct)) == len(points))
 
 
 class SetFamily:
@@ -160,7 +148,7 @@ class SetFamily:
         members = frozenset(frozenset(m) for m in members)
         if any(not m for m in members):
             raise DomainError("empty member in set family")
-        union = frozenset().union(*members) if members else frozenset()
+        union = frozenset().union(*members)
         if universe is None:
             universe = union
         else:
@@ -174,7 +162,7 @@ class SetFamily:
         raise AttributeError("SetFamily is immutable")
 
     def union(self):
-        return frozenset().union(*self.members) if self.members else frozenset()
+        return frozenset().union(*self.members)
 
     def __eq__(self, other):
         return isinstance(other, SetFamily) and self.members == other.members
@@ -197,9 +185,5 @@ def smash(family):
     was a partition of its union rather than a proper covering).
     """
     if isinstance(family, SetFamily):
-        members = family.members
-    else:
-        members = [frozenset(m) for m in family]
-    if not members:
-        return Partition([]), True
-    return _merge_overlapping(list(members))
+        family = family.members
+    return _merge_overlapping(family)

@@ -90,7 +90,12 @@ def _ctx_group(ctx, key="group"):
 
 
 def _ser_kset(Y):
-    return [list(t) for t in Y.tuples]
+    return (Y.rows + 1).tolist()
+
+
+def _rep(X):
+    """X's least tuple, 1-based."""
+    return tuple((X.rows[0] + 1).tolist())
 
 
 def _base_ctx(G, group_id=None):
@@ -126,19 +131,25 @@ def _normal_proper_nontrivial(G, max_order):
     return out
 
 
-def _has_proper_transitive_subgroup(G, max_order):
-    for cls in subgroup_classes(G, max_order=max_order):
+def _not_terminal(G, caps):
+    """Why G is not a terminal case (primitive in the non-Abelian sense,
+    with no proper transitive subgroup); None when it is one."""
+    if not is_transitive(G) or not is_primitive(G, "paper"):
+        return "group is not primitive (non-Abelian convention)"
+    for cls in subgroup_classes(G, max_order=caps.max_subgroup_order):
         if cls.order < G.order and is_transitive(cls.rep):
-            return cls.rep
+            return f"proper transitive subgroup of order {cls.order} exists"
     return None
 
 
 def _suborbit_pool(G, X, max_order):
     """Canonical suborbits of X: the orbit of X's least tuple under each
     subgroup conjugacy-class representative, deduplicated."""
-    pool = {orbit_of_tuple(cls.rep, X.tuples[0])
+    t0 = _rep(X)
+    pool = {orbit_of_tuple(cls.rep, t0)
             for cls in subgroup_classes(G, max_order=max_order)}
-    return sorted(pool, key=lambda Y: (len(Y), Y.tuples))
+    # same-size suborbits in lexicographic order of their tuples
+    return sorted(pool, key=lambda Y: (len(Y), Y.rows.ravel().tolist()))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -195,8 +206,10 @@ def _eval_P_stab_co(ctx, caps):
 def _eval_P_LkRk(ctx, caps):
     G = _ctx_group(ctx)
     Y = KSet(tuple(t) for t in ctx["suborbit"])
-    X = orbit_of_tuple(G, Y.tuples[0])
-    if not set(Y.tuples) <= set(X.tuples):
+    X = orbit_of_tuple(G, _rep(Y))
+    n = G.degree
+    if Y.rows.max() >= n or not _backend.in_sorted(
+            _backend.encode_rows(X.rows, n), _backend.encode_rows(Y.rows, n)).all():
         return _na("P_LkRk", ctx, "suborbit is not contained in a k-orbit")
     H, h_trans = stab_of_ksuborbit(G, Y)
     if not h_trans:
@@ -235,13 +248,9 @@ def _eval_P_prim_normal(ctx, caps):
 
 def _eval_C_simple(ctx, caps):
     G = _ctx_group(ctx)
-    if not is_transitive(G) or not is_primitive(G, "paper"):
-        return _na("C_simple", ctx,
-                   "group is not primitive (non-Abelian convention)")
-    tr = _has_proper_transitive_subgroup(G, caps.max_subgroup_order)
-    if tr is not None:
-        return _na("C_simple", ctx,
-                   f"proper transitive subgroup of order {tr.order} exists")
+    why = _not_terminal(G, caps)
+    if why:
+        return _na("C_simple", ctx, why)
     for H in _normal_proper_nontrivial(G, caps.max_subgroup_order):
         return _fail("C_simple", ctx,
                      {"reason": "proper non-trivial normal subgroup found",
@@ -325,13 +334,9 @@ def _eval_L_alt_norm(ctx, caps):
 
 def _eval_C_no_tr(ctx, caps):
     G = _ctx_group(ctx)
-    if not is_transitive(G) or not is_primitive(G, "paper"):
-        return _na("C_no_tr", ctx,
-                   "group is not primitive (non-Abelian convention)")
-    tr = _has_proper_transitive_subgroup(G, caps.max_subgroup_order)
-    if tr is not None:
-        return _na("C_no_tr", ctx,
-                   f"proper transitive subgroup of order {tr.order} exists")
+    why = _not_terminal(G, caps)
+    if why:
+        return _na("C_no_tr", ctx, why)
     N = normalizer_in_sym(G, max_degree=caps.max_degree)
     if N == G:
         return _fail("C_no_tr", ctx,
@@ -368,7 +373,7 @@ def _eval_L_grAB(ctx, caps):
     else:
         X = _orbit_from_ctx(G, ctx)
         aut = aut_of_kset(X, degree=G.degree)
-        t0 = X.tuples[0]
+        t0 = _rep(X)
         # subgroup class reps of Aut whose orbit of t0 is regular
         regs = [cls.rep for cls in subgroup_classes(
                     aut, max_order=caps.max_subgroup_order)
@@ -477,7 +482,7 @@ def _eval_L_H_order(ctx, caps):
                    "some suborbit's Aut-translate set is not a partition")
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         if (len(cls.conjugates) == 1 and cls.order == len(X)
-                and orbit_of_tuple(cls.rep, X.tuples[0]) == X):
+                and orbit_of_tuple(cls.rep, _rep(X)) == X):
             return _pass("L_H_order", ctx)
     return _fail("L_H_order", ctx,
                  {"reason": "no transitive normal subgroup of Aut(X) of "
@@ -591,7 +596,7 @@ def _eval_L_block_aut(ctx, caps):
     G = _ctx_group(ctx)
     X = _orbit_from_ctx(G, ctx)
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
-    if frozenset(X.tuples[0]) not in set(report.subsets):
+    if frozenset(_rep(X)) not in set(report.subsets):
         return _na("L_block_aut", ctx,
                    "not a right-automorphic k-orbit: no automorphic tuple")
     _, blocks = k_blocks(X, max_aut_points=caps.max_aut_points)
@@ -609,13 +614,9 @@ def _eval_L_proof_elcoh(ctx, caps):
     from .fks import iso_partitions
 
     G = _ctx_group(ctx)
-    if not is_transitive(G) or not is_primitive(G, "paper"):
-        return _na("L_proof_elcoh", ctx,
-                   "group is not primitive (non-Abelian convention)")
-    tr = _has_proper_transitive_subgroup(G, caps.max_subgroup_order)
-    if tr is not None:
-        return _na("L_proof_elcoh", ctx,
-                   f"proper transitive subgroup of order {tr.order} exists")
+    why = _not_terminal(G, caps)
+    if why:
+        return _na("L_proof_elcoh", ctx, why)
     N = normalizer_in_sym(G, max_degree=caps.max_degree)
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
     k = report.max_automorphic_degree_divisor() or 1
@@ -633,7 +634,7 @@ def _eval_L_proof_elcoh(ctx, caps):
                              {"reason": "projection is not elementary "
                                         "coherent",
                               "classes": [sorted(c) for c in part.classes],
-                              "orbit_rep": list(X.tuples[0]),
+                              "orbit_rep": list(_rep(X)),
                               "kind": verdict.kind})
     return _pass("L_proof_elcoh", ctx, notes={"partitions": len(found)})
 
@@ -700,7 +701,7 @@ def _ctx_per_orbit(G, gid, ks, caps):
     for k in ks:
         for X in k_orbits(G, k):
             yield {**_base_ctx(G, gid), "k": k,
-                   "orbit_rep": list(X.tuples[0])}
+                   "orbit_rep": list(_rep(X))}
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,19 @@ CHECK_DIGESTS = {
 }
 # render_trace(fks_pipeline(G)) concatenated over the catalogs of degree 2..6
 FKS_DIGEST = "10f0b335ed68a6dd0f892bad297b457cae74d52d6d2cf9f03e0941b1a1621b2f"
+# `korbits orbits` and `korbits blocks` JSON reports concatenated over the
+# groups of the degree-5 catalog
+CLI_DIGESTS = {
+    "orbits": "8ad6f91c889c3095d02ee8ee441a785a781e84703c732a2893b8b93ed161d420",
+    "blocks": "56600118f94a834fdc114c954b4ffa654a776f99066a761da31ca68743123411",
+}
 
 _SCRIPT = r"""
 import contextlib, hashlib, io, json, os, tempfile
 from korbits.catalog import transitive_catalog
 from korbits.cli import main
 from korbits.fks import fks_pipeline, render_trace
+from korbits.group import save_group
 
 sha = lambda data: hashlib.sha256(data).hexdigest()
 out = {"check": {}}
@@ -45,6 +52,17 @@ with tempfile.TemporaryDirectory() as tmp:
             main(["check", "--catalog", cat, "--all", "--out", report])
         with open(report, "rb") as fh:
             out["check"][n] = sha(fh.read())
+    for cmd in ("orbits", "blocks"):
+        data = b""
+        for e in transitive_catalog(5):
+            group = os.path.join(tmp, f"{e.entry_id}.grp")
+            report = os.path.join(tmp, f"{e.entry_id}.{cmd}.jsonl")
+            save_group(e.group(), group)
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([cmd, "--group", group, "--out", report])
+            with open(report, "rb") as fh:
+                data += fh.read()
+        out[cmd] = sha(data)
 traces = "".join(render_trace(fks_pipeline(e.group()))
                  for n in range(2, 7) for e in transitive_catalog(n))
 out["fks"] = sha(traces.encode())
@@ -67,6 +85,7 @@ def test_golden_digests(hash_seed):
     got = digests(hash_seed)
     assert got["check"] == CHECK_DIGESTS
     assert got["fks"] == FKS_DIGEST
+    assert {cmd: got[cmd] for cmd in CLI_DIGESTS} == CLI_DIGESTS
 
 
 if __name__ == "__main__":

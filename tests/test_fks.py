@@ -1,6 +1,8 @@
 """Fixed-point-free prime-power elements: direct search, quotient
 lifting, the reduction pipeline, trace persistence, the terminal audit."""
 
+import itertools
+
 import pytest
 
 from korbits.catalog import transitive_catalog
@@ -160,6 +162,24 @@ class TestTracePersistence:
     def test_replay(self):
         trace = fks_pipeline(cyclic_group(6))
         assert replay_trace(trace)
+
+    def test_replay_keeps_max_degree(self):
+        """The audit of A5 on the 10 pairs of {1..5} records the cap of
+        the n! normalizer search it was run with, so a replay must run
+        with the same cap."""
+        pairs = list(itertools.combinations(range(1, 6), 2))
+
+        def on_pairs(cycle):
+            g = parse_permutation(cycle, 5)
+            return Permutation(pairs.index(tuple(sorted((g(a), g(b))))) + 1
+                               for a, b in pairs)
+
+        G = close_group([on_pairs("(1 2 3)"), on_pairs("(1 2 3 4 5)")])
+        trace = fks_pipeline(G, max_degree=9)
+        assert G.order == 60
+        assert "cap is 9" in trace.steps[-1]["audit_error"]
+        assert replay_trace(trace, max_degree=9)
+        assert not replay_trace(trace)
 
     def test_replay_detects_tampering(self):
         trace = fks_pipeline(cyclic_group(6))

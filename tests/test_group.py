@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, alternating_group, block_images, block_systems,
                            close_group, cyclic_group, dihedral_group,
@@ -97,16 +98,22 @@ class TestOrbitsAndBlocks:
                 assert p == q or not q.refines(p)
 
     @pytest.mark.parametrize("make", [
-        cyclic_group, dihedral_group, lambda n: symmetric_group(n),
-    ], ids=["cyclic", "dihedral", "symmetric"])
+        lambda n: [cyclic_group(n)], lambda n: [dihedral_group(n)],
+        lambda n: [symmetric_group(n)],
+        lambda n: [e.group() for e in transitive_catalog(n)],
+    ], ids=["cyclic", "dihedral", "symmetric", "catalog"])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_blocks_match_bruteforce_minimal(self, make, n):
-        G = make(n)
-        all_inv = invariant_partitions_bruteforce(G)
-        minimal = [p for p in all_inv
-                   if not any(q != p and q.refines(p) for q in all_inv)]
-        assert sorted(block_systems(G), key=lambda p: p.render()) == \
-            sorted(minimal, key=lambda p: p.render())
+        for G in make(n):
+            all_inv = invariant_partitions_bruteforce(G)
+            minimal = [p for p in all_inv
+                       if not any(q != p and q.refines(p) for q in all_inv)]
+            assert sorted(block_systems(G), key=lambda p: p.render()) == \
+                sorted(minimal, key=lambda p: p.render())
+
+    def test_transitive_iff_one_point_orbit(self):
+        for H in _identity_cases():
+            assert is_transitive(H) is (len(orbits_on_points(H)) == 1)
 
 
 class TestQuotient:
@@ -215,7 +222,6 @@ class TestSubgroupPredicate:
 
 
 def _identity_cases():
-    from korbits.catalog import transitive_catalog
     from korbits.subgroups import all_subgroups
     return (all_subgroups(symmetric_group(4))
             + [e.group() for e in transitive_catalog(5)])

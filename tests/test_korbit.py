@@ -3,6 +3,7 @@ groups, coset partitions, automorphic numbers, rendering, persistence."""
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
                            klein_four_group, symmetric_group)
+from korbits.partition import SetFamily, smash
 from korbits.korbit import (KSet, acts_transitively_on, aut_of_kset,
                             automorphic_analysis, classify_coherence,
                             co_analysis, coset_k_partitions, initial_tuple,
@@ -199,6 +201,115 @@ class TestCoherence:
     def test_rejects_non_orbit(self):
         with pytest.raises(DomainError):
             classify_coherence(cyclic_group(4), kset((1, 2), (1, 3)))
+
+
+def _orbit_oracle(G, k):
+    """G's orbits on k-tuples of distinct points as Python sets of tuples,
+    ordered by least tuple."""
+    out, seen = [], set()
+    for t in itertools.permutations(range(1, G.degree + 1), k):
+        if t not in seen:
+            orbit = {tuple(g(v) for v in t) for g in G.elements}
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+def _identity_cases():
+    """(KSet, set of its tuples) for every k-orbit of S4 and of the groups
+    of the degree-5 catalog, plus copies rebuilt from shuffled and
+    duplicated tuples."""
+    cases = []
+    for G in [symmetric_group(4)] + [e.group() for e in transitive_catalog(5)]:
+        for k in range(1, G.degree + 1):
+            for X, want in zip(k_orbits(G, k), _orbit_oracle(G, k),
+                               strict=True):
+                cases.append((X, want))
+    rng = random.Random(0)
+    for _, want in cases[::3]:
+        tuples = sorted(want) * 2
+        rng.shuffle(tuples)
+        cases.append((KSet(tuples), want))
+    return cases
+
+
+class TestKSetIdentity:
+    """A KSet is its sorted rows: ==, hash, len, `in` and `tuples` against
+    Python sets of tuples."""
+
+    def test_tuples_len_and_membership_match_sets(self):
+        for X, want in _identity_cases():
+            n = X.arity + 2
+            assert X.tuples == tuple(sorted(want)) and len(X) == len(want)
+            for t in itertools.permutations(range(1, n + 1), X.arity):
+                assert (t in X) == (t in want)
+            for t in [(0,) * X.arity, (2 ** 70,) * X.arity, ("a",) * X.arity,
+                      next(iter(want)) + (1,), next(iter(want))[1:]]:
+                assert t not in X
+
+    def test_equality_and_hash_match_sets(self):
+        cases = _identity_cases()
+        for X, a in cases:
+            for Y, b in cases:
+                assert (X == Y) == (a == b)
+                if a == b:
+                    assert hash(X) == hash(Y)
+        assert len({X for X, _ in cases}) == len({frozenset(a) for _, a in cases})
+
+    def test_rows_are_stored_read_only_and_tuples_are_not(self):
+        for X in [KSet([(2, 1), (1, 2)]), k_orbits(cyclic_group(4), 2)[0]]:
+            assert X.as_rows() is X.rows
+            with pytest.raises(ValueError):
+                X.as_rows()[0, 0] = 3
+            assert X.tuples == X.tuples and X.tuples is not X.tuples
+        assert "tuples" not in KSet.__slots__
+
+
+def _co_reference(X):
+    fam = SetFamily(frozenset(t) for t in X.tuples)
+    return fam, *smash(fam)
+
+
+@st.composite
+def ksets(draw):
+    k = draw(st.integers(1, 4))
+    tuples = st.permutations(range(1, 8)).map(lambda p: tuple(p[:k]))
+    return KSet(draw(st.lists(tuples, min_size=1, max_size=8)))
+
+
+class TestCoherenceFromRows:
+    def test_co_analysis_matches_smash_on_orbits(self):
+        # D8's 3-orbits have coordinate sets with equal least points,
+        # which the family lists in order of first tuple
+        orbits = k_orbits(dihedral_group(8), 3)
+        for X in orbits + [X for X, _ in _identity_cases()]:
+            fam, part, disjoint = co_analysis(X)
+            ref_fam, ref_part, ref_disjoint = _co_reference(X)
+            assert (fam, part, disjoint) == (ref_fam, ref_part, ref_disjoint)
+            assert list(fam) == list(ref_fam)
+
+    @given(ksets())
+    def test_co_analysis_matches_smash(self, X):
+        fam, part, disjoint = co_analysis(X)
+        ref_fam, ref_part, ref_disjoint = _co_reference(X)
+        assert (fam, part, disjoint) == (ref_fam, ref_part, ref_disjoint)
+        assert list(fam) == list(ref_fam)
+
+    def test_point_beyond_degree(self):
+        G = cyclic_group(4)
+        for X in [kset((1, 5)), kset((1, 2), (5, 6)), kset((1, 2, 3, 4, 5))]:
+            with pytest.raises(DomainError):
+                classify_coherence(G, X)
+
+    def test_reads_no_orbit_of_tuple(self):
+        G = cyclic_group(6)
+        orbits = [X for k in range(1, 7) for X in k_orbits(G, k)]
+        before = orbit_of_tuple.cache_info()
+        verdicts = [classify_coherence.__wrapped__(G, X) for X in orbits]
+        assert orbit_of_tuple.cache_info() == before
+        assert {(v.kind, v.trivial) for v in verdicts} == {
+            ("incoherent", False), ("coherent", True), ("coherent", False),
+            ("elementary-coherent", False)}
 
 
 class TestKBlocks:

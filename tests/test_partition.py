@@ -121,6 +121,12 @@ class TestLattice:
         assert np.all(np.diff(np.unique(j, return_index=True)[1]) > 0)
 
 
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+def test_partition_from_labels(assign):
+    assert Partition.from_labels(range(1, len(assign) + 1), assign) == \
+        _from_assign(assign)
+
+
 class TestSmash:
     def test_disjoint_family(self):
         part, disjoint = smash([{1, 2}, {3, 4}])

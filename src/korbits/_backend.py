@@ -1,5 +1,6 @@
-"""Hot kernels: closure, orbit labels, label meet/join and sorted-key
-membership, in numpy.
+"""Hot kernels: closure, orbit labels, label meet/join, sorted-key
+membership, and the element index of a group with closure inside it,
+in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
@@ -9,6 +10,8 @@ MAX_KEY_DEGREE. The closure keeps the keys it has found as a sorted
 array; `orbit_labels` reads every orbit from the full element array,
 matching image keys against the sorted keys of the rows by
 `searchsorted`, so neither allocates anything indexed by the key space.
+`row_index` and `close_index` work on row numbers of a group's sorted
+element array instead of keys.
 """
 
 import itertools
@@ -129,6 +132,66 @@ def orbit_labels(images, rows):
         least[pos] = img.min(axis=0)                # each column is one orbit
         start = todo[-1] + 1
     return np.unique(least, return_inverse=True)[1]
+
+
+def row_index(images):
+    """The index function of the distinct, lexicographically sorted
+    element rows `images`: it maps an (m, n) array of rows of `images`
+    to their row numbers.
+
+    It reads a trie of image prefixes: level l maps (node, point) to the
+    node of the prefix one point longer, nodes numbered in row order.
+    The levels stop where the prefixes tell the rows apart, so the last
+    node is the row number; a lookup is one gather per level instead of
+    a binary search over keys.
+    """
+    order, n = images.shape
+    levels = []
+    node = np.zeros(order, dtype=np.int64)
+    while int(node[-1]) + 1 < order:
+        code = node * n + images[:, len(levels)]
+        child = np.full(int(code[-1]) + 1, -1, dtype=np.int64)
+        node = np.cumsum(np.concatenate(([0], code[1:] != code[:-1])))
+        child[code] = node
+        levels.append(child)
+
+    def index(rows):
+        at = np.zeros(rows.shape[0], dtype=np.int64)
+        for lvl, child in enumerate(levels):
+            at = child[at * n + rows[:, lvl]]
+        return at
+
+    return index
+
+
+def close_index(mask, frontier, maps, limit):
+    """Close the index set marked in the boolean array `mask` under the
+    index maps `maps`, in place, and return `mask`.
+
+    Each map is a permutation of the indices, such as the index of x*g
+    for every element x of a group. `frontier` lists the marked indices
+    whose images may be unmarked. Breadth first: every map sends the
+    frontier, and the indices each one marks first form the next
+    frontier. A map is one-to-one and marks are set before the next map
+    reads them, so a frontier never repeats an index. Once more than
+    `limit` indices are marked, all are marked and the search stops: for
+    a subgroup, `limit` is the largest order that Lagrange's theorem
+    leaves below the whole group.
+    """
+    count = int(np.count_nonzero(mask))
+    while frontier.size:
+        fresh = []
+        for m in maps:
+            img = m[frontier]
+            img = img[~mask[img]]
+            mask[img] = True
+            fresh.append(img)
+        frontier = np.concatenate(fresh)
+        count += frontier.size
+        if count > limit:
+            mask[:] = True
+            break
+    return mask
 
 
 def meet_labels(a, b):

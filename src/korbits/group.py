@@ -220,16 +220,27 @@ def is_abelian(G):
     return all(a * b == b * a for a in gens for b in gens)
 
 
-def _pair_closure(G, beta):
-    """Finest G-invariant partition of the points of a transitive G with
-    1 and beta together: the components of the orbital graph whose
-    edges are the distinct pairs {g(1), g(beta)}, g in G."""
+def _pair_closures(G):
+    """For each beta in 2..n, the finest G-invariant partition of the
+    points of a transitive G with 1 and beta together: the components of
+    the orbital graph whose edges are the distinct pairs {g(1), g(beta)},
+    g in G. One join over all the graphs, with the points of the graph
+    of beta offset by n * (beta - 2) so that no two graphs meet."""
     n = G.degree
-    pairs = G.images[:, 0] * n + G.images[:, beta - 1]
-    edges = np.flatnonzero(np.bincount(pairs))          # distinct pairs
-    ends = np.stack([edges // n, edges % n], axis=1).ravel()
-    cells = _backend.join_labels(np.arange(ends.size) // 2, ends)
-    return Partition.from_labels((ends + 1).tolist(), cells.tolist())
+    if n == 1:
+        return []
+    # the distinct pairs g(1) * n + g(beta) of each beta, offset by
+    # n * n * (beta - 2)
+    edges = np.concatenate([
+        np.flatnonzero(np.bincount(G.images[:, 0] * n + G.images[:, b],
+                                   minlength=n * n)) + (b - 1) * n * n
+        for b in range(1, n)])
+    ends = np.stack([edges // (n * n) * n + edges // n % n,
+                     edges // (n * n) * n + edges % n], axis=1).ravel()
+    label = np.empty((n - 1) * n, dtype=np.int64)
+    label[ends] = _backend.join_labels(np.arange(ends.size) // 2, ends)
+    return [Partition.from_labels(range(1, n + 1), row.tolist())
+            for row in label.reshape(n - 1, n)]
 
 
 def block_systems(G):
@@ -239,10 +250,8 @@ def block_systems(G):
     """
     if not is_transitive(G):
         raise DomainError("block_systems requires a transitive group")
-    n = G.degree
     found = []
-    for beta in range(2, n + 1):
-        p = _pair_closure(G, beta)
+    for p in _pair_closures(G):
         if not p.is_trivial and p not in found:
             found.append(p)
     minimal = [p for p in found

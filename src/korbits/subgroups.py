@@ -1,13 +1,23 @@
-"""Subgroup enumeration by the cyclic extension method.
+"""Subgroup enumeration by the cyclic extension method (Neubuser 1960;
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
-Every subgroup is generated by its prime-power-order elements, so
-breadth-first extension of known class representatives by one
-prime-power element at a time (reduced modulo conjugation by the
-representative's normalizer) reaches every conjugacy class. A subgroup
-is identified by the bytes of its sorted int64 element keys; a global
-table of *all* conjugate subgroups by those bytes makes class
-membership a hash lookup, and class registration walks the conjugation
-orbit once.
+Inside `subgroup_classes(G)` every subgroup is a boolean mask over G's
+element index: the rows of `G.images`, which are sorted by `G.keys`.
+Multiplying every element on the right by g, and conjugating every
+element by g, are index maps, found for all elements at once by
+`_backend.row_index`. The subgroup generated by a class representative
+H and one more element c is closed by a breadth-first search over such
+a mask (`_backend.close_index`): it starts from H's mask and follows
+the right-multiplication maps of H's generators, computed once per
+representative, and of c, computed once per closure. Its conjugation
+orbit is walked with the conjugation maps of generators of G.
+
+Every subgroup is generated by prime-power elements, so extending the
+representatives by one element c of order p^a with c^p in H at a time,
+one per orbit of H's normalizer, reaches every conjugacy class. A
+subgroup's identity is the bytes of its sorted int64 element keys,
+`G.keys[mask]`; a global table of *all* conjugate subgroups by those
+bytes makes class membership a hash lookup.
 """
 
 import functools
@@ -17,7 +27,7 @@ import numpy as np
 from . import _backend
 from .errors import ResourceLimitError
 from .group import (PermGroup, conjugate_elementwise, conjugate_rows_by,
-                    perm_to_row, row_to_perm)
+                    row_to_perm)
 from .perm import analyze_element
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
@@ -63,62 +73,110 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     if G.order > max_order:
         raise ResourceLimitError("max-subgroup-order", max_order, G.order,
                                  flag="--max-subgroup-order")
-    n = G.degree
-    gen_rows = [perm_to_row(g) for g in G.generators]
-    prime_power = np.fromiter(
-        (analyze_element(row_to_perm(r)).is_prime_power for r in G.images),
-        dtype=bool, count=G.order)
+    index = _backend.row_index(G.images)
+    # the prime p of each element of order p^a > 1, else 1, and the
+    # index of x^p for each element x
+    prime = np.fromiter(
+        (a.prime_power_split[0][0] if a.is_prime_power else 1
+         for a in map(analyze_element, map(row_to_perm, G.images))),
+        dtype=np.int64, count=G.order)
+    root = np.arange(G.order)
+    for p in set(prime.tolist()) - {1}:
+        sel = np.flatnonzero(prime == p)
+        rows = base = G.images[sel]
+        for _ in range(p - 1):
+            rows = np.take_along_axis(base, rows, axis=1)
+        root[sel] = index(rows)
+
+    def right_map(i):
+        """Index of x*g for every element x, g the element at index i."""
+        return index(G.images[:, G.images[i]])
+
+    def conj_map(i):
+        """Index of g x g^-1 for every element x, g the element at index i."""
+        return index(conjugate_rows_by(G.images, G.images[i]))
+
+    def generators_of(sub, have, gens, maps):
+        """Generators of the subgroup with element mask `sub`: `gens`,
+        which generate the subgroup with mask `have` and have the right
+        maps `maps`, then greedily the least element of `sub` outside
+        the closure so far. Marks that closure in `have`."""
+        gens, maps = list(gens), list(maps)
+        while True:
+            rest = np.flatnonzero(sub & ~have)
+            if not rest.size:
+                return gens
+            gens.append(rest[0])
+            maps.append(right_map(rest[0]))
+            _backend.close_index(have, np.flatnonzero(have), maps, G.order)
+
+    identity = np.zeros(G.order, dtype=bool)
+    identity[0] = True                                  # the identity is row 0
+    g_conj = [conj_map(i) for i in
+              generators_of(np.ones(G.order, dtype=bool), identity, [], [])]
 
     seen = set()       # key bytes of every subgroup found so far
-    raw = []           # per class: (generator rows, keys, conjugates)
+    raw = []           # per class: (generator indices, element indices, conjugates)
 
-    def register(rows, gens):
+    def register(idx, gens):
         """Walk the conjugation orbit of a new subgroup and record its class."""
-        keys = _backend.encode_rows(rows, n)
-        orbit = {keys.tobytes()}
-        queue = [rows]
+        orbit = {G.keys[idx].tobytes()}
+        queue = [idx]
         while queue:
-            r = queue.pop()
-            for g in gen_rows:
-                cr = conjugate_rows_by(r, g)
-                ck = np.sort(_backend.encode_rows(cr, n)).tobytes()
-                if ck not in orbit:
-                    orbit.add(ck)
-                    queue.append(cr)
+            i = queue.pop()
+            for c in g_conj:
+                ci = np.sort(c[i])
+                b = G.keys[ci].tobytes()
+                if b not in orbit:
+                    orbit.add(b)
+                    queue.append(ci)
         members = list(orbit)
         mat = _key_array(b"".join(members)).reshape(len(members), -1)
         conjugates = tuple(members[i] for i in np.lexsort(mat.T[::-1]))
         seen.update(conjugates)
-        raw.append((gens, keys, conjugates))
+        raw.append((gens, idx, conjugates))
 
-    register(np.arange(n, dtype=np.int64)[None, :], [])
+    register(np.zeros(1, dtype=np.int64), [])
     head = 0
     while head < len(raw):
-        gens, h_keys, _ = raw[head]
+        gens, h_idx, _ = raw[head]
         head += 1
-        # normalizer of this representative in G
-        mask = np.ones(G.order, dtype=bool)
-        for hg in gens:
-            mask &= _backend.in_sorted(h_keys, conjugate_elementwise(G, hg))
-        norm = PermGroup(n, G.images[mask])
-        # extension candidates: prime-power elements outside H,
-        # one per conjugation orbit of the normalizer
-        todo = prime_power.copy()
-        todo[np.searchsorted(G.keys, h_keys)] = False
-        for i in np.flatnonzero(todo):
-            if not todo[i]:
+        h_mask = np.zeros(G.order, dtype=bool)
+        h_mask[h_idx] = True
+        maps = [right_map(g) for g in gens]
+        # Lagrange: a subgroup containing H with more elements than this
+        # is G
+        limit = max((d for d in range(h_idx.size, G.order, h_idx.size)
+                     if G.order % d == 0), default=G.order)
+        # the normalizer N of H
+        norm = np.ones(G.order, dtype=bool)
+        for g in gens:
+            norm &= _backend.in_sorted(G.keys[h_idx],
+                                       conjugate_elementwise(G, G.images[g]))
+        n_conj = [conj_map(g)
+                  for g in generators_of(norm, h_mask.copy(), gens, maps)]
+        # Extension candidates: the elements c of order p^a outside H
+        # with c^p in H. Every subgroup is reached this way, through the
+        # powers c^(p^(a-1)), ..., c^p, c of its prime-power generators. One
+        # candidate per N-conjugation orbit: the other elements and H
+        # are unions of such orbits, so closing `done` from a candidate
+        # under N's conjugations marks its orbit.
+        done = h_mask | (prime == 1) | ~h_mask[root]
+        for i in np.flatnonzero(~done):
+            if done[i]:
                 continue
-            cand = G.images[i]
-            todo[np.searchsorted(G.keys, conjugate_elementwise(norm, cand))] = False
-            new_gens = gens + [cand]
-            rows = _backend.closure_images(np.stack(new_gens), n, G.order)
-            if _backend.encode_rows(rows, n).tobytes() not in seen:
-                register(rows, new_gens)
+            done[i] = True
+            _backend.close_index(done, np.array([i]), n_conj, G.order)
+            k_mask = _backend.close_index(h_mask.copy(), h_idx,
+                                          [right_map(i)] + maps, limit)
+            k_idx = np.flatnonzero(k_mask)
+            if G.keys[k_idx].tobytes() not in seen:
+                register(k_idx, gens + [i])
 
     signature = lambda e: (e[1].size, _key_array(e[2][0]).tolist())
     out = []
     for new_id, (_, _, conjugates) in enumerate(sorted(raw, key=signature)):
-        rep = PermGroup(n, _rows_of(G, conjugates[0]))
+        rep = PermGroup(G.degree, _rows_of(G, conjugates[0]))
         out.append(SubgroupClass(new_id, rep, conjugates))
     return out
 

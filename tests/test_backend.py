@@ -112,6 +112,44 @@ class TestClosure:
                 assert tuple(e[g[v]] for v in range(n)) in elems
 
 
+class TestIndexSpace:
+    """row_index and close_index inside S7, against closure_images."""
+
+    N = 5040
+    IMAGES = _backend.closure_images([(1, 0, 2, 3, 4, 5, 6), _cycle(7)], 7, N)
+
+    def test_row_index_finds_every_row(self):
+        index = _backend.row_index(self.IMAGES)
+        assert np.array_equal(index(self.IMAGES), np.arange(self.N))
+        perm = np.random.default_rng(0).permutation(self.N)
+        assert np.array_equal(index(self.IMAGES[perm]), perm)
+
+    @pytest.mark.parametrize("lagrange", [False, True])
+    def test_matches_closure_images(self, lagrange):
+        """Random 2-generator subgroups, each generator a random
+        permutation of a random subset of the points, so that orders
+        range from 1 to 5040; with `lagrange` the search may stop above
+        2520 elements, half of S7."""
+        keys = _backend.encode_rows(self.IMAGES, 7)
+        index = _backend.row_index(self.IMAGES)
+        rng = np.random.default_rng(2005)
+        orders = set()
+        for _ in range(50):
+            gens = np.tile(np.arange(7), (2, 1))
+            for g in gens:
+                support = rng.choice(7, size=rng.integers(2, 8), replace=False)
+                g[support] = rng.permutation(support)
+            want = _backend.encode_rows(_backend.closure_images(gens, 7, self.N), 7)
+            mask = np.zeros(self.N, dtype=bool)
+            mask[0] = True                              # the identity
+            maps = [index(self.IMAGES[:, g]) for g in gens]
+            limit = self.N // 2 if lagrange else self.N
+            _backend.close_index(mask, np.array([0]), maps, limit)
+            assert np.array_equal(keys[mask], want)
+            orders.add(want.size)
+        assert len(orders) > 10 and {1, 2, 5040} <= orders
+
+
 def _brute_tuple_orbits(images, k, n):
     """Oracle: expand each orbit fully, label by least tuple."""
     elems = [tuple(r) for r in images.tolist()]

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from korbits import _backend
 from korbits._backend import decode_keys
 from korbits.catalog import transitive_catalog
 from korbits.errors import ResourceLimitError
-from korbits.group import (alternating_group, cyclic_group, is_subgroup,
-                           klein_four_group, symmetric_group)
+from korbits.group import (PermGroup, alternating_group, cyclic_group,
+                           is_subgroup, klein_four_group, symmetric_group)
 from korbits.subgroups import all_subgroups, subgroup_classes
 
 
@@ -18,12 +19,15 @@ CASES = [
     (alternating_group(4), 5, 10),
     (symmetric_group(4), 11, 30),
     (symmetric_group(5), 19, 156),
+    (alternating_group(6), 22, 501),
+    (alternating_group(7), 40, 3786),
+    (symmetric_group(7), 96, 11300),
 ]
 
 
 class TestCounts:
     @pytest.mark.parametrize("G,n_classes,n_subs", CASES,
-                             ids=["S3", "V4", "A4", "S4", "S5"])
+                             ids=["S3", "V4", "A4", "S4", "S5", "A6", "A7", "S7"])
     def test_known_counts(self, G, n_classes, n_subs):
         classes = subgroup_classes(G)
         assert len(classes) == n_classes
@@ -102,6 +106,20 @@ class TestAllSubgroups:
         subs = all_subgroups(symmetric_group(3))
         key = [(H.order, tuple(int(k) for k in H.keys)) for H in subs]
         assert key == sorted(key)
+
+
+def test_lattice_closes_in_index_space(monkeypatch):
+    """No closure from scratch, also for a group given by its elements
+    alone, whose generators would be found by closures."""
+    G = PermGroup(5, symmetric_group(5).images)
+
+    def closure_images(*args):
+        raise AssertionError("closure_images called")
+
+    monkeypatch.setattr(_backend, "closure_images", closure_images)
+    classes = subgroup_classes.__wrapped__(G)
+    assert len(classes) == 19
+    assert sum(len(c.conjugates) for c in classes) == 156
 
 
 def test_order_cap():

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ResourceLimitError
-from .group import (PermGroup, alternating_group, close_group,
-                    conjugate_rows_by, is_primitive, is_subgroup,
-                    is_transitive, normalizer_in, normalizer_in_sym,
-                    perm_to_row)
+from .group import (alternating_group, close_group, conjugate_rows_by,
+                    is_primitive, is_subgroup, is_transitive, normalizer_in,
+                    normalizer_in_sym, perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -31,6 +30,12 @@ from .perm import parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_PAIR_CAP = 200
+
+# Entries of one chunk of the position matrix of
+# _aut_suborbit_partition_failure: a chunk takes max(1, _POSITION_KEYS
+# // |X|) elements of Aut(X), so its temporaries hold about
+# max(_POSITION_KEYS, |X|) keys and never |Aut(X)| * |X| of them.
+_POSITION_KEYS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +160,39 @@ def _suborbit_pool(G, X, max_order):
 @functools.lru_cache(maxsize=4096)
 def _aut_suborbit_partition_failure(Gaut, X, max_order):
     """First suborbit Y of X (orbit of a subgroup of Aut) whose Aut
-    translate set is not a partition; None when all are partitions."""
+    translate set is not a partition; None when all are partitions.
+
+    Suborbits come in class order of the subgroups, then in order of
+    least tuple. Aut maps X onto itself, so pos[g, x], the row of g x in
+    X, is a position matrix; the translates of Y form a partition iff
+    |gY ∩ Y| is 0 or |Y| for every g. For one class representative, one
+    `bincount` over (g, suborbit of x) of the x whose image stays in its
+    suborbit gives |gY ∩ Y| for every suborbit Y and every g at once.
+    The matrix is built in chunks of at most _POSITION_KEYS entries (one
+    chunk for every Aut at degree 6), and the first chunk is kept.
+    """
     rows = X.as_rows()
+    pw = _backend.powers_for(Gaut.degree, X.arity)
+    keys = rows @ pw
+    step = max(1, _POSITION_KEYS // len(rows))
+
+    def positions(start):
+        return np.searchsorted(keys, Gaut.images[start:start + step, rows] @ pw)
+
+    first = positions(0)
     for cls in subgroup_classes(Gaut, max_order=max_order):
         labels = _backend.orbit_labels(cls.rep.images, rows)
-        for c in range(labels.max() + 1):
-            if translate_keys(Gaut, rows[labels == c])[3] is None:
-                return _kset(rows[labels == c])
+        count = int(labels.max()) + 1
+        sizes = np.bincount(labels)
+        bad = np.zeros(count, dtype=bool)
+        for start in range(0, Gaut.order, step):
+            pos = first if start == 0 else positions(start)
+            cells = np.arange(len(pos))[:, None] * count + labels
+            meets = np.bincount(cells[labels[pos] == labels],
+                                minlength=len(pos) * count).reshape(-1, count)
+            bad |= ((meets > 0) & (meets < sizes)).any(axis=0)
+        if bad.any():
+            return _kset(rows[labels == np.argmax(bad)])
     return None
 
 
@@ -403,73 +434,142 @@ def _eval_L_grAB(ctx, caps):
     return _pass("L_grAB", ctx, notes={"pairs_checked": checked})
 
 
-def _translates_match(G, keys, k, union, labels):
-    """Whether the G-translates of the k-set with these sorted keys
-    partition `union` as the label array `labels` does."""
-    _, _, u, lab = translate_keys(G, _backend.decode_keys(keys, G.degree, k))
-    # two partitions agree when they have as many classes as their meet
-    return (lab is not None and np.array_equal(u, union)
-            and lab.max() == labels.max() == _backend.meet_labels(lab, labels).max())
+def _pair_partitions(ly, lz):
+    """Meet and join of the label rows ly[p] and lz[p] of every pair p,
+    in one kernel call each.
+
+    ly and lz are (P, N) label arrays with labels below N. Row p is
+    offset by p * N, so the pairs stay disjoint: the meet is the code of
+    each (ly, lz) label pair, the join one `_backend.join_labels` call.
+    Each row is numbered by least index, so equal partitions have equal
+    bytes.
+    """
+    P, N = ly.shape
+    a = ly + np.arange(P)[:, None] * N
+    b = lz + np.arange(P)[:, None] * N
+    _, first, code = np.unique((a * N + lz).ravel(), return_index=True,
+                               return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    meet = rank[code].reshape(P, N)
+    join = _backend.join_labels(a.ravel(), b.ravel()).reshape(P, N)
+    # classes never span rows, so each row's first index has its least label
+    return meet - meet[:, :1], join - join[:, :1]
+
+
+def _first_capcup_failure(G, k, trans, stabs, todo):
+    """(index in `todo`, reason) of the first failing pair of `todo`,
+    or None when all pass.
+
+    `todo` lists pairs (i, j) of k-sets whose translates partition one
+    common union; trans[i] and stabs[i] are `translate_keys` and
+    `stab_of_ksuborbit` of set i. The meets and joins of all pairs are
+    built in one batch; the translate match and the stabilizer mask of
+    a class are computed once per distinct class and partition.
+    """
+    n = G.degree
+    union = trans[todo[0][0]][2]
+    ly = np.stack([trans[i][3] for i, _ in todo])
+    lz = np.stack([trans[j][3] for _, j in todo])
+    meet, join = _pair_partitions(ly, lz)
+    # the row of each set's least key: row 0 of G is the identity, so
+    # keys[0] holds the keys of the set itself
+    at = np.searchsorted(union, [t[0][0, 0] for t in trans])
+    matched, fixing = {}, {}
+
+    def matches(cls, part):
+        """Whether the translates of the class with sorted keys `cls`
+        partition the union as the label row `part` does."""
+        key = (cls.tobytes(), part.tobytes())
+        if key not in matched:
+            _, _, u, lab = translate_keys(G, _backend.decode_keys(cls, n, k))
+            matched[key] = (lab is not None and np.array_equal(u, union)
+                            and np.array_equal(lab, part))
+        return matched[key]
+
+    def stabilizer(cls):
+        """The mask of the g in G with gC = C, C the class with keys `cls`."""
+        key = cls.tobytes()
+        if key not in fixing:
+            fixing[key] = translate_keys(G, _backend.decode_keys(cls, n, k))[1]
+        return fixing[key]
+
+    for p, (i, j) in enumerate(todo):
+        m, jn, a = meet[p], join[p], at[i]
+        U = union[jn == jn[a]]
+        if not matches(union[m == m[a]], m):
+            return p, "meet is not a G-translate partition"
+        if not matches(U, jn):
+            return p, "join is not a G-translate partition"
+        inside = (ly[p] == ly[p, a]) & (lz[p] == lz[p, at[j]])
+        if inside.any():
+            T = union[inside]
+            # U's translates were matched with the join above
+            if not matches(T, m):
+                return p, "meet != G(Y ∩ Z)"
+            if not np.array_equal(stabilizer(T), trans[i][1] & trans[j][1]):
+                return p, "Stab(T) != Stab(Y) ∩ Stab(Z)"
+            J = _join_groups(stabs[i][0], stabs[j][0], n)
+            if not np.array_equal(G.keys[stabilizer(U)], J.keys):
+                return p, "Stab(U) != gr(Stab(Y), Stab(Z))"
+    return None
 
 
 def _eval_P_capcup(ctx, caps):
+    """Meet and join of the translate partitions of each pair of
+    suborbits of the orbit, or of the pinned pair.
+
+    The pairs to check are collected first, with the skip rules, up to
+    the first pair whose unions differ; `_first_capcup_failure` then
+    checks them in one batch, in order, so the first failing pair is the
+    one reported. A union mismatch raises only when no pair before it
+    fails.
+    """
     G = _ctx_group(ctx)
     if "suborbit" in ctx:    # pinned witness form
-        pairs = [(KSet(tuple(t) for t in ctx["suborbit"]),
-                  KSet(tuple(t) for t in ctx["suborbit2"]))]
+        sets = [KSet(tuple(t) for t in ctx["suborbit"]),
+                KSet(tuple(t) for t in ctx["suborbit2"])]
+        pairs = [(0, 1)]
     else:
         X = _orbit_from_ctx(G, ctx)
-        pool = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
+        sets = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
                 if translate_keys(G, Y.as_rows())[3] is not None]
-        pairs = [(pool[i], pool[j])
-                 for i in range(len(pool)) for j in range(i + 1, len(pool))]
-        pairs = pairs[:caps.max_pairs]
+        pairs = [(i, j) for i in range(len(sets))
+                 for j in range(i + 1, len(sets))][:caps.max_pairs]
     if not pairs:
         return _na("P_capcup", ctx, "no pair of distinct suborbits with "
                                     "partition translate sets")
-    checked = 0
-    for Y, Z in pairs:
-        wctx = {"degree": ctx["degree"], "group": ctx["group"],
-                "k": Y.arity, "suborbit": _ser_kset(Y),
-                "suborbit2": _ser_kset(Z)}
-
-        def fail(detail):
-            return _fail("P_capcup", ctx, detail, witness_ctx=wctx)
-
-        # row 0 of G is the identity, so ky[0] holds the keys of Y itself
-        ky, fy, union, ly = translate_keys(G, Y.as_rows())
-        kz, fz, z_union, lz = translate_keys(G, Z.as_rows())
-        SY, ty = stab_of_ksuborbit(G, Y)
-        SZ, tz = stab_of_ksuborbit(G, Z)
-        if Y == Z or ly is None or lz is None or not (ty and tz):
+    # the pairs cover every set up to their largest index
+    sets = sets[:max(j for _, j in pairs) + 1]
+    trans = [translate_keys(G, Y.as_rows()) for Y in sets]
+    stabs = [stab_of_ksuborbit(G, Y) for Y in sets]
+    # the pairs to check, up to the first whose unions differ; every pool
+    # suborbit contains X's least tuple, so in the pool all unions are X
+    todo = []
+    mismatch = False
+    for i, j in pairs:
+        if (sets[i] == sets[j] or trans[i][3] is None or trans[j][3] is None
+                or not (stabs[i][1] and stabs[j][1])):
             continue
-        if not np.array_equal(union, z_union):
-            raise DomainError("domain mismatch in meet")
-        checked += 1
-        m = _backend.meet_labels(ly, lz)
-        j = _backend.join_labels(ly, lz)
-        at = np.searchsorted(union, ky[0, 0])
-        CJ = union[j == j[at]]
-        if not _translates_match(G, union[m == m[at]], Y.arity, union, m):
-            return fail({"reason": "meet is not a G-translate partition"})
-        if not _translates_match(G, CJ, Y.arity, union, j):
-            return fail({"reason": "join is not a G-translate partition"})
-        T = np.intersect1d(ky[0], kz[0])
-        if T.size:
-            # U = CJ, whose translates were matched with the join above
-            if not _translates_match(G, T, Y.arity, union, m):
-                return fail({"reason": "meet != G(Y ∩ Z)"})
-            T_rows = _backend.decode_keys(T, G.degree, Y.arity)
-            if not np.array_equal(translate_keys(G, T_rows)[1], fy & fz):
-                return fail({"reason": "Stab(T) != Stab(Y) ∩ Stab(Z)"})
-            U_rows = _backend.decode_keys(CJ, G.degree, Y.arity)
-            SU = PermGroup(G.degree, G.images[translate_keys(G, U_rows)[1]])
-            if SU != _join_groups(SY, SZ, G.degree):
-                return fail({"reason": "Stab(U) != gr(Stab(Y), Stab(Z))"})
-    if not checked:
+        if not np.array_equal(trans[i][2], trans[j][2]):
+            mismatch = True
+            break
+        todo.append((i, j))
+    failure = (_first_capcup_failure(G, sets[0].arity, trans, stabs, todo)
+               if todo else None)
+    if failure:
+        p, reason = failure
+        i, j = todo[p]
+        wctx = {"degree": ctx["degree"], "group": ctx["group"],
+                "k": sets[i].arity, "suborbit": _ser_kset(sets[i]),
+                "suborbit2": _ser_kset(sets[j])}
+        return _fail("P_capcup", ctx, {"reason": reason}, witness_ctx=wctx)
+    if mismatch:
+        raise DomainError("domain mismatch in meet")
+    if not todo:
         return _na("P_capcup", ctx, "no pair of distinct suborbits with "
                                     "partition translate sets")
-    return _pass("P_capcup", ctx, notes={"pairs_checked": checked})
+    return _pass("P_capcup", ctx, notes={"pairs_checked": len(todo)})
 
 
 def _eval_L_H_order(ctx, caps):

@@ -26,9 +26,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ResourceLimitError
-from .group import (PermGroup, conjugate_elementwise, conjugate_rows_by,
-                    row_to_perm)
-from .perm import analyze_element
+from .group import PermGroup, conjugate_elementwise, conjugate_rows_by
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
 
@@ -63,6 +61,31 @@ def _rows_of(G, b):
     return G.images[np.searchsorted(G.keys, _key_array(b))]
 
 
+def _element_primes(images):
+    """The prime p of each element row of order p^a > 1, else 1.
+
+    An element's order is the lcm of its cycle lengths, and the cycle
+    length of a point is the least m with g^m fixing it: the powers g,
+    g^2, ..., g^n of all rows are walked at once.
+    """
+    n = images.shape[1]
+    length = np.zeros_like(images)
+    power = images
+    for m in range(1, n + 1):
+        length[(power == np.arange(n)) & (length == 0)] = m
+        power = np.take_along_axis(images, power, axis=1)
+    orders, at = np.unique(np.lcm.reduce(length, axis=1), return_inverse=True)
+    primes = np.ones(orders.size, dtype=np.int64)
+    for i, order in enumerate(orders.tolist()):
+        if order > 1:
+            p = next(d for d in range(2, order + 1) if order % d == 0)
+            while order % p == 0:
+                order //= p
+            if order == 1:
+                primes[i] = p
+    return primes[at]
+
+
 @functools.lru_cache(maxsize=64)
 def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     """All subgroups of G up to G-conjugacy.
@@ -74,12 +97,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         raise ResourceLimitError("max-subgroup-order", max_order, G.order,
                                  flag="--max-subgroup-order")
     index = _backend.row_index(G.images)
-    # the prime p of each element of order p^a > 1, else 1, and the
-    # index of x^p for each element x
-    prime = np.fromiter(
-        (a.prime_power_split[0][0] if a.is_prime_power else 1
-         for a in map(analyze_element, map(row_to_perm, G.images))),
-        dtype=np.int64, count=G.order)
+    # the index of x^p for each element x of order p^a > 1
+    prime = _element_primes(G.images)
     root = np.arange(G.order)
     for p in set(prime.tolist()) - {1}:
         sel = np.flatnonzero(prime == p)

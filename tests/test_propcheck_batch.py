@@ -1,0 +1,272 @@
+"""The per-orbit batched translate-partition tests of the check engine
+against per-pair and per-suborbit references: `P_capcup`'s meets and
+joins, and the Aut-suborbit partition test behind `L_H_order`,
+`P_triv_norm`, `T_coherent` and `L_elcoh_part`."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from korbits import _backend, propcheck
+from korbits.catalog import transitive_catalog
+from korbits.errors import DomainError
+from korbits.group import PermGroup
+from korbits.korbit import (KSet, _kset, aut_of_kset, k_orbits,
+                            stab_of_ksuborbit, translate_keys)
+from korbits.propcheck import (SuiteCaps, _aut_suborbit_partition_failure,
+                               _ctx_group, _ctx_per_orbit, _fail, _na,
+                               _orbit_from_ctx, _pair_partitions, _pass,
+                               _ser_kset, _suborbit_pool, run_check)
+from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+
+CAPS = SuiteCaps()
+
+
+# ---------------------------------------------------------------------------
+# references: one pair, one suborbit at a time
+# ---------------------------------------------------------------------------
+
+def _translates_match(G, keys, k, union, labels):
+    _, _, u, lab = translate_keys(G, _backend.decode_keys(keys, G.degree, k))
+    # two partitions agree when they have as many classes as their meet
+    return (lab is not None and np.array_equal(u, union)
+            and lab.max() == labels.max()
+            == _backend.meet_labels(lab, labels).max())
+
+
+def reference_capcup(ctx, caps=CAPS):
+    """`P_capcup` evaluated pair by pair, with the meet and join of each
+    pair derived on its own. `_join_groups` is read from the module on
+    every call, so a test can replace it in both evaluators."""
+    G = _ctx_group(ctx)
+    if "suborbit" in ctx:
+        pairs = [(KSet(tuple(t) for t in ctx["suborbit"]),
+                  KSet(tuple(t) for t in ctx["suborbit2"]))]
+    else:
+        X = _orbit_from_ctx(G, ctx)
+        pool = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
+                if translate_keys(G, Y.as_rows())[3] is not None]
+        pairs = [(pool[i], pool[j])
+                 for i in range(len(pool)) for j in range(i + 1, len(pool))]
+        pairs = pairs[:caps.max_pairs]
+    if not pairs:
+        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
+                                    "partition translate sets")
+    checked = 0
+    for Y, Z in pairs:
+        wctx = {"degree": ctx["degree"], "group": ctx["group"],
+                "k": Y.arity, "suborbit": _ser_kset(Y),
+                "suborbit2": _ser_kset(Z)}
+
+        def fail(reason):
+            return _fail("P_capcup", ctx, {"reason": reason},
+                         witness_ctx=wctx)
+
+        ky, fy, union, ly = translate_keys(G, Y.as_rows())
+        kz, fz, z_union, lz = translate_keys(G, Z.as_rows())
+        SY, ty = stab_of_ksuborbit(G, Y)
+        SZ, tz = stab_of_ksuborbit(G, Z)
+        if Y == Z or ly is None or lz is None or not (ty and tz):
+            continue
+        if not np.array_equal(union, z_union):
+            raise DomainError("domain mismatch in meet")
+        checked += 1
+        m = _backend.meet_labels(ly, lz)
+        j = _backend.join_labels(ly, lz)
+        at = np.searchsorted(union, ky[0, 0])
+        CJ = union[j == j[at]]
+        if not _translates_match(G, union[m == m[at]], Y.arity, union, m):
+            return fail("meet is not a G-translate partition")
+        if not _translates_match(G, CJ, Y.arity, union, j):
+            return fail("join is not a G-translate partition")
+        T = np.intersect1d(ky[0], kz[0])
+        if T.size:
+            if not _translates_match(G, T, Y.arity, union, m):
+                return fail("meet != G(Y ∩ Z)")
+            T_rows = _backend.decode_keys(T, G.degree, Y.arity)
+            if not np.array_equal(translate_keys(G, T_rows)[1], fy & fz):
+                return fail("Stab(T) != Stab(Y) ∩ Stab(Z)")
+            U_rows = _backend.decode_keys(CJ, G.degree, Y.arity)
+            SU = PermGroup(G.degree, G.images[translate_keys(G, U_rows)[1]])
+            if SU != propcheck._join_groups(SY, SZ, G.degree):
+                return fail("Stab(U) != gr(Stab(Y), Stab(Z))")
+    if not checked:
+        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
+                                    "partition translate sets")
+    return _pass("P_capcup", ctx, notes={"pairs_checked": checked})
+
+
+def reference_aut_failure(Gaut, X, max_order=DEFAULT_SUBGROUP_CAP):
+    """The first suborbit whose Aut-translates overlap, by the union
+    count of `translate_keys` per suborbit."""
+    rows = X.as_rows()
+    for cls in subgroup_classes(Gaut, max_order=max_order):
+        labels = _backend.orbit_labels(cls.rep.images, rows)
+        for c in range(labels.max() + 1):
+            if translate_keys(Gaut, rows[labels == c])[3] is None:
+                return _kset(rows[labels == c])
+    return None
+
+
+def _outcome(evaluate, ctx):
+    try:
+        return evaluate(dict(ctx)).to_record()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _contexts(degrees, ks=None):
+    for n in degrees:
+        for e in transitive_catalog(n):
+            G = e.group()
+            yield from _ctx_per_orbit(G, e.entry_id,
+                                      ks or range(1, n + 1), CAPS)
+
+
+# ---------------------------------------------------------------------------
+# P_capcup
+# ---------------------------------------------------------------------------
+
+def _least_index(labels):
+    """Labels renumbered in order of each class's least index."""
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inv]
+
+
+@st.composite
+def label_rows(draw):
+    P = draw(st.integers(min_value=1, max_value=5))
+    N = draw(st.integers(min_value=1, max_value=12))
+    row = st.lists(st.integers(min_value=0, max_value=N - 1),
+                   min_size=N, max_size=N)
+    ly = np.array(draw(st.lists(row, min_size=P, max_size=P)), dtype=np.int64)
+    lz = np.array(draw(st.lists(row, min_size=P, max_size=P)), dtype=np.int64)
+    return ly, lz
+
+
+# Pinned pairs: (degree, group, k, Y, Z, verdict)
+A4 = ["(2 3 4)", "(1 2)(3 4)"]
+C4_D4 = ["(1 2)(3 4)", "(1 3 2 4)"]
+PINNED = [
+    # Y's least tuple is not in Z, so T = Y ∩ Z is not the meet class
+    # of that tuple
+    (4, A4, 2, [[1, 4], [2, 3]], [[2, 3]], "pass"),
+    (3, ["(1 2 3)"], 1, [[1], [2], [3]], [[2]], "pass"),
+    # disjoint: T is empty
+    (4, A4, 2, [[3, 1]], [[3, 4]], "pass"),
+    # both through Y's least tuple
+    (4, C4_D4, 2, [[2, 1]], [[1, 2], [2, 1]], "pass"),
+    # the translates of Y overlap
+    (4, ["(3 4)", "(1 2)", "(1 3)(2 4)"], 2, [[2, 1], [4, 3]], [[4, 3]],
+     "inapplicable"),
+    (3, ["(2 3)", "(1 2)"], 1, [[2], [3]], [[3]], "inapplicable"),
+    # Y = Z
+    (4, C4_D4, 2, [[2, 1]], [[2, 1]], "inapplicable"),
+]
+
+
+class TestCapcupBatch:
+    @given(label_rows())
+    def test_batched_meet_and_join_equal_per_pair(self, rows):
+        ly, lz = rows
+        meet, join = _pair_partitions(ly, lz)
+        for p in range(len(ly)):
+            want_meet = _least_index(_backend.meet_labels(ly[p], lz[p]))
+            want_join = _least_index(_backend.join_labels(ly[p], lz[p]))
+            assert meet[p].tolist() == want_meet.tolist()
+            assert join[p].tolist() == want_join.tolist()
+
+    def test_every_catalog_context_matches_reference(self):
+        count = 0
+        for ctx in _contexts(range(2, 6)):
+            got = _outcome(lambda c: run_check("P_capcup", c), ctx)
+            assert got == _outcome(reference_capcup, ctx), ctx
+            count += 1
+        assert count > 100
+
+    @pytest.mark.parametrize("degree,gens,k,Y,Z,verdict", PINNED)
+    def test_pinned_pairs_match_reference(self, degree, gens, k, Y, Z,
+                                          verdict):
+        ctx = {"degree": degree, "group": gens, "k": k,
+               "suborbit": Y, "suborbit2": Z}
+        got = run_check("P_capcup", ctx)
+        assert got.verdict == verdict
+        assert got.to_record() == reference_capcup(dict(ctx)).to_record()
+
+    def test_overlap_pinned_pair_is_overlapping(self):
+        G = _ctx_group({"degree": 4, "group": ["(3 4)", "(1 2)", "(1 3)(2 4)"]})
+        Y = KSet([(2, 1), (4, 3)])
+        assert translate_keys(G, Y.as_rows())[3] is None
+
+    def test_pairs_from_two_orbits_raise_at_the_same_pair(self):
+        ctx = {"degree": 4, "group": ["(1 2 3 4)"], "k": 2,
+               "suborbit": [[1, 2]], "suborbit2": [[1, 3]]}
+        want = _outcome(reference_capcup, ctx)
+        assert want.startswith("DomainError")
+        assert _outcome(lambda c: run_check("P_capcup", c), ctx) == want
+
+    def test_first_failing_pair_matches_reference(self, monkeypatch):
+        # a wrong join of the stabilizers makes later pairs fail; both
+        # evaluators must name the same first pair and reason
+        monkeypatch.setattr(propcheck, "_join_groups",
+                            lambda A, B, degree: A)
+        fails = 0
+        for ctx in _contexts([4, 5], ks=[1, 2, 3]):
+            got = _outcome(lambda c: run_check("P_capcup", c), ctx)
+            assert got == _outcome(reference_capcup, ctx), ctx
+            if got["verdict"] == "fail":
+                fails += 1
+                pinned = got["witness"]["context"]
+                assert (_outcome(lambda c: run_check("P_capcup", c), pinned)
+                        == _outcome(reference_capcup, pinned))
+        assert fails > 0
+
+
+# ---------------------------------------------------------------------------
+# the Aut-suborbit partition test
+# ---------------------------------------------------------------------------
+
+def _aut_cases(degrees, ks):
+    for n in degrees:
+        for e in transitive_catalog(n):
+            G = e.group()
+            for k in ks:
+                if k <= n:
+                    for X in k_orbits(G, k):
+                        yield G, X, aut_of_kset(X, degree=n)
+
+
+class TestAutSuborbitPartition:
+    def test_matches_union_count_reference(self):
+        for G, X, aut in _aut_cases(range(2, 6), (2, 3)):
+            assert (_aut_suborbit_partition_failure(aut, X, CAPS.max_subgroup_order)
+                    == reference_aut_failure(aut, X))
+
+    def test_degree6_failures_and_elcoh_witnesses(self):
+        found = 0
+        for G, X, aut in _aut_cases([6], (2, 3, 4)):
+            got = _aut_suborbit_partition_failure(aut, X, CAPS.max_subgroup_order)
+            assert got == reference_aut_failure(aut, X)
+            found += got is not None
+            ctx = {"degree": 6, "group": propcheck._ser_group(G),
+                   "k": X.arity, "orbit_rep": list(X.tuples[0])}
+            res = run_check("L_elcoh_part", ctx)
+            if res.verdict != "inapplicable":
+                assert (res.verdict == "fail") == (got is not None)
+            if res.verdict == "fail":
+                assert res.witness["detail"]["suborbit"] == _ser_kset(got)
+        assert found == 113
+
+    def test_small_key_budget_forces_chunks(self, monkeypatch):
+        monkeypatch.setattr(propcheck, "_POSITION_KEYS", 2048)
+        uncached = _aut_suborbit_partition_failure.__wrapped__
+        chunked = found = 0
+        for G, X, aut in _aut_cases([5, 6], (2, 3)):
+            chunked += aut.order > 2048 // len(X)
+            got = uncached(aut, X, CAPS.max_subgroup_order)
+            assert got == reference_aut_failure(aut, X)
+            found += got is not None
+        assert chunked > 0 and found > 0

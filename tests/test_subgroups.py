@@ -9,7 +9,8 @@ from korbits.catalog import transitive_catalog
 from korbits.errors import ResourceLimitError
 from korbits.group import (PermGroup, alternating_group, cyclic_group,
                            is_subgroup, klein_four_group, symmetric_group)
-from korbits.subgroups import all_subgroups, subgroup_classes
+from korbits.perm import analyze_element
+from korbits.subgroups import _element_primes, all_subgroups, subgroup_classes
 
 
 # (group, classes, total subgroups) with the classical counts
@@ -125,3 +126,13 @@ def test_lattice_closes_in_index_space(monkeypatch):
 def test_order_cap():
     with pytest.raises(ResourceLimitError):
         subgroup_classes(symmetric_group(7), max_order=100)
+
+
+class TestElementPrimes:
+    def test_match_analyze_element(self):
+        groups = [symmetric_group(7)] + [e.group() for n in range(1, 7)
+                                         for e in transitive_catalog(n)]
+        for G in groups:
+            want = [a.prime_power_split[0][0] if a.is_prime_power else 1
+                    for a in map(analyze_element, G.elements)]
+            assert _element_primes(G.images).tolist() == want

@@ -10,8 +10,8 @@ MAX_KEY_DEGREE. The closure keeps the keys it has found as a sorted
 array; `orbit_labels` reads every orbit from the full element array,
 matching image keys against the sorted keys of the rows by
 `searchsorted`, so neither allocates anything indexed by the key space.
-`row_index` and `close_index` work on row numbers of a group's sorted
-element array instead of keys.
+`row_index`, `close_index` and `greedy_generators` work on row numbers
+of a group's sorted element array instead of keys.
 """
 
 import itertools
@@ -192,6 +192,21 @@ def close_index(mask, frontier, maps, limit):
             mask[:] = True
             break
     return mask
+
+
+def greedy_generators(right_map, sub, have, gens=(), maps=()):
+    """Generators of the subgroup with index mask `sub`: `gens`, which
+    generate the mask `have` and have the index maps `maps`, then
+    greedily the least index of `sub` outside the closure so far, whose
+    map is `right_map(i)`. Marks that closure in `have`."""
+    gens, maps = list(gens), list(maps)
+    while True:
+        rest = np.flatnonzero(sub & ~have)
+        if not rest.size:
+            return gens
+        gens.append(int(rest[0]))
+        maps.append(right_map(rest[0]))
+        close_index(have, np.flatnonzero(have), maps, have.size)
 
 
 def meet_labels(a, b):

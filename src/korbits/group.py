@@ -36,8 +36,8 @@ class PermGroup:
     lexicographically (the canonical element order); `keys` the matching
     encoded keys, the group's identity: equality and hashing are by
     degree and `keys`, membership by `searchsorted` into `keys`.
-    `generators` is the given tuple, or else computed by
-    `reduce_generators` on first read.
+    `generators` is the given tuple, or else the greedy set of
+    `reduce_generators`, read in the element index on first read.
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
@@ -66,7 +66,7 @@ class PermGroup:
     @property
     def generators(self):
         if self._generators is None:
-            gens = reduce_generators(self.degree, self.images)
+            gens = reduce_generators(self.images)
             object.__setattr__(self, "_generators", gens)
         return self._generators
 
@@ -131,21 +131,15 @@ def close_group(generators, degree=None, max_elements=DEFAULT_ELEMENT_CAP):
     return PermGroup(degree, images, generators)
 
 
-def reduce_generators(degree, images):
-    """Greedy small generating set for a closed element array."""
-    images = np.asarray(images, dtype=np.int64)
-    keys = _backend.encode_rows(images, degree)
-    order = np.argsort(keys)
-    gens = []
-    have = close_group([], degree=degree)
-    for idx in order:
-        if images.shape[0] == have.order:
-            break
-        if keys[idx] in have:
-            continue
-        gens.append(row_to_perm(images[idx]))
-        have = close_group(gens, degree=degree)
-    return tuple(gens)
+def reduce_generators(images):
+    """Greedy small generating set of the group whose element rows, in
+    key order, are `images` (`PermGroup.images`): each generator is the
+    least element outside the subgroup generated so far."""
+    index = _backend.row_index(images)
+    have = np.arange(images.shape[0]) == 0              # the identity is row 0
+    gens = _backend.greedy_generators(lambda i: index(images[:, images[i]]),
+                                      np.ones_like(have), have)
+    return tuple(row_to_perm(images[i]) for i in gens)
 
 
 def is_subgroup(A, G):

@@ -201,10 +201,7 @@ def co_analysis(X):
     """The family of coordinate sets of X and its smash: the merged
     partition of the union plus whether the family was already disjoint
     (a partition) or overlapping (a covering)."""
-    co = np.sort(X.rows, axis=1)
-    # one row per coordinate set, in order of first tuple: the family's
-    # iteration order breaks ties of least point by insertion order
-    sets = co[np.sort(np.unique(co, axis=0, return_index=True)[1])]
+    sets = np.unique(np.sort(X.rows, axis=1), axis=0)
     part = _smash_partition(sets, _smash_cells(sets))
     fam = SetFamily(frozenset(s) for s in (sets + 1).tolist())
     return fam, part, sets.size == len(part.domain)

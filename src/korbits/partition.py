@@ -140,7 +140,8 @@ def _merge_overlapping(sets):
 
 
 class SetFamily:
-    """A set of non-empty subsets of a universe; members may overlap."""
+    """A set of non-empty subsets of a universe; members may overlap.
+    Iteration lists the members in order of their sorted points."""
 
     __slots__ = ("universe", "members")
 
@@ -174,7 +175,7 @@ class SetFamily:
         return len(self.members)
 
     def __iter__(self):
-        return iter(sorted(self.members, key=lambda c: min(c)))
+        return iter(sorted(self.members, key=sorted))
 
 
 def smash(family):

@@ -12,14 +12,15 @@ plain JSON dictionaries so reports and witnesses serialize directly.
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
 from .errors import DomainError, ResourceLimitError
-from .group import (alternating_group, close_group, conjugate_rows_by,
-                    is_primitive, is_subgroup, is_transitive, normalizer_in,
+from .group import (close_group, conjugate_rows_by, is_primitive,
+                    is_subgroup, is_transitive, normalizer_in,
                     normalizer_in_sym, perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
@@ -351,8 +352,9 @@ def _eval_L_alt_norm(ctx, caps):
     if n < 3:
         return _na("L_alt_norm", ctx, "alternating group is trivial below "
                                       "degree 3")
-    alt = alternating_group(n)
-    if not (G.order < alt.order and is_subgroup(G, alt)):
+    # G < A_n: even generators and |G| < n!/2
+    if not (2 * G.order < math.factorial(n)
+            and all(g.is_even() for g in G.generators)):
         return _na("L_alt_norm", ctx,
                    "group is not a proper subgroup of the alternating group")
     N = normalizer_in_sym(G, max_degree=caps.max_degree)
@@ -744,14 +746,16 @@ def _eval_L_proof_elcoh(ctx, caps):
 # ---------------------------------------------------------------------------
 
 def _ctx_P_stab_co(G, gid, ks, caps):
+    base = _base_ctx(G, gid)
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
     for k in ks:
         for s in report.subsets:
             if len(s) == k:
-                yield {**_base_ctx(G, gid), "tuple": sorted(s)}
+                yield {**base, "tuple": sorted(s)}
 
 
 def _ctx_P_LkRk(G, gid, ks, caps):
+    base = _base_ctx(G, gid)
     count = 0
     for k in ks:
         for X in k_orbits(G, k):
@@ -759,8 +763,7 @@ def _ctx_P_LkRk(G, gid, ks, caps):
                 if count >= caps.max_contexts:
                     return
                 count += 1
-                yield {**_base_ctx(G, gid), "k": k,
-                       "suborbit": _ser_kset(Y)}
+                yield {**base, "k": k, "suborbit": _ser_kset(Y)}
 
 
 def _ctx_P_prim_normal(G, gid, ks, caps):
@@ -798,10 +801,10 @@ def _ctx_index_like(G, gid, ks, caps):
 
 
 def _ctx_per_orbit(G, gid, ks, caps):
+    base = _base_ctx(G, gid)
     for k in ks:
         for X in k_orbits(G, k):
-            yield {**_base_ctx(G, gid), "k": k,
-                   "orbit_rep": list(_rep(X))}
+            yield {**base, "k": k, "orbit_rep": list(_rep(X))}
 
 
 @dataclass(frozen=True)

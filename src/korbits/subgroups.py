@@ -10,7 +10,9 @@ H and one more element c is closed by a breadth-first search over such
 a mask (`_backend.close_index`): it starts from H's mask and follows
 the right-multiplication maps of H's generators, computed once per
 representative, and of c, computed once per closure. Its conjugation
-orbit is walked with the conjugation maps of generators of G.
+orbit is walked with the conjugation maps of generators of G. The
+generators of G and of each normalizer are the greedy ones of
+`PermGroup.generators`, read by `_backend.greedy_generators`.
 
 Every subgroup is generated by prime-power elements, so extending the
 representatives by one element c of order p^a with c^p in H at a time,
@@ -115,24 +117,9 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         """Index of g x g^-1 for every element x, g the element at index i."""
         return index(conjugate_rows_by(G.images, G.images[i]))
 
-    def generators_of(sub, have, gens, maps):
-        """Generators of the subgroup with element mask `sub`: `gens`,
-        which generate the subgroup with mask `have` and have the right
-        maps `maps`, then greedily the least element of `sub` outside
-        the closure so far. Marks that closure in `have`."""
-        gens, maps = list(gens), list(maps)
-        while True:
-            rest = np.flatnonzero(sub & ~have)
-            if not rest.size:
-                return gens
-            gens.append(rest[0])
-            maps.append(right_map(rest[0]))
-            _backend.close_index(have, np.flatnonzero(have), maps, G.order)
-
-    identity = np.zeros(G.order, dtype=bool)
-    identity[0] = True                                  # the identity is row 0
-    g_conj = [conj_map(i) for i in
-              generators_of(np.ones(G.order, dtype=bool), identity, [], [])]
+    identity = np.arange(G.order) == 0                  # the identity is row 0
+    g_conj = [conj_map(i) for i in _backend.greedy_generators(
+        right_map, np.ones(G.order, dtype=bool), identity)]
 
     seen = set()       # key bytes of every subgroup found so far
     raw = []           # per class: (generator indices, element indices, conjugates)
@@ -172,8 +159,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         for g in gens:
             norm &= _backend.in_sorted(G.keys[h_idx],
                                        conjugate_elementwise(G, G.images[g]))
-        n_conj = [conj_map(g)
-                  for g in generators_of(norm, h_mask.copy(), gens, maps)]
+        n_conj = [conj_map(g) for g in _backend.greedy_generators(
+            right_map, norm, h_mask.copy(), gens, maps)]
         # Extension candidates: the elements c of order p^a outside H
         # with c^p in H. Every subgroup is reached this way, through the
         # powers c^(p^(a-1)), ..., c^p, c of its prime-power generators. One

@@ -31,7 +31,7 @@ FKS_DIGEST = "10f0b335ed68a6dd0f892bad297b457cae74d52d6d2cf9f03e0941b1a1621b2f"
 # groups of the degree-5 catalog
 CLI_DIGESTS = {
     "orbits": "8ad6f91c889c3095d02ee8ee441a785a781e84703c732a2893b8b93ed161d420",
-    "blocks": "56600118f94a834fdc114c954b4ffa654a776f99066a761da31ca68743123411",
+    "blocks": "f2536b18310c44979543d907708512dda6181fce3843e72731b437293ae7ae3f",
 }
 
 _SCRIPT = r"""

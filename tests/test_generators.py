@@ -3,7 +3,8 @@
 Every group generates itself: closing `H.generators` gives `H` back.
 A group built from images alone gets the greedy generators of
 `reduce_generators`, computed on first read, and orbits never read
-them.
+them. The greedy rule is checked against a brute-force reference that
+closes from scratch after every generator it takes.
 """
 
 import pytest
@@ -11,12 +12,12 @@ import pytest
 from korbits.group import (PermGroup, block_systems, close_group,
                            cyclic_group, dihedral_group, is_transitive,
                            normalizer_in, normalizer_in_sym, orbits_on_points,
-                           quotient_action, reduce_generators,
-                           symmetric_group)
+                           quotient_action, symmetric_group)
 from korbits.korbit import (acts_transitively_on, aut_of_kset, k_orbits,
                             orbit_of_tuple, orbits_on_kset, stab_of_ksuborbit)
 from korbits.propcheck import _is_normal
-from korbits.subgroups import subgroup_classes
+from korbits.catalog import transitive_catalog
+from korbits.subgroups import all_subgroups, subgroup_classes
 
 AMBIENT = {"S4": lambda: symmetric_group(4), "D6": lambda: dihedral_group(6),
            "C6": lambda: cyclic_group(6)}
@@ -26,9 +27,24 @@ def assert_generates(H):
     assert close_group(H.generators, degree=H.degree) == H
 
 
+def greedy_reference(H):
+    """The greedy rule by brute force: walk H's elements in key order
+    and take each one outside the subgroup generated so far, closing
+    that subgroup anew after every generator."""
+    gens = []
+    have = close_group([], degree=H.degree)
+    for g in H.elements:
+        if have.order == H.order:
+            break
+        if g not in have:
+            gens.append(g)
+            have = close_group(gens, degree=H.degree)
+    return tuple(gens)
+
+
 def assert_images_only(H):
     assert_generates(H)
-    assert H.generators == reduce_generators(H.degree, H.images)
+    assert H.generators == greedy_reference(H)
 
 
 @pytest.fixture(params=sorted(AMBIENT))
@@ -93,3 +109,10 @@ def test_quotients(G):
         quot = quotient_action(G, Q)
         assert_generates(quot)
         assert len(quot.generators) == len(G.generators)
+
+
+@pytest.mark.parametrize("entry", transitive_catalog(5).entries,
+                         ids=lambda e: e.entry_id)
+def test_every_subgroup_of_degree_5(entry):
+    for H in all_subgroups(entry.group()):
+        assert_images_only(H)

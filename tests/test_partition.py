@@ -1,5 +1,7 @@
 """Partition lattice operations and overlapping set families."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -153,3 +155,11 @@ class TestSmash:
         fam = SetFamily([{2, 3}, {1, 2}])
         assert fam.union() == {1, 2, 3}
         assert list(fam) == [frozenset({1, 2}), frozenset({2, 3})]
+
+    def test_set_family_iteration_ignores_insertion_order(self):
+        """Members with the same least point come out by their sorted
+        points, whatever order the family was built in."""
+        members = [frozenset(c) for c in itertools.combinations(range(1, 9), 3)]
+        fam, rev = SetFamily(members), SetFamily(reversed(members))
+        assert fam == rev
+        assert list(fam) == list(rev) == members

@@ -1,13 +1,15 @@
 """The structural-claim check registry: per-check soundness on pinned
 contexts, recorded counterexamples, witness replay, suite determinism."""
 
+import itertools
 import json
 
 import pytest
 
 from korbits.catalog import transitive_catalog
-from korbits.errors import DomainError
+from korbits.errors import DomainError, ResourceLimitError
 from korbits.group import normalizer_in_sym, symmetric_group
+from korbits.perm import Permutation, parse_permutation
 from korbits.propcheck import (SuiteCaps, check_ids, render_report,
                                render_summary, replay_witness, run_check,
                                run_suite, _normal_proper_nontrivial)
@@ -154,6 +156,24 @@ class TestHypothesisOnlyChecks:
 
     def test_self_normalizing_predicate_not_vacuous(self):
         assert normalizer_in_sym(symmetric_group(4)) == symmetric_group(4)
+
+    def test_l_alt_norm_builds_no_alternating_group(self):
+        """A5 on the 10 pairs of {1..5} lies in A10, read from the parity
+        of its generators: the check gets as far as the n! normalizer
+        search, whose degree cap stops it, instead of enumerating
+        |A10| = 1,814,400 elements."""
+        pairs = list(itertools.combinations(range(1, 6), 2))
+
+        def on_pairs(cycle):
+            g = parse_permutation(cycle, 5)
+            return Permutation(pairs.index(tuple(sorted((g(a), g(b))))) + 1
+                               for a, b in pairs).cycle_string()
+
+        ctx = {"degree": 10,
+               "group": [on_pairs("(1 2 3 4 5)"), on_pairs("(1 2 3)")]}
+        with pytest.raises(ResourceLimitError) as info:
+            run_check("L_alt_norm", ctx)
+        assert info.value.cap_name == "max-degree"
 
 
 class TestSuite:

@@ -8,19 +8,12 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
-from .group import (close_group, is_abelian, is_primitive, is_transitive,
-                    symmetric_group)
+from .group import (DEFAULT_ELEMENT_CAP, close_group, is_abelian,
+                    is_primitive, is_transitive, symmetric_group)
 from .perm import parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 MAX_GENERATED_DEGREE = 7
-MAX_IMPORT_DEGREE = 10
-
-
-def enumerate_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):
-    """Subgroup representatives of G up to G-conjugacy, canonically
-    ordered (cyclic extension method; complete)."""
-    return [cls.rep for cls in subgroup_classes(G, max_order=max_order)]
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ def render_catalog(cat):
     return "\n".join(lines) + "\n"
 
 
-def parse_catalog(text):
+def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
     degree = None
     provenance = "imported"
     entries = []
@@ -129,7 +122,7 @@ def parse_catalog(text):
             raise ParseError(f"line {lineno}: bad transitive flag {trans_s!r}")
         gens = tuple(parse_permutation(s.strip(), degree)
                      for s in gens_s.split(",") if s.strip()) if gens_s else ()
-        G = close_group(gens, degree=degree)
+        G = close_group(gens, degree=degree, max_elements=max_elements)
         if G.order != int(order_s):
             raise ParseError(
                 f"line {lineno}: stated order {order_s} but closure has {G.order}")
@@ -148,6 +141,6 @@ def save_catalog(cat, path):
         fh.write(render_catalog(cat))
 
 
-def load_catalog(path):
+def load_catalog(path, max_elements=DEFAULT_ELEMENT_CAP):
     with open(path) as fh:
-        return parse_catalog(fh.read())
+        return parse_catalog(fh.read(), max_elements=max_elements)

@@ -14,7 +14,8 @@ import sys
 from . import catalog as cat
 from . import fks, propcheck
 from .errors import KorbitsError
-from .group import DEFAULT_ELEMENT_CAP, is_primitive, is_transitive, load_group
+from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, is_primitive,
+                    is_transitive, load_group)
 from .korbit import (DEFAULT_TUPLE_CAP, classify_coherence, co_analysis,
                      k_blocks, k_orbits, render_norbit)
 from .subgroups import DEFAULT_SUBGROUP_CAP
@@ -40,53 +41,61 @@ def _positive(text):
     return v
 
 
+_OPTIONS = {
+    "--max-elements": {"type": _positive, "default": DEFAULT_ELEMENT_CAP},
+    "--max-degree": {"type": _positive, "default": DEFAULT_DEGREE_CAP},
+    "--max-tuples": {"type": _positive, "default": DEFAULT_TUPLE_CAP},
+    "--max-subgroup-order": {"type": _positive, "default": DEFAULT_SUBGROUP_CAP},
+    "--convention": {"choices": ("classical", "paper"), "default": "paper"},
+}
+
+# the cap and convention flags of each subcommand: those its code reads
+_FLAGS = {
+    "orbits": ("--max-elements", "--max-tuples", "--max-subgroup-order", "--convention"),
+    "blocks": ("--max-elements", "--max-degree", "--max-tuples", "--convention"),
+    "render": ("--max-elements",),
+    "catalog": ("--max-subgroup-order",),
+    "check": ("--max-elements", "--max-degree", "--max-tuples", "--max-subgroup-order"),
+    "fks": ("--max-elements", "--max-degree", "--max-subgroup-order"),
+    "audit": ("--max-elements", "--max-degree", "--max-subgroup-order"),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="korbits",
         description="k-orbit analysis of finite permutation groups")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, group=False, catalog=False, ks=False):
+    def add(name, text, group=True, ks=False):
+        sp = sub.add_parser(name, help=text)
         if group:
             sp.add_argument("--group", required=True, help="group file path")
-        if catalog:
-            sp.add_argument("--catalog", help="catalog file path")
         if ks:
             sp.add_argument("--k", type=_positive, help="single arity")
             sp.add_argument("--k-range", type=_parse_k_range,
                             help="arity range A..B")
-        sp.add_argument("--max-elements", type=_positive,
-                        default=DEFAULT_ELEMENT_CAP)
-        sp.add_argument("--max-degree", type=_positive, default=8)
-        sp.add_argument("--max-tuples", type=_positive,
-                        default=DEFAULT_TUPLE_CAP)
-        sp.add_argument("--max-subgroup-order", type=_positive,
-                        default=DEFAULT_SUBGROUP_CAP)
-        sp.add_argument("--convention", choices=("classical", "paper"),
-                        default="paper")
+        for flag in _FLAGS[name]:
+            sp.add_argument(flag, **_OPTIONS[flag])
         sp.add_argument("--out", help="write machine-readable report here")
+        return sp
 
-    common(sub.add_parser("orbits", help="k-orbits with coherence verdicts"),
-           group=True, ks=True)
-    common(sub.add_parser("blocks", help="k-blocks and coordinate-set "
-                                         "analysis"), group=True, ks=True)
-    sp = sub.add_parser("render", help="bordered n-orbit matrix")
-    common(sp, group=True)
+    add("orbits", "k-orbits with coherence verdicts", ks=True)
+    add("blocks", "k-blocks and coordinate-set analysis", ks=True)
+    sp = add("render", "bordered n-orbit matrix")
     sp.add_argument("--subgroup", action="append", default=[],
                     help="chain subgroup file (repeatable, innermost first)")
-    sp = sub.add_parser("catalog", help="generate a transitive catalog")
-    common(sp)
+    sp = add("catalog", "generate a transitive catalog", group=False)
     sp.add_argument("--degree", type=_positive, required=True)
-    sp = sub.add_parser("check", help="run proposition checks over a catalog")
-    common(sp, catalog=True, ks=True)
+    sp = add("check", "run proposition checks over a catalog", group=False,
+             ks=True)
+    sp.add_argument("--catalog", help="catalog file path")
     sp.add_argument("--check", dest="checks",
                     help="comma-separated check ids")
     sp.add_argument("--all", action="store_true",
                     help="run every registered check")
-    common(sub.add_parser("fks", help="fixed-point-free reduction pipeline"),
-           group=True)
-    common(sub.add_parser("audit", help="terminal-case proof audit"),
-           group=True)
+    add("fks", "fixed-point-free reduction pipeline")
+    add("audit", "terminal-case proof audit")
     return p
 
 
@@ -186,10 +195,9 @@ def cmd_catalog(args):
 
 
 def cmd_check(args):
-    if args.catalog:
-        c = cat.load_catalog(args.catalog)
-    else:
+    if not args.catalog:
         raise KorbitsError("check needs --catalog")
+    c = cat.load_catalog(args.catalog, max_elements=args.max_elements)
     if args.checks and args.all:
         raise KorbitsError("give --check or --all, not both")
     ids = None
@@ -197,15 +205,12 @@ def cmd_check(args):
         ids = [s.strip() for s in args.checks.split(",") if s.strip()]
     elif not args.all:
         raise KorbitsError("check needs --check ID[,ID...] or --all")
-    k_range = None
-    if args.k is not None:
-        k_range = [args.k]
-    elif args.k_range is not None:
-        k_range = list(args.k_range)
     caps = propcheck.SuiteCaps(max_subgroup_order=args.max_subgroup_order,
                                max_degree=args.max_degree,
-                               max_aut_points=args.max_degree)
-    report = propcheck.run_suite(c, k_range=k_range, check_ids=ids, caps=caps)
+                               max_elements=args.max_elements,
+                               max_tuples=args.max_tuples)
+    report = propcheck.run_suite(c, k_range=_ks(args, c.degree), check_ids=ids,
+                                 caps=caps)
     _emit(args, propcheck.render_report(report),
           propcheck.render_summary(report))
     return 1 if report.failures() else 0

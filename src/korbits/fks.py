@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError
-from .group import (DEFAULT_NORMALIZER_DEGREE_CAP, block_images, block_systems,
+from .group import (DEFAULT_DEGREE_CAP, block_images, block_systems,
                     is_primitive, is_transitive, normalizer_in_sym, perm_to_row,
                     quotient_action, row_to_perm)
 from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
@@ -111,14 +111,14 @@ def lift_fpf(G, Q, g_quot, preimage=None):
 # terminal-case audit
 # ---------------------------------------------------------------------------
 
-def iso_partitions(G, N, k):
+def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     """Partitions of the point set into k-element automorphic subsets of
     G that are pairwise N-isomorphic and whose n-orbit projections are
     pairwise N-isomorphic k-orbits.  Deterministic order."""
     n = G.degree
     if k < 1 or n % k != 0:
         return []
-    report = automorphic_analysis(G)
+    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
     cands = sorted((s for s in report.subsets if len(s) == k), key=sorted)
     out = []
 
@@ -190,14 +190,15 @@ class AuditRecord:
 
 
 def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
+                max_degree=DEFAULT_DEGREE_CAP):
     """Audit the reduction argument for the terminal case on G.
 
     Preconditions are checked and violations named: G must be
     transitive, primitive in the non-Abelian sense, and have no proper
     transitive subgroup.  Findings are reported even when they
     contradict the claims the audit is probing (e.g. no qualifying
-    partition exists).  max_degree caps the n! normalizer search."""
+    partition exists).  max_subgroup_order caps every subgroup lattice
+    and max_degree the n! normalizer search."""
     if not is_transitive(G):
         raise DomainError("audit hypothesis violated: group is intransitive")
     if not is_primitive(G, "paper"):
@@ -211,14 +212,14 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
             f"<{', '.join(g.cycle_string() for g in trans[0].generators)}> "
             f"of order {trans[0].order}")
     N = normalizer_in_sym(G, max_degree=max_degree)
-    report = automorphic_analysis(G)
+    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
     k = report.max_automorphic_degree_divisor() or 1
     k_var = report.max_automorphic_order_divisor() or 1
     findings = []
     any_closed = False
-    for part, projs in iso_partitions(G, N, k):
-        el_coh = [classify_coherence(G, X).kind == "elementary-coherent"
-                  for X in projs]
+    for part, projs in iso_partitions(G, N, k, max_subgroup_order):
+        el_coh = [classify_coherence(G, X, max_subgroup_order=max_subgroup_order).kind
+                  == "elementary-coherent" for X in projs]
         sizes_ok = [len(X) == G.order for X in projs]
         A = setwise_point_stabilizer(G, min(part.classes, key=min))
         inv = [c for c in part.classes
@@ -287,7 +288,7 @@ def trace_from_dict(d):
 
 
 def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                 max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
+                 max_degree=DEFAULT_DEGREE_CAP):
     """Run the reduction argument on a transitive group G and return a
     ReductionTrace ending in a verified fpf prime-power element.
 
@@ -377,7 +378,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
 
 
 def replay_trace(trace, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                 max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
+                 max_degree=DEFAULT_DEGREE_CAP):
     """Re-run the pipeline on the trace's group, with the caps it was
     made with; True when the rerun reproduces the trace exactly."""
     from .group import close_group

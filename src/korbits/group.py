@@ -18,7 +18,8 @@ from .partition import Partition
 from .perm import Permutation, parse_permutation
 
 DEFAULT_ELEMENT_CAP = 10 ** 6
-DEFAULT_NORMALIZER_DEGREE_CAP = 8
+# points of the n! normalizer search and of Aut(X) (`--max-degree`)
+DEFAULT_DEGREE_CAP = 8
 
 
 def perm_to_row(p):
@@ -100,9 +101,9 @@ class PermGroup:
         return iter(self.elements)
 
     def __eq__(self, other):
-        return (isinstance(other, PermGroup)
+        return (isinstance(other, PermGroup) and self._hash == other._hash
                 and self.degree == other.degree
-                and np.array_equal(self.keys, other.keys))
+                and self.keys.tobytes() == other.keys.tobytes())
 
     def __hash__(self):
         return self._hash
@@ -344,7 +345,7 @@ def _sym_images(n):
 
 
 @functools.lru_cache(maxsize=256)
-def normalizer_in_sym(G, max_degree=DEFAULT_NORMALIZER_DEGREE_CAP):
+def normalizer_in_sym(G, max_degree=DEFAULT_DEGREE_CAP):
     """N_{S_n}(G) by filtering all n! permutations."""
     n = G.degree
     if n > max_degree:

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
-from .group import PermGroup, is_subgroup, orbits_on_points, perm_to_row
+from .group import (DEFAULT_DEGREE_CAP, PermGroup, is_subgroup,
+                    orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_TUPLE_CAP = 10 ** 7
-DEFAULT_AUT_POINT_CAP = 8
 
 
 def check_ktuple(t):
@@ -219,7 +219,7 @@ class KBlock:
     aut_transitive: bool
 
 
-def k_blocks(X, max_aut_points=DEFAULT_AUT_POINT_CAP):
+def k_blocks(X, max_aut_points=DEFAULT_DEGREE_CAP):
     """Group X's tuples by identical coordinate set.
 
     Returns (partition of X's tuples, list of KBlock in canonical
@@ -356,7 +356,7 @@ def setwise_point_stabilizer(G, points):
 
 
 @functools.lru_cache(maxsize=4096)
-def aut_of_kset(X, degree=None, max_points=DEFAULT_AUT_POINT_CAP):
+def aut_of_kset(X, degree=None, max_points=DEFAULT_DEGREE_CAP):
     """{s in Sym(union of coordinate sets) : sX = X}, embedded at the
     ambient degree (default: the largest point of X)."""
     u = sorted(X.union_of_points())

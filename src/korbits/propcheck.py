@@ -19,9 +19,10 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ResourceLimitError
-from .group import (close_group, conjugate_rows_by, is_primitive,
-                    is_subgroup, is_transitive, normalizer_in,
-                    normalizer_in_sym, perm_to_row)
+from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, close_group,
+                    conjugate_rows_by, is_primitive, is_subgroup,
+                    is_transitive, normalizer_in, normalizer_in_sym,
+                    perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -30,7 +31,10 @@ from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
 from .perm import parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
-DEFAULT_PAIR_CAP = 200
+# subgroup pairs per orbit checked by L_grAB and P_capcup, and P_LkRk
+# contexts per group
+MAX_PAIRS = 200
+MAX_CONTEXTS = 200
 
 # Entries of one chunk of the position matrix of
 # _aut_suborbit_partition_failure: a chunk takes max(1, _POSITION_KEYS
@@ -86,13 +90,13 @@ def _ser_group(G):
 
 
 @functools.lru_cache(maxsize=4096)
-def _deser_group(degree, gen_strings):
+def _deser_group(degree, gen_strings, max_elements):
     gens = [parse_permutation(s, degree) for s in gen_strings]
-    return close_group(gens, degree=degree)
+    return close_group(gens, degree=degree, max_elements=max_elements)
 
 
-def _ctx_group(ctx, key="group"):
-    return _deser_group(int(ctx["degree"]), tuple(ctx[key]))
+def _ctx_group(ctx, caps, key="group"):
+    return _deser_group(int(ctx["degree"]), tuple(ctx[key]), caps.max_elements)
 
 
 def _ser_kset(Y):
@@ -102,13 +106,6 @@ def _ser_kset(Y):
 def _rep(X):
     """X's least tuple, 1-based."""
     return tuple((X.rows[0] + 1).tolist())
-
-
-def _base_ctx(G, group_id=None):
-    ctx = {"degree": G.degree, "group": _ser_group(G)}
-    if group_id is not None:
-        ctx["group_id"] = group_id
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +122,9 @@ def _is_normal(H, G):
 
 
 @functools.lru_cache(maxsize=16384)
-def _join_groups(A, B, degree):
-    return close_group(list(A.generators) + list(B.generators), degree=degree)
+def _join_groups(A, B, degree, max_elements):
+    return close_group(list(A.generators) + list(B.generators), degree=degree,
+                       max_elements=max_elements)
 
 
 def _normal_proper_nontrivial(G, max_order):
@@ -207,7 +205,7 @@ def _orbit_from_ctx(G, ctx):
 # ---------------------------------------------------------------------------
 
 def _eval_P_stab_co(ctx, caps):
-    W = _ctx_group(ctx)
+    W = _ctx_group(ctx, caps)
     alpha = tuple(int(v) for v in ctx["tuple"])
     co = frozenset(alpha)
     report = automorphic_analysis(W, max_subgroup_order=caps.max_subgroup_order)
@@ -217,7 +215,7 @@ def _eval_P_stab_co(ctx, caps):
     G = setwise_point_stabilizer(W, co)
     H = pointwise_tuple_stabilizer(G, alpha)
     X = orbit_of_tuple(G, alpha)
-    aut = aut_of_kset(X, degree=W.degree)
+    aut = aut_of_kset(X, degree=W.degree, max_points=caps.max_degree)
     if not _is_normal(H, G):
         return _fail("P_stab_co", ctx,
                      {"reason": "tuple stabilizer not normal in the "
@@ -236,7 +234,7 @@ def _eval_P_stab_co(ctx, caps):
 
 
 def _eval_P_LkRk(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     Y = KSet(tuple(t) for t in ctx["suborbit"])
     X = orbit_of_tuple(G, _rep(Y))
     n = G.degree
@@ -259,14 +257,14 @@ def _eval_P_LkRk(ctx, caps):
 
 
 def _eval_P_prim_normal(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     if not is_transitive(G) or not is_primitive(G, "paper"):
         return _na("P_prim_normal", ctx,
                    "group is not primitive (non-Abelian convention)")
     if "subgroup" not in ctx:
         return _na("P_prim_normal", ctx,
                    "no proper non-trivial normal subgroup")
-    H = _ctx_group(ctx, "subgroup")
+    H = _ctx_group(ctx, caps, "subgroup")
     if H.order <= 1 or not _is_normal(H, G):
         return _na("P_prim_normal", ctx,
                    "subgroup is trivial or not normal")
@@ -279,7 +277,7 @@ def _eval_P_prim_normal(ctx, caps):
 
 
 def _eval_C_simple(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     why = _not_terminal(G, caps)
     if why:
         return _na("C_simple", ctx, why)
@@ -292,11 +290,11 @@ def _eval_C_simple(ctx, caps):
 
 
 def _index_hypothesis(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     if "subgroup" not in ctx or "subgroup2" not in ctx:
         return G, None, None, "no (A < H normal-in G, N_H(A) = A) instance"
-    H = _ctx_group(ctx, "subgroup")
-    A = _ctx_group(ctx, "subgroup2")
+    H = _ctx_group(ctx, caps, "subgroup")
+    A = _ctx_group(ctx, caps, "subgroup2")
     if not (1 < A.order < H.order and is_subgroup(A, H)):
         return G, H, A, "A is not a proper non-trivial subgroup of H"
     if not (_is_normal(H, G) and H.order < G.order):
@@ -327,7 +325,7 @@ def _eval_P_giso(ctx, caps):
     if why:
         return _na("P_giso", ctx, why)
     for k in range(1, G.degree + 1):
-        tuples, ids = _backend.tuple_orbits(A.images, k, DEFAULT_TUPLE_CAP)
+        tuples, ids = _backend.tuple_orbits(A.images, k, caps.max_tuples)
         keys = _backend.encode_rows(tuples, G.degree)
         sizes = np.bincount(ids)
         for z in range(sizes.size):
@@ -347,7 +345,7 @@ def _eval_P_giso(ctx, caps):
 
 
 def _eval_L_alt_norm(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     n = G.degree
     if n < 3:
         return _na("L_alt_norm", ctx, "alternating group is trivial below "
@@ -366,7 +364,7 @@ def _eval_L_alt_norm(ctx, caps):
 
 
 def _eval_C_no_tr(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     why = _not_terminal(G, caps)
     if why:
         return _na("C_no_tr", ctx, why)
@@ -379,9 +377,9 @@ def _eval_C_no_tr(ctx, caps):
 
 
 def _eval_P_equal_classes(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     rows = X.as_rows()
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
@@ -397,21 +395,21 @@ def _eval_P_equal_classes(ctx, caps):
 
 
 def _eval_L_grAB(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     if "subgroup" in ctx:    # pinned witness form
-        A = _ctx_group(ctx, "subgroup")
-        B = _ctx_group(ctx, "subgroup2")
+        A = _ctx_group(ctx, caps, "subgroup")
+        B = _ctx_group(ctx, caps, "subgroup2")
         alpha = tuple(int(v) for v in ctx["tuple"])
         pairs = [(A, B, alpha)]
     else:
         X = _orbit_from_ctx(G, ctx)
-        aut = aut_of_kset(X, degree=G.degree)
+        aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
         t0 = _rep(X)
         # subgroup class reps of Aut whose orbit of t0 is regular
         regs = [cls.rep for cls in subgroup_classes(
                     aut, max_order=caps.max_subgroup_order)
                 if len(orbit_of_tuple(cls.rep, t0)) == cls.order]
-        pairs = [(A, B, t0) for A in regs for B in regs][:caps.max_pairs]
+        pairs = [(A, B, t0) for A in regs for B in regs][:MAX_PAIRS]
     checked = 0
     for A, B, alpha in pairs:
         Y = orbit_of_tuple(A, alpha)
@@ -419,7 +417,7 @@ def _eval_L_grAB(ctx, caps):
         if len(Y) != A.order or len(Z) != B.order:
             continue
         checked += 1
-        J = _join_groups(A, B, A.degree)
+        J = _join_groups(A, B, A.degree, caps.max_elements)
         T = orbit_of_tuple(J, alpha)
         if len(T) != J.order:
             return _fail("L_grAB", ctx,
@@ -459,7 +457,7 @@ def _pair_partitions(ly, lz):
     return meet - meet[:, :1], join - join[:, :1]
 
 
-def _first_capcup_failure(G, k, trans, stabs, todo):
+def _first_capcup_failure(G, k, trans, stabs, todo, max_elements):
     """(index in `todo`, reason) of the first failing pair of `todo`,
     or None when all pass.
 
@@ -511,7 +509,7 @@ def _first_capcup_failure(G, k, trans, stabs, todo):
                 return p, "meet != G(Y ∩ Z)"
             if not np.array_equal(stabilizer(T), trans[i][1] & trans[j][1]):
                 return p, "Stab(T) != Stab(Y) ∩ Stab(Z)"
-            J = _join_groups(stabs[i][0], stabs[j][0], n)
+            J = _join_groups(stabs[i][0], stabs[j][0], n, max_elements)
             if not np.array_equal(G.keys[stabilizer(U)], J.keys):
                 return p, "Stab(U) != gr(Stab(Y), Stab(Z))"
     return None
@@ -527,7 +525,7 @@ def _eval_P_capcup(ctx, caps):
     one reported. A union mismatch raises only when no pair before it
     fails.
     """
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     if "suborbit" in ctx:    # pinned witness form
         sets = [KSet(tuple(t) for t in ctx["suborbit"]),
                 KSet(tuple(t) for t in ctx["suborbit2"])]
@@ -537,7 +535,7 @@ def _eval_P_capcup(ctx, caps):
         sets = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
                 if translate_keys(G, Y.as_rows())[3] is not None]
         pairs = [(i, j) for i in range(len(sets))
-                 for j in range(i + 1, len(sets))][:caps.max_pairs]
+                 for j in range(i + 1, len(sets))][:MAX_PAIRS]
     if not pairs:
         return _na("P_capcup", ctx, "no pair of distinct suborbits with "
                                     "partition translate sets")
@@ -557,8 +555,8 @@ def _eval_P_capcup(ctx, caps):
             mismatch = True
             break
         todo.append((i, j))
-    failure = (_first_capcup_failure(G, sets[0].arity, trans, stabs, todo)
-               if todo else None)
+    failure = (_first_capcup_failure(G, sets[0].arity, trans, stabs, todo,
+                                     caps.max_elements) if todo else None)
     if failure:
         p, reason = failure
         i, j = todo[p]
@@ -575,9 +573,9 @@ def _eval_P_capcup(ctx, caps):
 
 
 def _eval_L_H_order(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("L_H_order", ctx,
@@ -593,16 +591,16 @@ def _eval_L_H_order(ctx, caps):
 
 
 def _eval_P_incoherent(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "incoherent":
         return _na("P_incoherent", ctx, f"k-orbit is {verdict.kind}"
                                         + (" (trivial)" if verdict.trivial else ""))
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     notes = None
-    _, blocks = k_blocks(X, max_aut_points=caps.max_aut_points)
+    _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
     if len(blocks) == 2:
         Y = blocks[0].kset
         SY, _ = stab_of_ksuborbit(aut, Y)
@@ -617,9 +615,9 @@ def _eval_P_incoherent(ctx, caps):
 
 
 def _eval_P_triv_norm(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("P_triv_norm", ctx,
@@ -642,13 +640,13 @@ def _eval_P_triv_norm(ctx, caps):
 
 
 def _eval_T_coherent(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if not verdict.is_coherent or verdict.trivial:
         return _na("T_coherent", ctx, "k-orbit is not (non-trivially) coherent")
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _na("T_coherent", ctx,
@@ -662,13 +660,13 @@ def _eval_T_coherent(ctx, caps):
 
 
 def _eval_L_elcoh_part(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("L_elcoh_part", ctx, "k-orbit is not elementary coherent")
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _fail("L_elcoh_part", ctx,
@@ -679,13 +677,13 @@ def _eval_L_elcoh_part(ctx, caps):
 
 
 def _eval_T_elcoh(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("T_elcoh", ctx, "k-orbit is not elementary coherent")
-    aut = aut_of_kset(X, degree=G.degree)
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     if aut.order != len(X):
         return _fail("T_elcoh", ctx,
                      {"reason": "elementary coherent k-orbit with "
@@ -695,13 +693,13 @@ def _eval_T_elcoh(ctx, caps):
 
 
 def _eval_L_block_aut(ctx, caps):
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
     if frozenset(_rep(X)) not in set(report.subsets):
         return _na("L_block_aut", ctx,
                    "not a right-automorphic k-orbit: no automorphic tuple")
-    _, blocks = k_blocks(X, max_aut_points=caps.max_aut_points)
+    _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
     for b in blocks:
         if not b.aut_transitive:
             return _fail("L_block_aut", ctx,
@@ -715,14 +713,14 @@ def _eval_L_block_aut(ctx, caps):
 def _eval_L_proof_elcoh(ctx, caps):
     from .fks import iso_partitions
 
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     why = _not_terminal(G, caps)
     if why:
         return _na("L_proof_elcoh", ctx, why)
     N = normalizer_in_sym(G, max_degree=caps.max_degree)
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
     k = report.max_automorphic_degree_divisor() or 1
-    found = iso_partitions(G, N, k)
+    found = iso_partitions(G, N, k, caps.max_subgroup_order)
     if not found:
         return _na("L_proof_elcoh", ctx,
                    f"no qualifying partition into {k}-element isomorphic "
@@ -745,8 +743,7 @@ def _eval_L_proof_elcoh(ctx, caps):
 # context generators
 # ---------------------------------------------------------------------------
 
-def _ctx_P_stab_co(G, gid, ks, caps):
-    base = _base_ctx(G, gid)
+def _ctx_P_stab_co(G, base, ks, caps):
     report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
     for k in ks:
         for s in report.subsets:
@@ -754,37 +751,34 @@ def _ctx_P_stab_co(G, gid, ks, caps):
                 yield {**base, "tuple": sorted(s)}
 
 
-def _ctx_P_LkRk(G, gid, ks, caps):
-    base = _base_ctx(G, gid)
+def _ctx_P_LkRk(G, base, ks, caps):
     count = 0
     for k in ks:
-        for X in k_orbits(G, k):
+        for X in k_orbits(G, k, max_tuples=caps.max_tuples):
             for Y in _suborbit_pool(G, X, caps.max_subgroup_order):
-                if count >= caps.max_contexts:
+                if count >= MAX_CONTEXTS:
                     return
                 count += 1
                 yield {**base, "k": k, "suborbit": _ser_kset(Y)}
 
 
-def _ctx_P_prim_normal(G, gid, ks, caps):
-    base = _base_ctx(G, gid)
+def _ctx_P_prim_normal(G, base, ks, caps):
     if not is_primitive(G, "paper"):
-        yield base
+        yield dict(base)
         return
     normals = _normal_proper_nontrivial(G, caps.max_subgroup_order)
     if not normals:
-        yield base
+        yield dict(base)
         return
     for H in normals:
         yield {**base, "subgroup": _ser_group(H)}
 
 
-def _ctx_bare(G, gid, ks, caps):
-    yield _base_ctx(G, gid)
+def _ctx_bare(G, base, ks, caps):
+    yield dict(base)
 
 
-def _ctx_index_like(G, gid, ks, caps):
-    base = _base_ctx(G, gid)
+def _ctx_index_like(G, base, ks, caps):
     found = False
     for H in _normal_proper_nontrivial(G, caps.max_subgroup_order):
         for cls in subgroup_classes(H, max_order=caps.max_subgroup_order):
@@ -797,13 +791,12 @@ def _ctx_index_like(G, gid, ks, caps):
             yield {**base, "subgroup": _ser_group(H),
                    "subgroup2": _ser_group(A)}
     if not found:
-        yield base
+        yield dict(base)
 
 
-def _ctx_per_orbit(G, gid, ks, caps):
-    base = _base_ctx(G, gid)
+def _ctx_per_orbit(G, base, ks, caps):
     for k in ks:
-        for X in k_orbits(G, k):
+        for X in k_orbits(G, k, max_tuples=caps.max_tuples):
             yield {**base, "k": k, "orbit_rep": list(_rep(X))}
 
 
@@ -867,11 +860,14 @@ def check_ids():
 
 @dataclass(frozen=True)
 class SuiteCaps:
+    """The caps of `korbits check`, one per flag, each reaching every call
+    that can exceed it: `max_degree` bounds the n! normalizer search and
+    the points of Aut(X), `max_elements` every group closure and
+    `max_tuples` every k-tuple enumeration."""
     max_subgroup_order: int = DEFAULT_SUBGROUP_CAP
-    max_aut_points: int = 8
-    max_degree: int = 8
-    max_contexts: int = 200
-    max_pairs: int = DEFAULT_PAIR_CAP
+    max_degree: int = DEFAULT_DEGREE_CAP
+    max_elements: int = DEFAULT_ELEMENT_CAP
+    max_tuples: int = DEFAULT_TUPLE_CAP
 
 
 def run_check(check_id, context, caps=None):
@@ -903,7 +899,7 @@ class SuiteReport:
 def run_suite(catalog, k_range=None, check_ids=None, caps=None):
     """Evaluate checks over every catalog entry; deterministic order.
 
-    k_range is an iterable of arities (default 1..degree per group);
+    k_range is an iterable of arities (default 1..degree);
     check_ids filters the registry; cap violations are recorded as
     skipped results, never raised."""
     caps = caps or SuiteCaps()
@@ -915,17 +911,21 @@ def run_suite(catalog, k_range=None, check_ids=None, caps=None):
     results = []
     tallies = {c.check_id: {"pass": 0, "fail": 0, "inapplicable": 0,
                             "skipped": 0} for c in selected}
+    n = catalog.degree
+    ks = list(k_range) if k_range is not None else list(range(1, n + 1))
+    ks = [k for k in ks if 1 <= k <= n]
     for entry in catalog:
-        G = entry.group()
-        ks = list(k_range) if k_range is not None \
-            else list(range(1, G.degree + 1))
-        ks = [k for k in ks if 1 <= k <= G.degree]
+        # one context per entry, shared by every check; the group closed
+        # from it is the one the checks' `_ctx_group` returns
+        base = {"degree": n, "group": _ser_group(entry),
+                "group_id": entry.entry_id}
         for check in selected:
             try:
-                contexts = list(check.contexts(G, entry.entry_id, ks, caps))
+                G = _ctx_group(base, caps)
+                contexts = list(check.contexts(G, base, ks, caps))
             except ResourceLimitError as exc:
-                res = CheckResult(check.check_id, _base_ctx(G, entry.entry_id),
-                                  "skipped", reason=str(exc))
+                res = CheckResult(check.check_id, dict(base), "skipped",
+                                  reason=str(exc))
                 results.append(res)
                 tallies[check.check_id]["skipped"] += 1
                 continue

@@ -29,6 +29,7 @@ import numpy as np
 from . import _backend
 from .errors import ResourceLimitError
 from .group import PermGroup, conjugate_elementwise, conjugate_rows_by
+from .perm import _factorize
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
 
@@ -79,12 +80,9 @@ def _element_primes(images):
     orders, at = np.unique(np.lcm.reduce(length, axis=1), return_inverse=True)
     primes = np.ones(orders.size, dtype=np.int64)
     for i, order in enumerate(orders.tolist()):
-        if order > 1:
-            p = next(d for d in range(2, order + 1) if order % d == 0)
-            while order % p == 0:
-                order //= p
-            if order == 1:
-                primes[i] = p
+        fac = _factorize(order)
+        if len(fac) == 1:
+            primes[i] = next(iter(fac))
     return primes[at]
 
 

@@ -1,8 +1,13 @@
 """Every ResourceLimitError raise site: the cap it names, and the flag
 that raises it.  A user cap names its flag, and one more unit of that
-cap lets the computation through; a hard limit names no flag."""
+cap lets the computation through; a hard limit names no flag.  Each
+subcommand takes exactly the cap flags that its code reads."""
+
+import argparse
 
 import pytest
+
+from korbits.cli import build_parser, main
 
 from korbits.errors import ResourceLimitError
 from korbits.group import (close_group, cyclic_group, normalizer_in_sym,
@@ -44,3 +49,53 @@ def test_raise_site(name, flag, call, cap):
         assert exc.cap_value == cap
         assert str(exc).endswith(f"(raise with {flag})")
         call(cap + 1)
+
+
+# the cap and convention flags of each subcommand
+ALL_FLAGS = {"--max-elements", "--max-degree", "--max-tuples",
+             "--max-subgroup-order", "--convention"}
+FLAGS = {
+    "orbits": {"--max-elements", "--max-tuples", "--max-subgroup-order",
+               "--convention"},
+    "blocks": {"--max-elements", "--max-degree", "--max-tuples",
+               "--convention"},
+    "render": {"--max-elements"},
+    "catalog": {"--max-subgroup-order"},
+    "check": {"--max-elements", "--max-degree", "--max-tuples",
+              "--max-subgroup-order"},
+    "fks": {"--max-elements", "--max-degree", "--max-subgroup-order"},
+    "audit": {"--max-elements", "--max-degree", "--max-subgroup-order"},
+}
+# the flags each subcommand needs to get past argparse
+REQUIRED = {"catalog": ["--degree", "3"], "check": []}
+DELETED = [(command, flag) for command in FLAGS
+           for flag in sorted(ALL_FLAGS - FLAGS[command])]
+
+
+def _subcommands():
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_flag_table_covers_every_subcommand():
+    assert set(_subcommands()) == set(FLAGS)
+    assert sum(len(flags) for flags in FLAGS.values()) == 20
+    assert len(DELETED) == 15
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_registered_flags(command):
+    sp = _subcommands()[command]
+    registered = {s for a in sp._actions for s in a.option_strings
+                  if s.startswith("--max-") or s == "--convention"}
+    assert registered == FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", DELETED,
+                         ids=[f"{c}{f}" for c, f in DELETED])
+def test_deleted_flag_exits_2(capsys, command, flag):
+    value = "paper" if flag == "--convention" else "5"
+    argv = [command, *REQUIRED.get(command, ["--group", "g.grp"]), flag, value]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import hashlib
 
 import pytest
 
-from korbits.catalog import (enumerate_subgroups, load_catalog, parse_catalog,
-                             render_catalog, save_catalog, transitive_catalog)
+from korbits.catalog import (load_catalog, parse_catalog, render_catalog,
+                             save_catalog, transitive_catalog)
 from korbits.errors import DomainError, ParseError
 from korbits.group import is_primitive, is_transitive, symmetric_group
+from korbits.subgroups import subgroup_classes
 
 # number of transitive groups of degree n up to conjugacy
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 5, 6: 16, 7: 7}
@@ -63,7 +64,7 @@ class TestGeneration:
         assert max(e.order for e in cat) == 120
 
     def test_enumerate_subgroups_complete(self):
-        reps = enumerate_subgroups(symmetric_group(4))
+        reps = [cls.rep for cls in subgroup_classes(symmetric_group(4))]
         assert len(reps) == 11
 
 

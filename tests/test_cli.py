@@ -203,6 +203,34 @@ class TestAudit:
         assert "max-degree cap exceeded: need 10, cap is 9" in err
 
 
+class TestCheckCaps:
+    """`korbits check` on the degree-3 catalog, whose S3 has 6 elements
+    and whose arity 2 has 6 tuples."""
+
+    @pytest.fixture
+    def deg3_file(self, tmp_path):
+        path = tmp_path / "deg3.cat"
+        save_catalog(transitive_catalog(3), path)
+        return str(path)
+
+    def test_max_elements_reaches_the_catalog(self, capsys, deg3_file):
+        code, out, err = run(capsys, "check", "--catalog", deg3_file, "--all",
+                             "--max-elements", "5")
+        assert code == 2
+        assert "max-elements cap exceeded: need > 5, cap is 5 " \
+               "(raise with --max-elements)" in err
+
+    def test_max_tuples_reaches_the_checks(self, capsys, deg3_file):
+        code, out, err = run(capsys, "check", "--catalog", deg3_file, "--all",
+                             "--max-tuples", "5")
+        records = [json.loads(l) for l in out.splitlines()
+                   if l.startswith("{")]
+        skipped = [r["reason"] for r in records if r["verdict"] == "skipped"]
+        assert skipped
+        assert all(r == "max-tuples cap exceeded: need 6, cap is 5 "
+                        "(raise with --max-tuples)" for r in skipped)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2

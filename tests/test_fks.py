@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from korbits import fks, korbit
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError
 from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
@@ -16,6 +17,20 @@ from korbits.group import (block_systems, close_group, cyclic_group,
                            normalizer_in_sym, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, analyze_element, parse_permutation
+from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+
+
+def on_pairs(*cycles):
+    """The group that the given permutations of {1..5} generate on the
+    10 pairs of {1..5}."""
+    pairs = list(itertools.combinations(range(1, 6), 2))
+
+    def act(cycle):
+        g = parse_permutation(cycle, 5)
+        return Permutation(pairs.index(tuple(sorted((g(a), g(b))))) + 1
+                           for a, b in pairs)
+
+    return close_group([act(c) for c in cycles])
 
 
 class TestDirectSearch:
@@ -167,14 +182,7 @@ class TestTracePersistence:
         """The audit of A5 on the 10 pairs of {1..5} records the cap of
         the n! normalizer search it was run with, so a replay must run
         with the same cap."""
-        pairs = list(itertools.combinations(range(1, 6), 2))
-
-        def on_pairs(cycle):
-            g = parse_permutation(cycle, 5)
-            return Permutation(pairs.index(tuple(sorted((g(a), g(b))))) + 1
-                               for a, b in pairs)
-
-        G = close_group([on_pairs("(1 2 3)"), on_pairs("(1 2 3 4 5)")])
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
         trace = fks_pipeline(G, max_degree=9)
         assert G.order == 60
         assert "cap is 9" in trace.steps[-1]["audit_error"]
@@ -224,6 +232,32 @@ class TestAudit:
                 G = entry.group()
                 with pytest.raises(DomainError):
                     proof_audit(G)
+
+    def test_subgroup_cap_reaches_every_lattice(self, monkeypatch):
+        """Every subgroup lattice that the audit of A5 on the 10 pairs
+        reads, the iso partitions' included, is built at the cap the
+        audit is given. The normalizer, S5 on the pairs, is stubbed in:
+        the n! search at degree 10 is too large here."""
+        calls = []
+
+        def spy(H, max_order=DEFAULT_SUBGROUP_CAP):
+            calls.append(max_order)
+            return subgroup_classes(H, max_order=max_order)
+
+        N = on_pairs("(1 2)", "(1 2 3 4 5)")
+        monkeypatch.setattr(fks, "normalizer_in_sym",
+                            lambda G, max_degree: N)
+        for mod in (fks, korbit):
+            monkeypatch.setattr(mod, "subgroup_classes", spy)
+        # uncached, so that a cached earlier analysis cannot hide a call
+        for name in ("automorphic_analysis", "classify_coherence"):
+            monkeypatch.setattr(fks, name, getattr(korbit, name).__wrapped__)
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
+        record = proof_audit(G, max_subgroup_order=60, max_degree=10)
+        assert calls and set(calls) == {60}
+        assert (N.order, record.normalizer_proper, record.chosen_k) == \
+            (120, True, 10)
+        assert len(record.partitions) == 1
 
 
 class TestIsoPartitions:

@@ -225,3 +225,37 @@ class TestSuite:
         assert all(r.verdict in ("pass", "fail", "inapplicable", "skipped")
                    for r in report.results)
         assert any(r.verdict == "skipped" for r in report.results)
+
+    @pytest.mark.parametrize("cap, reason", [
+        ({"max_elements": 5}, "max-elements cap exceeded: need > 5, cap is 5"),
+        ({"max_tuples": 5}, "max-tuples cap exceeded: need 6, cap is 5")],
+        ids=["max_elements", "max_tuples"])
+    def test_element_and_tuple_caps_reach_the_suite(self, cap, reason):
+        report = run_suite(transitive_catalog(3), caps=SuiteCaps(**cap))
+        skipped = [r.reason for r in report.results if r.verdict == "skipped"]
+        assert skipped and all(r.startswith(reason) for r in skipped)
+
+
+# C9 and its 8-orbit of (1, ..., 8), whose union has 9 points
+C9 = {"degree": 9, "group": ["(1 2 3 4 5 6 7 8 9)"]}
+C9_CONTEXTS = [
+    ("P_stab_co", {**C9, "tuple": list(range(1, 10))}),
+    *((check_id, {**C9, "k": 8, "orbit_rep": list(range(1, 9))})
+      for check_id in ("P_equal_classes", "L_grAB", "L_H_order",
+                       "P_triv_norm", "T_coherent", "L_elcoh_part",
+                       "T_elcoh"))]
+
+
+class TestAutPointCap:
+    """Every check that builds Aut(X) reads its point cap from
+    `SuiteCaps.max_degree`, the cap of `--max-degree`."""
+
+    @pytest.mark.parametrize("check_id, ctx", C9_CONTEXTS,
+                             ids=[c for c, _ in C9_CONTEXTS])
+    def test_max_degree_reaches_aut(self, check_id, ctx):
+        with pytest.raises(ResourceLimitError,
+                           match=r"max-aut-points cap exceeded: need 9, "
+                                 r"cap is 8 \(raise with --max-degree\)"):
+            run_check(check_id, ctx)
+        res = run_check(check_id, ctx, SuiteCaps(max_degree=9))
+        assert res.verdict in ("pass", "fail", "inapplicable")

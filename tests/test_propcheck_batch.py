@@ -39,7 +39,7 @@ def reference_capcup(ctx, caps=CAPS):
     """`P_capcup` evaluated pair by pair, with the meet and join of each
     pair derived on its own. `_join_groups` is read from the module on
     every call, so a test can replace it in both evaluators."""
-    G = _ctx_group(ctx)
+    G = _ctx_group(ctx, caps)
     if "suborbit" in ctx:
         pairs = [(KSet(tuple(t) for t in ctx["suborbit"]),
                   KSet(tuple(t) for t in ctx["suborbit2"]))]
@@ -49,7 +49,7 @@ def reference_capcup(ctx, caps=CAPS):
                 if translate_keys(G, Y.as_rows())[3] is not None]
         pairs = [(pool[i], pool[j])
                  for i in range(len(pool)) for j in range(i + 1, len(pool))]
-        pairs = pairs[:caps.max_pairs]
+        pairs = pairs[:propcheck.MAX_PAIRS]
     if not pairs:
         return _na("P_capcup", ctx, "no pair of distinct suborbits with "
                                     "partition translate sets")
@@ -89,7 +89,8 @@ def reference_capcup(ctx, caps=CAPS):
                 return fail("Stab(T) != Stab(Y) ∩ Stab(Z)")
             U_rows = _backend.decode_keys(CJ, G.degree, Y.arity)
             SU = PermGroup(G.degree, G.images[translate_keys(G, U_rows)[1]])
-            if SU != propcheck._join_groups(SY, SZ, G.degree):
+            if SU != propcheck._join_groups(SY, SZ, G.degree,
+                                             caps.max_elements):
                 return fail("Stab(U) != gr(Stab(Y), Stab(Z))")
     if not checked:
         return _na("P_capcup", ctx, "no pair of distinct suborbits with "
@@ -120,8 +121,9 @@ def _contexts(degrees, ks=None):
     for n in degrees:
         for e in transitive_catalog(n):
             G = e.group()
-            yield from _ctx_per_orbit(G, e.entry_id,
-                                      ks or range(1, n + 1), CAPS)
+            base = {"degree": n, "group": propcheck._ser_group(G),
+                    "group_id": e.entry_id}
+            yield from _ctx_per_orbit(G, base, ks or range(1, n + 1), CAPS)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,8 @@ class TestCapcupBatch:
         assert got.to_record() == reference_capcup(dict(ctx)).to_record()
 
     def test_overlap_pinned_pair_is_overlapping(self):
-        G = _ctx_group({"degree": 4, "group": ["(3 4)", "(1 2)", "(1 3)(2 4)"]})
+        G = _ctx_group({"degree": 4, "group": ["(3 4)", "(1 2)", "(1 3)(2 4)"]},
+                       CAPS)
         Y = KSet([(2, 1), (4, 3)])
         assert translate_keys(G, Y.as_rows())[3] is None
 
@@ -212,7 +215,7 @@ class TestCapcupBatch:
         # a wrong join of the stabilizers makes later pairs fail; both
         # evaluators must name the same first pair and reason
         monkeypatch.setattr(propcheck, "_join_groups",
-                            lambda A, B, degree: A)
+                            lambda A, B, degree, max_elements: A)
         fails = 0
         for ctx in _contexts([4, 5], ks=[1, 2, 3]):
             got = _outcome(lambda c: run_check("P_capcup", c), ctx)

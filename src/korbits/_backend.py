@@ -11,10 +11,12 @@ array; `orbit_labels` reads every orbit from the full element array,
 matching image keys against the sorted keys of the rows by
 `searchsorted`, so neither allocates anything indexed by the key space.
 `row_index`, `close_index` and `greedy_generators` work on row numbers
-of a group's sorted element array instead of keys.
+of a group's sorted element array instead of keys. `fixed_rows`, the
+one setwise-stabilizer filter, reads a group's rows or `sym_images`.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -38,6 +40,11 @@ _DENSE_SPACE_LIMIT = 40_000_000
 # each, stay few.
 _BATCH_KEYS = 4096
 
+# Image keys per chunk of `fixed_rows` and of the position matrix of
+# propcheck._aut_suborbit_partition_failure: a chunk of elements that
+# map w point rows each holds about max(KEY_BUDGET, w) keys.
+KEY_BUDGET = 1 << 18
+
 
 def powers_for(n, width):
     """Key weights: position 0 is most significant."""
@@ -60,6 +67,33 @@ def in_sorted(sorted_keys, keys):
     array `sorted_keys`."""
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     return sorted_keys[pos] == keys
+
+
+def _arrangements(n, k):
+    """All k-tuples of distinct points of range(n), in key order."""
+    count = math.perm(n, k)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
+    return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
+
+
+def sym_images(n):
+    """Every permutation of degree n as an image row, in key order."""
+    return _arrangements(n, n)
+
+
+def fixed_rows(images, rows):
+    """The mask of the element rows g of `images` that map the sorted,
+    distinct 0-based point rows `rows` onto themselves: g passes when
+    the sorted keys of g(rows) equal the keys of `rows`. Runs in chunks
+    of about KEY_BUDGET image keys."""
+    pw = powers_for(images.shape[1], rows.shape[1])
+    keys = rows @ pw
+    step = max(1, KEY_BUDGET // max(1, keys.size))
+    mask = np.empty(images.shape[0], dtype=bool)
+    for start in range(0, mask.size, step):
+        img = np.sort(images[start:start + step, rows] @ pw, axis=1)
+        mask[start:start + step] = (img == keys).all(axis=1)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +273,10 @@ def tuple_orbits(images, k, max_tuples):
     """
     images = np.asarray(images, dtype=np.int64)
     n = images.shape[1]
-    total = 1
-    for i in range(k):
-        total *= n - i
+    total = math.perm(n, k)
     if total > max_tuples:
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
         raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    tuples = np.fromiter(flat, dtype=np.int64, count=total * k).reshape(total, k)
+    tuples = _arrangements(n, k)
     return tuples, orbit_labels(images, tuples)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .group import (DEFAULT_ELEMENT_CAP, close_group, is_abelian,
                     is_primitive, is_transitive, symmetric_group)
-from .perm import parse_permutation
+from .perm import parse_header, parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 MAX_GENERATED_DEGREE = 7
@@ -19,6 +19,7 @@ MAX_GENERATED_DEGREE = 7
 @dataclass(frozen=True)
 class CatalogEntry:
     entry_id: str
+    degree: int
     generators: tuple
     order: int
     transitive: bool
@@ -26,8 +27,7 @@ class CatalogEntry:
     abelian: bool
 
     def group(self):
-        degree = self.generators[0].degree if self.generators else 1
-        return close_group(self.generators, degree=degree)
+        return close_group(self.generators, degree=self.degree)
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class GroupCatalog:
 def _entry_from_group(entry_id, G):
     return CatalogEntry(
         entry_id=entry_id,
+        degree=G.degree,
         generators=tuple(G.generators),
         order=G.order,
         transitive=is_transitive(G),
@@ -106,10 +107,7 @@ def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
         if not stripped:
             continue
         if degree is None:
-            parts = stripped.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise ParseError(f"line {lineno}: expected 'degree n'")
-            degree = int(parts[1])
+            degree = parse_header(stripped, raw, lineno, "degree n")
             continue
         fields = [f.strip() for f in stripped.split("|")]
         if len(fields) != 4:
@@ -118,12 +116,16 @@ def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
         if entry_id in ids:
             raise ParseError(f"line {lineno}: duplicate id {entry_id!r}")
         ids.add(entry_id)
+        try:
+            order = int(order_s)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad order {order_s!r}") from None
         if not trans_s.startswith("transitive:") or trans_s[11:] not in ("0", "1"):
             raise ParseError(f"line {lineno}: bad transitive flag {trans_s!r}")
         gens = tuple(parse_permutation(s.strip(), degree)
                      for s in gens_s.split(",") if s.strip()) if gens_s else ()
         G = close_group(gens, degree=degree, max_elements=max_elements)
-        if G.order != int(order_s):
+        if G.order != order:
             raise ParseError(
                 f"line {lineno}: stated order {order_s} but closure has {G.order}")
         if is_transitive(G) != (trans_s[11:] == "1"):
@@ -131,8 +133,6 @@ def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
         entries.append(_entry_from_group(entry_id, G))
     if degree is None:
         raise ParseError("missing 'degree n' header")
-    if any(e.generators and e.generators[0].degree != degree for e in entries):
-        raise ParseError("degree mismatch between header and generators")
     return GroupCatalog(degree=degree, entries=tuple(entries), provenance=provenance)
 
 

@@ -139,8 +139,8 @@ def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
             continue
         projs = [orbit_of_tuple(G, tuple(sorted(c))) for c in classes]
         # the key rows of the N-translates of the first projection
-        keys = {r.tobytes() for r in translate_keys(N, projs[0].as_rows())[0]}
-        if not all(_backend.encode_rows(p.as_rows(), n).tobytes() in keys
+        keys = {r.tobytes() for r in translate_keys(N, projs[0].rows)[0]}
+        if not all(_backend.encode_rows(p.rows, n).tobytes() in keys
                    for p in projs[1:]):
             continue
         qualified.append((Partition(set(c) for c in classes), tuple(projs)))
@@ -222,8 +222,7 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                   == "elementary-coherent" for X in projs]
         sizes_ok = [len(X) == G.order for X in projs]
         A = setwise_point_stabilizer(G, min(part.classes, key=min))
-        inv = [c for c in part.classes
-               if set(_restriction(A, c).ravel().tolist()) <= c]
+        inv = [c for c in part.classes if setwise_point_stabilizer(A, c) == A]
         iso = bool(inv) and all(len(np.unique(_restriction(A, c), axis=0)) == A.order
                                 for c in inv)
         finding = {

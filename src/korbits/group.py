@@ -8,14 +8,13 @@ exact, simple semantics.
 """
 
 import functools
-import itertools
 
 import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
 from .partition import Partition
-from .perm import Permutation, parse_permutation
+from .perm import Permutation, parse_header, parse_permutation
 
 DEFAULT_ELEMENT_CAP = 10 ** 6
 # points of the n! normalizer search and of Aut(X) (`--max-degree`)
@@ -340,17 +339,13 @@ def is_primitive(G, convention="paper"):
 # normalizers
 # ---------------------------------------------------------------------------
 
-def _sym_images(n):
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=256)
 def normalizer_in_sym(G, max_degree=DEFAULT_DEGREE_CAP):
     """N_{S_n}(G) by filtering all n! permutations."""
     n = G.degree
     if n > max_degree:
         raise ResourceLimitError("max-degree", max_degree, n, flag="--max-degree")
-    sym = PermGroup(n, _sym_images(n))
+    sym = PermGroup(n, _backend.sym_images(n))
     return normalizer_in(sym, G)
 
 
@@ -384,15 +379,7 @@ def parse_group(text, max_elements=DEFAULT_ELEMENT_CAP):
         if not line:
             continue
         if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise ParseError(f"line {lineno}: expected 'degree n', got {raw!r}")
-            try:
-                degree = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad degree {parts[1]!r}") from None
-            if degree < 1:
-                raise ParseError(f"line {lineno}: degree must be positive")
+            degree = parse_header(line, raw, lineno, "degree n")
             continue
         gens.append(parse_permutation(line, degree))
     if degree is None:

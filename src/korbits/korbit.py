@@ -8,7 +8,6 @@ k-tuples are plain Python tuples of 1-based points; a KSet is the
 sorted int64 matrix of their 0-based points, one row per tuple."""
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .errors import DomainError, ParseError, ResourceLimitError
 from .group import (DEFAULT_DEGREE_CAP, PermGroup, is_subgroup,
                     orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
+from .perm import parse_header
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_TUPLE_CAP = 10 ** 7
@@ -84,10 +84,6 @@ class KSet:
 
     def union_of_points(self):
         return frozenset((np.unique(self.rows) + 1).tolist())
-
-    def as_rows(self):
-        """The stored 0-based matrix, one row per tuple (read-only)."""
-        return self.rows
 
     def render_matrix(self):
         return "\n".join(" ".join(str(v) for v in t) for t in self.tuples)
@@ -340,51 +336,34 @@ def stab_of_ksuborbit(G, Y):
 
 
 def pointwise_tuple_stabilizer(G, t):
-    """{g in G : g fixes every coordinate of t}."""
-    t = check_ktuple(t)
-    cols = np.array(t, dtype=np.int64) - 1
-    mask = np.all(G.images[:, cols] == cols[None, :], axis=1)
-    return PermGroup(G.degree, G.images[mask])
+    """{g in G : g fixes every coordinate of t}, the setwise stabilizer of {t}."""
+    row = np.array([check_ktuple(t)], dtype=np.int64) - 1
+    return PermGroup(G.degree, G.images[_backend.fixed_rows(G.images, row)])
 
 
 def setwise_point_stabilizer(G, points):
     """{g in G : g maps the point set onto itself}."""
-    pts = np.array(sorted(p - 1 for p in points), dtype=np.int64)
-    imgs = np.sort(G.images[:, pts], axis=1)
-    mask = np.all(imgs == pts[None, :], axis=1)
-    return PermGroup(G.degree, G.images[mask])
+    rows = np.array(sorted(points), dtype=np.int64)[:, None] - 1
+    return PermGroup(G.degree, G.images[_backend.fixed_rows(G.images, rows)])
 
 
 @functools.lru_cache(maxsize=4096)
 def aut_of_kset(X, degree=None, max_points=DEFAULT_DEGREE_CAP):
-    """{s in Sym(union of coordinate sets) : sX = X}, embedded at the
-    ambient degree (default: the largest point of X)."""
-    u = sorted(X.union_of_points())
-    if len(u) > max_points:
-        raise ResourceLimitError("max-aut-points", max_points, len(u),
+    """{s in Sym(u) : sX = X} for the points u of X, embedded at the
+    ambient degree (default: the largest point of X) fixing the rest."""
+    u = np.unique(X.rows)
+    if u.size > max_points:
+        raise ResourceLimitError("max-aut-points", max_points, u.size,
                                  flag="--max-degree")
     if degree is None:
-        degree = max(u)
-    rows = X.rows
-    pw = _backend.powers_for(degree, X.arity)
-    target = np.sort(rows @ pw)
-    tuples = X.tuples
-    t0 = tuples[0]
-    rest0 = [p for p in u if p not in t0]
-    base = np.arange(degree, dtype=np.int64)
-    out = []
-    for t1 in tuples:
-        rest1 = [p for p in u if p not in t1]
-        for perm in itertools.permutations(rest1):
-            cand = base.copy()
-            for src, dst in zip(t0, t1):
-                cand[src - 1] = dst - 1
-            for src, dst in zip(rest0, perm):
-                cand[src - 1] = dst - 1
-            keys = np.sort(cand[rows] @ pw)
-            if np.array_equal(keys, target):
-                out.append(cand)
-    return PermGroup(degree, np.stack(out))
+        degree = int(u[-1]) + 1
+    elif degree <= u[-1]:
+        raise DomainError(f"point {u[-1] + 1} out of range for degree {degree}")
+    sym = _backend.sym_images(u.size)
+    sym = sym[_backend.fixed_rows(sym, np.searchsorted(u, X.rows))]
+    aut = np.tile(np.arange(degree, dtype=np.int64), (len(sym), 1))
+    aut[:, u] = u[sym]
+    return PermGroup(degree, aut)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +478,7 @@ def parse_kset(text):
         if not line:
             continue
         if arity is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "arity":
-                raise ParseError(f"line {lineno}: expected 'arity k', got {raw!r}")
-            try:
-                arity = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad arity {parts[1]!r}") from None
-            if arity < 1:
-                raise ParseError(f"line {lineno}: arity must be positive")
+            arity = parse_header(line, raw, lineno, "arity k")
             continue
         try:
             t = tuple(int(p) for p in line.split())

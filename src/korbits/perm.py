@@ -155,6 +155,23 @@ def parse_permutation(text, degree):
     return Permutation(images)
 
 
+def parse_header(line, raw, lineno, form):
+    """The positive integer of a file's header line, whose `form` is
+    "degree n" or "arity k"; `line` is `raw`, the line as read, without
+    its comment."""
+    word = form.split()[0]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != word:
+        raise ParseError(f"line {lineno}: expected '{form}', got {raw!r}")
+    try:
+        value = int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad {word} {parts[1]!r}") from None
+    if value < 1:
+        raise ParseError(f"line {lineno}: {word} must be positive")
+    return value
+
+
 def _factorize(m):
     out = {}
     d = 2

@@ -36,12 +36,6 @@ from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 MAX_PAIRS = 200
 MAX_CONTEXTS = 200
 
-# Entries of one chunk of the position matrix of
-# _aut_suborbit_partition_failure: a chunk takes max(1, _POSITION_KEYS
-# // |X|) elements of Aut(X), so its temporaries hold about
-# max(_POSITION_KEYS, |X|) keys and never |Aut(X)| * |X| of them.
-_POSITION_KEYS = 1 << 18
-
 
 # ---------------------------------------------------------------------------
 # results and context plumbing
@@ -167,13 +161,13 @@ def _aut_suborbit_partition_failure(Gaut, X, max_order):
     |gY ∩ Y| is 0 or |Y| for every g. For one class representative, one
     `bincount` over (g, suborbit of x) of the x whose image stays in its
     suborbit gives |gY ∩ Y| for every suborbit Y and every g at once.
-    The matrix is built in chunks of at most _POSITION_KEYS entries (one
+    The matrix is built in chunks of _backend.KEY_BUDGET entries (one
     chunk for every Aut at degree 6), and the first chunk is kept.
     """
-    rows = X.as_rows()
+    rows = X.rows
     pw = _backend.powers_for(Gaut.degree, X.arity)
     keys = rows @ pw
-    step = max(1, _POSITION_KEYS // len(rows))
+    step = max(1, _backend.KEY_BUDGET // len(rows))
 
     def positions(start):
         return np.searchsorted(keys, Gaut.images[start:start + step, rows] @ pw)
@@ -245,9 +239,9 @@ def _eval_P_LkRk(ctx, caps):
     if not h_trans:
         return _na("P_LkRk", ctx, "stabilizer is not transitive on the "
                                   "k-set: not a suborbit")
-    left = translate_keys(G, Y.as_rows())[3]
+    left = translate_keys(G, Y.rows)[3]
     if left is None or not np.array_equal(
-            left, _backend.orbit_labels(H.images, X.as_rows())):
+            left, _backend.orbit_labels(H.images, X.rows)):
         return _na("P_LkRk", ctx, "L_k != R_k")
     if not _is_normal(H, G):
         return _fail("P_LkRk", ctx,
@@ -380,7 +374,7 @@ def _eval_P_equal_classes(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
-    rows = X.as_rows()
+    rows = X.rows
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
         if sizes.min() != sizes.max():
@@ -533,7 +527,7 @@ def _eval_P_capcup(ctx, caps):
     else:
         X = _orbit_from_ctx(G, ctx)
         sets = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
-                if translate_keys(G, Y.as_rows())[3] is not None]
+                if translate_keys(G, Y.rows)[3] is not None]
         pairs = [(i, j) for i in range(len(sets))
                  for j in range(i + 1, len(sets))][:MAX_PAIRS]
     if not pairs:
@@ -541,7 +535,7 @@ def _eval_P_capcup(ctx, caps):
                                     "partition translate sets")
     # the pairs cover every set up to their largest index
     sets = sets[:max(j for _, j in pairs) + 1]
-    trans = [translate_keys(G, Y.as_rows()) for Y in sets]
+    trans = [translate_keys(G, Y.rows) for Y in sets]
     stabs = [stab_of_ksuborbit(G, Y) for Y in sets]
     # the pairs to check, up to the first whose unions differ; every pool
     # suborbit contains X's least tuple, so in the pool all unions are X

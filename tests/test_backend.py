@@ -197,6 +197,32 @@ class TestTupleOrbits:
             _backend.tuple_orbits(images, 3, 10)
 
 
+class TestSetwiseFilter:
+    def test_sym_images_are_every_permutation_in_key_order(self):
+        for n in range(1, 6):
+            rows = _backend.sym_images(n)
+            assert rows.tolist() == list(map(list, itertools.permutations(range(n))))
+            assert np.all(np.diff(_backend.encode_rows(rows, n)) > 0)
+
+    @given(st.integers(min_value=1, max_value=3), st.data())
+    def test_fixed_rows_matches_set_images(self, k, data):
+        images = _backend.sym_images(5)
+        picked = data.draw(st.sets(st.tuples(*[st.integers(0, 4)] * k)
+                                   .filter(lambda t: len(set(t)) == k),
+                                   min_size=1, max_size=8))
+        rows = np.array(sorted(picked), dtype=np.int64)
+        budget = data.draw(st.sampled_from([1, 7, 1 << 18]))
+        want = [{tuple(g[v] for v in t) for t in picked} == picked
+                for g in images.tolist()]
+        old = _backend.KEY_BUDGET
+        try:
+            _backend.KEY_BUDGET = budget
+            got = _backend.fixed_rows(images, rows)
+        finally:
+            _backend.KEY_BUDGET = old
+        assert got.tolist() == want
+
+
 def test_backend_is_numpy():
     assert _backend.BACKEND == "numpy"
 

@@ -7,7 +7,8 @@ import pytest
 from korbits.catalog import (load_catalog, parse_catalog, render_catalog,
                              save_catalog, transitive_catalog)
 from korbits.errors import DomainError, ParseError
-from korbits.group import is_primitive, is_transitive, symmetric_group
+from korbits.group import (close_group, is_primitive, is_transitive,
+                           symmetric_group)
 from korbits.subgroups import subgroup_classes
 
 # number of transitive groups of degree n up to conjugacy
@@ -103,3 +104,20 @@ class TestPersistence:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_catalog(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("degree x\n", "line 1: bad degree 'x'"),
+        ("# provenance: imported\ndegree 0\n", "line 2: degree must be positive"),
+        ("degree -2\n", "line 1: degree must be positive"),
+        ("degree 2\nt2.1 | two | transitive:1 | (1 2)\n", "line 2: bad order 'two'"),
+        ("degree 2\nt2.1 | 2.0 | transitive:1 | (1 2)\n", "line 2: bad order '2.0'"),
+    ])
+    def test_bad_numbers_name_their_line(self, bad, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_catalog(bad)
+
+    def test_entry_group_keeps_the_catalog_degree(self):
+        cat = parse_catalog("degree 3\nt3.x | 1 | transitive:0 | \n")
+        (e,) = cat.entries
+        assert e.degree == 3 and e.group().degree == 3
+        assert e.group() == close_group([], degree=3)

@@ -148,6 +148,18 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--all")
         assert code == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("degree x\n", "line 1: bad degree 'x'"),
+        ("degree 0\n", "line 1: degree must be positive"),
+        ("degree 2\nt2.1 | 2x | transitive:1 | (1 2)\n", "line 2: bad order '2x'"),
+    ])
+    def test_bad_catalog_numbers_exit_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.cat"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--catalog", str(path), "--all")
+        assert code == 2 and "error:" in err and message in err
+        assert "Traceback" not in err
+
     def test_unknown_check_id(self, capsys, catalog_file):
         code, out, err = run(capsys, "check", "--catalog", catalog_file,
                              "--check", "P_bogus")

@@ -258,9 +258,8 @@ class TestKSetIdentity:
 
     def test_rows_are_stored_read_only_and_tuples_are_not(self):
         for X in [KSet([(2, 1), (1, 2)]), k_orbits(cyclic_group(4), 2)[0]]:
-            assert X.as_rows() is X.rows
             with pytest.raises(ValueError):
-                X.as_rows()[0, 0] = 3
+                X.rows[0, 0] = 3
             assert X.tuples == X.tuples and X.tuples is not X.tuples
         assert "tuples" not in KSet.__slots__
 
@@ -391,6 +390,65 @@ class TestAut:
         with pytest.raises(ResourceLimitError):
             aut_of_kset(X)
 
+    def test_degree_must_exceed_every_point(self):
+        X = KSet([(1, 2), (2, 3)])
+        with pytest.raises(DomainError):
+            aut_of_kset(X, degree=2)
+        assert aut_of_kset(X, degree=3).order == 1
+
+
+def _catalog_orbits():
+    """Every k-orbit of the degree 2..5 catalogs at k 1..3."""
+    for n in range(2, 6):
+        for e in transitive_catalog(n):
+            G = e.group()
+            for k in range(1, min(n, 3) + 1):
+                for X in k_orbits(G, k):
+                    yield G, X
+
+
+class TestStabilizerKernel:
+    """aut_of_kset and the point stabilizers, all read through
+    `_backend.fixed_rows`, against Python oracles, at a key budget small
+    enough that the filter runs in several chunks."""
+
+    BUDGET = 16
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(_backend, "KEY_BUDGET", self.BUDGET)
+
+    def test_aut_matches_oracle(self):
+        chunked = 0
+        for G, X in _catalog_orbits():
+            u = sorted(X.union_of_points())
+            tuples = set(X.tuples)
+            want = set()
+            for perm in itertools.permutations(u):
+                s = dict(zip(u, perm))
+                if {tuple(s[v] for v in t) for t in tuples} == tuples:
+                    want.add(tuple(s.get(v, v) for v in range(1, G.degree + 1)))
+            got = aut_of_kset.__wrapped__(X, degree=G.degree)
+            assert got.degree == G.degree
+            assert {g.images for g in got.elements} == want
+            chunked += math.factorial(len(u)) > max(1, self.BUDGET // len(X))
+        assert chunked > 0
+
+    def test_point_stabilizers_match_oracle(self):
+        chunked = 0
+        for G, X in _catalog_orbits():
+            t = X.tuples[0]
+            pointwise = {g.images for g in G.elements
+                         if all(g(v) == v for v in t)}
+            setwise = {g.images for g in G.elements
+                       if {g(v) for v in t} == set(t)}
+            H = pointwise_tuple_stabilizer(G, t)
+            assert {g.images for g in H.elements} == pointwise
+            H = setwise_point_stabilizer(G, set(t))
+            assert {g.images for g in H.elements} == setwise
+            chunked += G.order > max(1, self.BUDGET // len(t))
+        assert chunked > 0
+
 
 class TestTranslatesAndCosets:
     def test_translates_partition_iff_subgroup_orbit_structure(self):
@@ -444,7 +502,7 @@ class TestTranslatesAndCosets:
                                         for t in Y) for g in G.images]
                         union = sorted(set().union(*gY))
                         distinct = sorted(set(gY), key=min)
-                        keys, fixed, u, labels = translate_keys(G, Y.as_rows())
+                        keys, fixed, u, labels = translate_keys(G, Y.rows)
                         assert keys.tolist() == [sorted(code(T)) for T in gY]
                         assert fixed.tolist() == [T == set(Y) for T in gY]
                         assert u.tolist() == code(union)

@@ -46,7 +46,7 @@ def reference_capcup(ctx, caps=CAPS):
     else:
         X = _orbit_from_ctx(G, ctx)
         pool = [Y for Y in _suborbit_pool(G, X, caps.max_subgroup_order)
-                if translate_keys(G, Y.as_rows())[3] is not None]
+                if translate_keys(G, Y.rows)[3] is not None]
         pairs = [(pool[i], pool[j])
                  for i in range(len(pool)) for j in range(i + 1, len(pool))]
         pairs = pairs[:propcheck.MAX_PAIRS]
@@ -63,8 +63,8 @@ def reference_capcup(ctx, caps=CAPS):
             return _fail("P_capcup", ctx, {"reason": reason},
                          witness_ctx=wctx)
 
-        ky, fy, union, ly = translate_keys(G, Y.as_rows())
-        kz, fz, z_union, lz = translate_keys(G, Z.as_rows())
+        ky, fy, union, ly = translate_keys(G, Y.rows)
+        kz, fz, z_union, lz = translate_keys(G, Z.rows)
         SY, ty = stab_of_ksuborbit(G, Y)
         SZ, tz = stab_of_ksuborbit(G, Z)
         if Y == Z or ly is None or lz is None or not (ty and tz):
@@ -101,7 +101,7 @@ def reference_capcup(ctx, caps=CAPS):
 def reference_aut_failure(Gaut, X, max_order=DEFAULT_SUBGROUP_CAP):
     """The first suborbit whose Aut-translates overlap, by the union
     count of `translate_keys` per suborbit."""
-    rows = X.as_rows()
+    rows = X.rows
     for cls in subgroup_classes(Gaut, max_order=max_order):
         labels = _backend.orbit_labels(cls.rep.images, rows)
         for c in range(labels.max() + 1):
@@ -202,7 +202,7 @@ class TestCapcupBatch:
         G = _ctx_group({"degree": 4, "group": ["(3 4)", "(1 2)", "(1 3)(2 4)"]},
                        CAPS)
         Y = KSet([(2, 1), (4, 3)])
-        assert translate_keys(G, Y.as_rows())[3] is None
+        assert translate_keys(G, Y.rows)[3] is None
 
     def test_pairs_from_two_orbits_raise_at_the_same_pair(self):
         ctx = {"degree": 4, "group": ["(1 2 3 4)"], "k": 2,
@@ -264,7 +264,7 @@ class TestAutSuborbitPartition:
         assert found == 113
 
     def test_small_key_budget_forces_chunks(self, monkeypatch):
-        monkeypatch.setattr(propcheck, "_POSITION_KEYS", 2048)
+        monkeypatch.setattr(_backend, "KEY_BUDGET", 2048)
         uncached = _aut_suborbit_partition_failure.__wrapped__
         chunked = found = 0
         for G, X, aut in _aut_cases([5, 6], (2, 3)):

@@ -8,9 +8,9 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
-from .group import (DEFAULT_ELEMENT_CAP, close_group, is_abelian,
-                    is_primitive, is_transitive, symmetric_group)
-from .perm import parse_header, parse_permutation
+from .group import (DEFAULT_ELEMENT_CAP, close_group, is_transitive,
+                    symmetric_group)
+from .perm import content_lines, parse_header, parse_permutation_at
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 MAX_GENERATED_DEGREE = 7
@@ -23,8 +23,6 @@ class CatalogEntry:
     generators: tuple
     order: int
     transitive: bool
-    primitive: bool   # classical convention
-    abelian: bool
 
     def group(self):
         return close_group(self.generators, degree=self.degree)
@@ -56,8 +54,6 @@ def _entry_from_group(entry_id, G):
         generators=tuple(G.generators),
         order=G.order,
         transitive=is_transitive(G),
-        primitive=is_transitive(G) and is_primitive(G, "classical"),
-        abelian=is_abelian(G),
     )
 
 
@@ -95,21 +91,17 @@ def render_catalog(cat):
 def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
     degree = None
     provenance = "imported"
+    for raw in text.splitlines():   # the last "# provenance: ..." line wins
+        head, _, value = raw.strip().partition(":")
+        if head[:1] == "#" and head[1:].lstrip() == "provenance":
+            provenance = value.strip()
     entries = []
     ids = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body.split(":", 1)[1].strip()
-            continue
-        if not stripped:
-            continue
+    for lineno, line, raw in content_lines(text):
         if degree is None:
-            degree = parse_header(stripped, raw, lineno, "degree n")
+            degree = parse_header(line, raw, lineno, "degree n")
             continue
-        fields = [f.strip() for f in stripped.split("|")]
+        fields = [f.strip() for f in line.split("|")]
         if len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 4 '|'-separated fields")
         entry_id, order_s, trans_s, gens_s = fields
@@ -122,8 +114,8 @@ def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
             raise ParseError(f"line {lineno}: bad order {order_s!r}") from None
         if not trans_s.startswith("transitive:") or trans_s[11:] not in ("0", "1"):
             raise ParseError(f"line {lineno}: bad transitive flag {trans_s!r}")
-        gens = tuple(parse_permutation(s.strip(), degree)
-                     for s in gens_s.split(",") if s.strip()) if gens_s else ()
+        gens = tuple(parse_permutation_at(s, degree, lineno)
+                     for s in gens_s.split(",") if s.strip())
         G = close_group(gens, degree=degree, max_elements=max_elements)
         if G.order != order:
             raise ParseError(

@@ -147,9 +147,36 @@ def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     return qualified
 
 
-def _transitive_proper_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):
-    return [c.rep for c in subgroup_classes(G, max_order=max_order)
-            if c.order < G.order and is_transitive(c.rep)]
+def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+    """(reason, subgroup): why G is not the terminal case of the reduction
+    (primitive in the non-Abelian sense, with no proper transitive
+    subgroup), None when it is; and the least proper transitive subgroup
+    in class order when G is primitive and has one, None otherwise."""
+    if not is_transitive(G):
+        return "group is intransitive", None
+    if not is_primitive(G, "paper"):
+        return "group is not primitive (non-Abelian convention)", None
+    for cls in subgroup_classes(G, max_order=max_subgroup_order):
+        if cls.order < G.order and is_transitive(cls.rep):
+            return f"proper transitive subgroup of order {cls.order} exists", cls.rep
+    return None, None
+
+
+def terminal_partitions(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
+                        max_degree=DEFAULT_DEGREE_CAP):
+    """(N, k, found) for a terminal G: N its normalizer in Sym, k the
+    largest automorphic divisor of the degree (1 when none), and found
+    the (partition, projections, coherence kind of each projection) of
+    every iso partition of G into k-element sets."""
+    N = normalizer_in_sym(G, max_degree=max_degree)
+    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
+    k = report.max_automorphic_degree_divisor() or 1
+    found = []
+    for part, projs in iso_partitions(G, N, k, max_subgroup_order):
+        kinds = [classify_coherence(G, X, max_subgroup_order=max_subgroup_order).kind
+                 for X in projs]
+        found.append((part, projs, kinds))
+    return N, k, found
 
 
 def _restriction(A, points):
@@ -199,27 +226,16 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     contradict the claims the audit is probing (e.g. no qualifying
     partition exists).  max_subgroup_order caps every subgroup lattice
     and max_degree the n! normalizer search."""
-    if not is_transitive(G):
-        raise DomainError("audit hypothesis violated: group is intransitive")
-    if not is_primitive(G, "paper"):
-        raise DomainError(
-            "audit hypothesis violated: group is not primitive "
-            "(non-Abelian convention)")
-    trans = _transitive_proper_subgroups(G, max_order=max_subgroup_order)
-    if trans:
-        raise DomainError(
-            "audit hypothesis violated: proper transitive subgroup "
-            f"<{', '.join(g.cycle_string() for g in trans[0].generators)}> "
-            f"of order {trans[0].order}")
-    N = normalizer_in_sym(G, max_degree=max_degree)
+    why, _ = terminal_case(G, max_subgroup_order)
+    if why:
+        raise DomainError(f"audit hypothesis violated: {why}")
+    N, k, found = terminal_partitions(G, max_subgroup_order, max_degree)
     report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
-    k = report.max_automorphic_degree_divisor() or 1
     k_var = report.max_automorphic_order_divisor() or 1
     findings = []
     any_closed = False
-    for part, projs in iso_partitions(G, N, k, max_subgroup_order):
-        el_coh = [classify_coherence(G, X, max_subgroup_order=max_subgroup_order).kind
-                  == "elementary-coherent" for X in projs]
+    for part, projs, kinds in found:
+        el_coh = [kind == "elementary-coherent" for kind in kinds]
         sizes_ok = [len(X) == G.order for X in projs]
         A = setwise_point_stabilizer(G, min(part.classes, key=min))
         inv = [c for c in part.classes if setwise_point_stabilizer(A, c) == A]
@@ -311,28 +327,22 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
             sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
                                max_degree=max_degree)
             g_quot = sub.element()
+            step = {"kind": "quotient",
+                    "blocks": [sorted(c) for c in Q.classes],
+                    "quotient_degree": quot.degree,
+                    "quotient_trace": trace_to_dict(sub),
+                    "quotient_element": g_quot.cycle_string()}
             try:
                 lifted = lift_fpf(G, Q, g_quot)
             except DomainError as exc:
-                steps.append({"kind": "quotient",
-                              "blocks": [sorted(c) for c in Q.classes],
-                              "quotient_degree": quot.degree,
-                              "quotient_trace": trace_to_dict(sub),
-                              "quotient_element": g_quot.cycle_string(),
-                              "failed": str(exc)})
+                steps.append({**step, "failed": str(exc)})
                 continue
-            steps.append({"kind": "quotient",
-                          "blocks": [sorted(c) for c in Q.classes],
-                          "quotient_degree": quot.degree,
-                          "quotient_trace": trace_to_dict(sub),
-                          "quotient_element": g_quot.cycle_string(),
-                          "lifted": lifted.cycle_string()})
+            steps.append({**step, "lifted": lifted.cycle_string()})
             reduced = lifted
             break
-    elif is_primitive(G, "paper"):
-        trans = _transitive_proper_subgroups(G, max_order=max_subgroup_order)
-        if trans:
-            A = trans[0]
+    else:
+        why, A = terminal_case(G, max_subgroup_order)
+        if A is not None:
             sub = fks_pipeline(A, max_subgroup_order=max_subgroup_order,
                                max_degree=max_degree)
             reduced = sub.element()
@@ -343,19 +353,18 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                           "subgroup_trace": trace_to_dict(sub),
                           "element": reduced.cycle_string()})
         else:
-            try:
-                audit = proof_audit(G, max_subgroup_order=max_subgroup_order,
-                                    max_degree=max_degree).as_dict()
-                audit_error = None
-            except Exception as exc:   # caps; recorded, never fatal
-                audit = None
-                audit_error = str(exc)
+            # without a block system only an Abelian G is not terminal
+            audit, audit_error = None, ("Abelian group with no block system; "
+                                        "direct search only")
+            if not why:
+                try:
+                    audit, audit_error = proof_audit(
+                        G, max_subgroup_order=max_subgroup_order,
+                        max_degree=max_degree).as_dict(), None
+                except Exception as exc:   # caps; recorded, never fatal
+                    audit_error = str(exc)
             steps.append({"kind": "primitive-terminal",
                           "audit": audit, "audit_error": audit_error})
-    else:
-        steps.append({"kind": "primitive-terminal", "audit": None,
-                      "audit_error": "Abelian group with no block system; "
-                                     "direct search only"})
     search = find_fpf_prime_power(G)
     if search is None:
         raise DomainError("no fixed-point-free prime-power element exists "

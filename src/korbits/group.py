@@ -14,7 +14,8 @@ import numpy as np
 from . import _backend
 from .errors import DomainError, ParseError, ResourceLimitError
 from .partition import Partition
-from .perm import Permutation, parse_header, parse_permutation
+from .perm import (Permutation, content_lines, parse_header, parse_permutation,
+                   parse_permutation_at)
 
 DEFAULT_ELEMENT_CAP = 10 ** 6
 # points of the n! normalizer search and of Aut(X) (`--max-degree`)
@@ -374,14 +375,11 @@ def render_group(G):
 def parse_group(text, max_elements=DEFAULT_ELEMENT_CAP):
     degree = None
     gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in content_lines(text):
         if degree is None:
             degree = parse_header(line, raw, lineno, "degree n")
             continue
-        gens.append(parse_permutation(line, degree))
+        gens.append(parse_permutation_at(line, degree, lineno))
     if degree is None:
         raise ParseError("missing 'degree n' header")
     return close_group(gens, degree=degree, max_elements=max_elements)

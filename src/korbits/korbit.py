@@ -17,7 +17,7 @@ from .errors import DomainError, ParseError, ResourceLimitError
 from .group import (DEFAULT_DEGREE_CAP, PermGroup, is_subgroup,
                     orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
-from .perm import parse_header
+from .perm import content_lines, parse_header
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 DEFAULT_TUPLE_CAP = 10 ** 7
@@ -473,10 +473,7 @@ def render_kset(X):
 def parse_kset(text):
     arity = None
     tuples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in content_lines(text):
         if arity is None:
             arity = parse_header(line, raw, lineno, "arity k")
             continue

@@ -140,24 +140,16 @@ def _merge_overlapping(sets):
 
 
 class SetFamily:
-    """A set of non-empty subsets of a universe; members may overlap.
+    """A set of non-empty sets; members may overlap.
     Iteration lists the members in order of their sorted points."""
 
-    __slots__ = ("universe", "members")
+    __slots__ = ("members",)
 
-    def __init__(self, members, universe=None):
+    def __init__(self, members):
         members = frozenset(frozenset(m) for m in members)
         if any(not m for m in members):
             raise DomainError("empty member in set family")
-        union = frozenset().union(*members)
-        if universe is None:
-            universe = union
-        else:
-            universe = frozenset(universe)
-            if not union <= universe:
-                raise DomainError("member outside universe")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "universe", universe)
 
     def __setattr__(self, *a):
         raise AttributeError("SetFamily is immutable")

@@ -155,6 +155,24 @@ def parse_permutation(text, degree):
     return Permutation(images)
 
 
+def parse_permutation_at(text, degree, lineno):
+    """parse_permutation of text on line `lineno` of a file; its
+    ParseError names the line."""
+    try:
+        return parse_permutation(text, degree)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
+def content_lines(text):
+    """(line number, content, line as read) of each line of a text file
+    whose content, the line without its `#` comment, is not blank."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, raw
+
+
 def parse_header(line, raw, lineno, form):
     """The positive integer of a file's header line, whose `form` is
     "degree n" or "arity k"; `line` is `raw`, the line as read, without

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ResourceLimitError
+from .fks import terminal_case, terminal_partitions
 from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, close_group,
                     conjugate_rows_by, is_primitive, is_subgroup,
                     is_transitive, normalizer_in, normalizer_in_sym,
@@ -64,19 +65,31 @@ class CheckResult:
                 "witness": self.witness, "notes": self.notes}
 
 
-def _pass(check_id, ctx, notes=None):
-    return CheckResult(check_id, ctx, "pass", notes=notes)
+# An evaluator returns an outcome (verdict, payload, notes), which
+# `_result` stamps with the check id and context. A fail's payload is
+# (detail, witness context, None for the checked one); any other
+# verdict's payload is its reason.
+
+def _pass(notes=None):
+    return "pass", None, notes
 
 
-def _fail(check_id, ctx, detail, witness_ctx=None, notes=None):
-    return CheckResult(check_id, ctx, "fail",
-                       witness={"context": witness_ctx or ctx,
-                                "detail": detail},
-                       notes=notes)
+def _fail(detail, witness_ctx=None, notes=None):
+    return "fail", (detail, witness_ctx), notes
 
 
-def _na(check_id, ctx, reason):
-    return CheckResult(check_id, ctx, "inapplicable", reason=reason)
+def _na(reason):
+    return "inapplicable", reason, None
+
+
+def _result(check_id, ctx, outcome):
+    """The one constructor of a CheckResult."""
+    verdict, payload, notes = outcome
+    if verdict != "fail":
+        return CheckResult(check_id, ctx, verdict, reason=payload, notes=notes)
+    detail, witness_ctx = payload
+    return CheckResult(check_id, ctx, verdict, notes=notes,
+                       witness={"context": witness_ctx or ctx, "detail": detail})
 
 
 def _ser_group(G):
@@ -129,15 +142,37 @@ def _normal_proper_nontrivial(G, max_order):
     return out
 
 
-def _not_terminal(G, caps):
-    """Why G is not a terminal case (primitive in the non-Abelian sense,
-    with no proper transitive subgroup); None when it is one."""
-    if not is_transitive(G) or not is_primitive(G, "paper"):
-        return "group is not primitive (non-Abelian convention)"
-    for cls in subgroup_classes(G, max_order=caps.max_subgroup_order):
-        if cls.order < G.order and is_transitive(cls.rep):
-            return f"proper transitive subgroup of order {cls.order} exists"
-    return None
+def _terminal(ctx, caps):
+    """The group of ctx, and why it is not the terminal case (None when it
+    is): the hypothesis of C_simple, C_no_tr and L_proof_elcoh."""
+    G = _ctx_group(ctx, caps)
+    return G, terminal_case(G, caps.max_subgroup_order)[0]
+
+
+def _normalizer_exceeds(G, caps):
+    """The conclusion of L_alt_norm and C_no_tr: N_Sym(G) is larger than G."""
+    N = normalizer_in_sym(G, max_degree=caps.max_degree)
+    if N == G:
+        return _fail({"reason": "group is self-normalizing in the symmetric "
+                                "group", "normalizer_order": N.order})
+    return _pass()
+
+
+def _is_automorphic(G, points, caps):
+    """Whether `points` is the coordinate set of an automorphic tuple of G:
+    the hypothesis of P_stab_co and L_block_aut."""
+    report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
+    return frozenset(points) in report.subsets
+
+
+def _aut_partition_gate(G, X, caps):
+    """(Aut(X), why): why the hypothesis of L_H_order, P_triv_norm and
+    T_coherent, that every suborbit's Aut-translate set is a partition,
+    fails on X; None when it holds."""
+    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    if _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order) is None:
+        return aut, None
+    return aut, "some suborbit's Aut-translate set is not a partition"
 
 
 def _suborbit_pool(G, X, max_order):
@@ -201,30 +236,24 @@ def _orbit_from_ctx(G, ctx):
 def _eval_P_stab_co(ctx, caps):
     W = _ctx_group(ctx, caps)
     alpha = tuple(int(v) for v in ctx["tuple"])
-    co = frozenset(alpha)
-    report = automorphic_analysis(W, max_subgroup_order=caps.max_subgroup_order)
-    if co not in set(report.subsets):
-        return _na("P_stab_co", ctx, "tuple is not automorphic: its "
-                                     "coordinate set is no suborbit")
-    G = setwise_point_stabilizer(W, co)
+    if not _is_automorphic(W, alpha, caps):
+        return _na("tuple is not automorphic: its coordinate set is no suborbit")
+    G = setwise_point_stabilizer(W, frozenset(alpha))
     H = pointwise_tuple_stabilizer(G, alpha)
     X = orbit_of_tuple(G, alpha)
     aut = aut_of_kset(X, degree=W.degree, max_points=caps.max_degree)
     if not _is_normal(H, G):
-        return _fail("P_stab_co", ctx,
-                     {"reason": "tuple stabilizer not normal in the "
+        return _fail({"reason": "tuple stabilizer not normal in the "
                                 "coordinate-set stabilizer",
                       "stab_order": G.order, "tuple_stab_order": H.order})
     if aut.order * H.order != G.order:
-        return _fail("P_stab_co", ctx,
-                     {"reason": "|Aut(X)| != |G|/|H|",
+        return _fail({"reason": "|Aut(X)| != |G|/|H|",
                       "aut_order": aut.order, "stab_order": G.order,
                       "tuple_stab_order": H.order})
     if orbit_of_tuple(aut, alpha) != X:
-        return _fail("P_stab_co", ctx,
-                     {"reason": "Aut(X) not transitive on X",
+        return _fail({"reason": "Aut(X) not transitive on X",
                       "aut_order": aut.order, "orbit_size": len(X)})
-    return _pass("P_stab_co", ctx)
+    return _pass()
 
 
 def _eval_P_LkRk(ctx, caps):
@@ -234,53 +263,45 @@ def _eval_P_LkRk(ctx, caps):
     n = G.degree
     if Y.rows.max() >= n or not _backend.in_sorted(
             _backend.encode_rows(X.rows, n), _backend.encode_rows(Y.rows, n)).all():
-        return _na("P_LkRk", ctx, "suborbit is not contained in a k-orbit")
+        return _na("suborbit is not contained in a k-orbit")
     H, h_trans = stab_of_ksuborbit(G, Y)
     if not h_trans:
-        return _na("P_LkRk", ctx, "stabilizer is not transitive on the "
-                                  "k-set: not a suborbit")
+        return _na("stabilizer is not transitive on the k-set: not a suborbit")
     left = translate_keys(G, Y.rows)[3]
     if left is None or not np.array_equal(
             left, _backend.orbit_labels(H.images, X.rows)):
-        return _na("P_LkRk", ctx, "L_k != R_k")
+        return _na("L_k != R_k")
     if not _is_normal(H, G):
-        return _fail("P_LkRk", ctx,
-                     {"reason": "L_k = R_k but Stab(Y_k) is not normal",
+        return _fail({"reason": "L_k = R_k but Stab(Y_k) is not normal",
                       "stab_generators": _ser_group(H)})
-    return _pass("P_LkRk", ctx)
+    return _pass()
 
 
 def _eval_P_prim_normal(ctx, caps):
     G = _ctx_group(ctx, caps)
     if not is_transitive(G) or not is_primitive(G, "paper"):
-        return _na("P_prim_normal", ctx,
-                   "group is not primitive (non-Abelian convention)")
+        return _na("group is not primitive (non-Abelian convention)")
     if "subgroup" not in ctx:
-        return _na("P_prim_normal", ctx,
-                   "no proper non-trivial normal subgroup")
+        return _na("no proper non-trivial normal subgroup")
     H = _ctx_group(ctx, caps, "subgroup")
     if H.order <= 1 or not _is_normal(H, G):
-        return _na("P_prim_normal", ctx,
-                   "subgroup is trivial or not normal")
+        return _na("subgroup is trivial or not normal")
     if not is_transitive(H):
-        return _fail("P_prim_normal", ctx,
-                     {"reason": "normal subgroup of a primitive group is "
+        return _fail({"reason": "normal subgroup of a primitive group is "
                                 "intransitive",
                       "subgroup_order": H.order})
-    return _pass("P_prim_normal", ctx)
+    return _pass()
 
 
 def _eval_C_simple(ctx, caps):
-    G = _ctx_group(ctx, caps)
-    why = _not_terminal(G, caps)
+    G, why = _terminal(ctx, caps)
     if why:
-        return _na("C_simple", ctx, why)
+        return _na(why)
     for H in _normal_proper_nontrivial(G, caps.max_subgroup_order):
-        return _fail("C_simple", ctx,
-                     {"reason": "proper non-trivial normal subgroup found",
+        return _fail({"reason": "proper non-trivial normal subgroup found",
                       "subgroup_generators": _ser_group(H),
                       "subgroup_order": H.order})
-    return _pass("C_simple", ctx)
+    return _pass()
 
 
 def _index_hypothesis(ctx, caps):
@@ -301,23 +322,21 @@ def _index_hypothesis(ctx, caps):
 def _eval_P_index(ctx, caps):
     G, H, A, why = _index_hypothesis(ctx, caps)
     if why:
-        return _na("P_index", ctx, why)
+        return _na(why)
     NG = normalizer_in(G, A)
     if NG == A:
-        return _fail("P_index", ctx, {"reason": "N_G(A) = A",
-                                      "normalizer_order": NG.order})
+        return _fail({"reason": "N_G(A) = A", "normalizer_order": NG.order})
     if G.order * A.order != NG.order * H.order:
-        return _fail("P_index", ctx,
-                     {"reason": "|G|/|H| != |N_G(A)|/|A|",
+        return _fail({"reason": "|G|/|H| != |N_G(A)|/|A|",
                       "group_order": G.order, "normal_order": H.order,
                       "normalizer_order": NG.order, "a_order": A.order})
-    return _pass("P_index", ctx)
+    return _pass()
 
 
 def _eval_P_giso(ctx, caps):
     G, H, A, why = _index_hypothesis(ctx, caps)
     if why:
-        return _na("P_giso", ctx, why)
+        return _na(why)
     for k in range(1, G.degree + 1):
         tuples, ids = _backend.tuple_orbits(A.images, k, caps.max_tuples)
         keys = _backend.encode_rows(tuples, G.degree)
@@ -330,11 +349,9 @@ def _eval_P_giso(ctx, caps):
                    & (at[:, 0] != z))
             if hit.any():
                 T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
-                return _pass("P_giso", ctx,
-                             notes={"k": k, "orbit": (Z + 1).tolist(),
-                                    "translate": (T + 1).tolist()})
-    return _fail("P_giso", ctx,
-                 {"reason": "no pair of distinct G-isomorphic k-orbits of A "
+                return _pass({"k": k, "orbit": (Z + 1).tolist(),
+                              "translate": (T + 1).tolist()})
+    return _fail({"reason": "no pair of distinct G-isomorphic k-orbits of A "
                             "for any k"})
 
 
@@ -342,32 +359,17 @@ def _eval_L_alt_norm(ctx, caps):
     G = _ctx_group(ctx, caps)
     n = G.degree
     if n < 3:
-        return _na("L_alt_norm", ctx, "alternating group is trivial below "
-                                      "degree 3")
+        return _na("alternating group is trivial below degree 3")
     # G < A_n: even generators and |G| < n!/2
     if not (2 * G.order < math.factorial(n)
             and all(g.is_even() for g in G.generators)):
-        return _na("L_alt_norm", ctx,
-                   "group is not a proper subgroup of the alternating group")
-    N = normalizer_in_sym(G, max_degree=caps.max_degree)
-    if N == G:
-        return _fail("L_alt_norm", ctx,
-                     {"reason": "group is self-normalizing in the symmetric "
-                                "group", "normalizer_order": N.order})
-    return _pass("L_alt_norm", ctx)
+        return _na("group is not a proper subgroup of the alternating group")
+    return _normalizer_exceeds(G, caps)
 
 
 def _eval_C_no_tr(ctx, caps):
-    G = _ctx_group(ctx, caps)
-    why = _not_terminal(G, caps)
-    if why:
-        return _na("C_no_tr", ctx, why)
-    N = normalizer_in_sym(G, max_degree=caps.max_degree)
-    if N == G:
-        return _fail("C_no_tr", ctx,
-                     {"reason": "group is self-normalizing in the symmetric "
-                                "group", "normalizer_order": N.order})
-    return _pass("C_no_tr", ctx)
+    G, why = _terminal(ctx, caps)
+    return _na(why) if why else _normalizer_exceeds(G, caps)
 
 
 def _eval_P_equal_classes(ctx, caps):
@@ -378,14 +380,12 @@ def _eval_P_equal_classes(ctx, caps):
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
         if sizes.min() != sizes.max():
-            return _na("P_equal_classes", ctx,
-                       "a subgroup of Aut(X) has unequal class sizes on X")
+            return _na("a subgroup of Aut(X) has unequal class sizes on X")
     if aut.order != len(X):
-        return _fail("P_equal_classes", ctx,
-                     {"reason": "|Aut(X)| != |X| although every subgroup "
+        return _fail({"reason": "|Aut(X)| != |X| although every subgroup "
                                 "partitions X into equal classes",
                       "aut_order": aut.order, "orbit_size": len(X)})
-    return _pass("P_equal_classes", ctx)
+    return _pass()
 
 
 def _eval_L_grAB(ctx, caps):
@@ -414,18 +414,14 @@ def _eval_L_grAB(ctx, caps):
         J = _join_groups(A, B, A.degree, caps.max_elements)
         T = orbit_of_tuple(J, alpha)
         if len(T) != J.order:
-            return _fail("L_grAB", ctx,
-                         {"reason": "|T_k| != |gr(A, B)|",
+            return _fail({"reason": "|T_k| != |gr(A, B)|",
                           "t_size": len(T), "join_order": J.order},
-                         witness_ctx={"degree": ctx["degree"],
-                                      "group": ctx["group"],
-                                      "subgroup": _ser_group(A),
-                                      "subgroup2": _ser_group(B),
-                                      "tuple": list(alpha)})
+                         {"degree": ctx["degree"], "group": ctx["group"],
+                          "subgroup": _ser_group(A),
+                          "subgroup2": _ser_group(B), "tuple": list(alpha)})
     if not checked:
-        return _na("L_grAB", ctx,
-                   "no pair of regular suborbits through a common tuple")
-    return _pass("L_grAB", ctx, notes={"pairs_checked": checked})
+        return _na("no pair of regular suborbits through a common tuple")
+    return _pass({"pairs_checked": checked})
 
 
 def _pair_partitions(ly, lz):
@@ -531,8 +527,7 @@ def _eval_P_capcup(ctx, caps):
         pairs = [(i, j) for i in range(len(sets))
                  for j in range(i + 1, len(sets))][:MAX_PAIRS]
     if not pairs:
-        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
-                                    "partition translate sets")
+        return _na("no pair of distinct suborbits with partition translate sets")
     # the pairs cover every set up to their largest index
     sets = sets[:max(j for _, j in pairs) + 1]
     trans = [translate_keys(G, Y.rows) for Y in sets]
@@ -557,29 +552,25 @@ def _eval_P_capcup(ctx, caps):
         wctx = {"degree": ctx["degree"], "group": ctx["group"],
                 "k": sets[i].arity, "suborbit": _ser_kset(sets[i]),
                 "suborbit2": _ser_kset(sets[j])}
-        return _fail("P_capcup", ctx, {"reason": reason}, witness_ctx=wctx)
+        return _fail({"reason": reason}, wctx)
     if mismatch:
         raise DomainError("domain mismatch in meet")
     if not todo:
-        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
-                                    "partition translate sets")
-    return _pass("P_capcup", ctx, notes={"pairs_checked": len(todo)})
+        return _na("no pair of distinct suborbits with partition translate sets")
+    return _pass({"pairs_checked": len(todo)})
 
 
 def _eval_L_H_order(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
-    bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
-    if bad is not None:
-        return _na("L_H_order", ctx,
-                   "some suborbit's Aut-translate set is not a partition")
+    aut, why = _aut_partition_gate(G, X, caps)
+    if why:
+        return _na(why)
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         if (len(cls.conjugates) == 1 and cls.order == len(X)
                 and orbit_of_tuple(cls.rep, _rep(X)) == X):
-            return _pass("L_H_order", ctx)
-    return _fail("L_H_order", ctx,
-                 {"reason": "no transitive normal subgroup of Aut(X) of "
+            return _pass()
+    return _fail({"reason": "no transitive normal subgroup of Aut(X) of "
                             "order |X|",
                   "aut_order": aut.order, "orbit_size": len(X)})
 
@@ -590,8 +581,8 @@ def _eval_P_incoherent(ctx, caps):
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "incoherent":
-        return _na("P_incoherent", ctx, f"k-orbit is {verdict.kind}"
-                                        + (" (trivial)" if verdict.trivial else ""))
+        return _na(f"k-orbit is {verdict.kind}"
+                   + (" (trivial)" if verdict.trivial else ""))
     aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     notes = None
     _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
@@ -601,36 +592,30 @@ def _eval_P_incoherent(ctx, caps):
         notes = {"two_block_stab_identity": SY.order == len(Y) ** 2,
                  "block_size": len(Y), "block_stab_order": SY.order}
     if aut.order == len(X):
-        return _fail("P_incoherent", ctx,
-                     {"reason": "incoherent k-orbit with |Aut(X)| = |X|",
-                      "aut_order": aut.order},
-                     notes=notes)
-    return _pass("P_incoherent", ctx, notes=notes)
+        return _fail({"reason": "incoherent k-orbit with |Aut(X)| = |X|",
+                      "aut_order": aut.order}, notes=notes)
+    return _pass(notes)
 
 
 def _eval_P_triv_norm(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
-    bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
-    if bad is not None:
-        return _na("P_triv_norm", ctx,
-                   "some suborbit's Aut-translate set is not a partition")
+    aut, why = _aut_partition_gate(G, X, caps)
+    if why:
+        return _na(why)
     self_norm = None
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         if 1 < cls.order < aut.order and normalizer_in(aut, cls.rep) == cls.rep:
             self_norm = cls.rep
             break
     if self_norm is None:
-        return _na("P_triv_norm", ctx,
-                   "Aut(X) has no proper subgroup with trivial normalizer")
+        return _na("Aut(X) has no proper subgroup with trivial normalizer")
     if aut.order != len(X):
-        return _fail("P_triv_norm", ctx,
-                     {"reason": "|Aut(X)| != |X| despite a self-normalizing "
+        return _fail({"reason": "|Aut(X)| != |X| despite a self-normalizing "
                                 "subgroup",
                       "aut_order": aut.order, "orbit_size": len(X),
                       "subgroup_generators": _ser_group(self_norm)})
-    return _pass("P_triv_norm", ctx)
+    return _pass()
 
 
 def _eval_T_coherent(ctx, caps):
@@ -639,18 +624,15 @@ def _eval_T_coherent(ctx, caps):
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if not verdict.is_coherent or verdict.trivial:
-        return _na("T_coherent", ctx, "k-orbit is not (non-trivially) coherent")
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
-    bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
-    if bad is not None:
-        return _na("T_coherent", ctx,
-                   "some suborbit's Aut-translate set is not a partition")
+        return _na("k-orbit is not (non-trivially) coherent")
+    aut, why = _aut_partition_gate(G, X, caps)
+    if why:
+        return _na(why)
     if aut.order != len(X):
-        return _fail("T_coherent", ctx,
-                     {"reason": "coherent k-orbit under the partition "
+        return _fail({"reason": "coherent k-orbit under the partition "
                                 "hypothesis with |Aut(X)| != |X|",
                       "aut_order": aut.order, "orbit_size": len(X)})
-    return _pass("T_coherent", ctx)
+    return _pass()
 
 
 def _eval_L_elcoh_part(ctx, caps):
@@ -659,15 +641,14 @@ def _eval_L_elcoh_part(ctx, caps):
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
-        return _na("L_elcoh_part", ctx, "k-orbit is not elementary coherent")
+        return _na("k-orbit is not elementary coherent")
     aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
-        return _fail("L_elcoh_part", ctx,
-                     {"reason": "Aut(X)-translates of a suborbit are not a "
+        return _fail({"reason": "Aut(X)-translates of a suborbit are not a "
                                 "partition",
                       "suborbit": _ser_kset(bad)})
-    return _pass("L_elcoh_part", ctx)
+    return _pass()
 
 
 def _eval_T_elcoh(ctx, caps):
@@ -676,61 +657,45 @@ def _eval_T_elcoh(ctx, caps):
     verdict = classify_coherence(G, X,
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
-        return _na("T_elcoh", ctx, "k-orbit is not elementary coherent")
+        return _na("k-orbit is not elementary coherent")
     aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
     if aut.order != len(X):
-        return _fail("T_elcoh", ctx,
-                     {"reason": "elementary coherent k-orbit with "
+        return _fail({"reason": "elementary coherent k-orbit with "
                                 "|Aut(X)| != |X|",
                       "aut_order": aut.order, "orbit_size": len(X)})
-    return _pass("T_elcoh", ctx)
+    return _pass()
 
 
 def _eval_L_block_aut(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
-    if frozenset(_rep(X)) not in set(report.subsets):
-        return _na("L_block_aut", ctx,
-                   "not a right-automorphic k-orbit: no automorphic tuple")
+    if not _is_automorphic(G, _rep(X), caps):
+        return _na("not a right-automorphic k-orbit: no automorphic tuple")
     _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
     for b in blocks:
         if not b.aut_transitive:
-            return _fail("L_block_aut", ctx,
-                         {"reason": "k-block automorphism group is not "
+            return _fail({"reason": "k-block automorphism group is not "
                                     "transitive on the coordinate set",
                           "block": _ser_kset(b.kset),
                           "aut_order": b.aut.order})
-    return _pass("L_block_aut", ctx, notes={"blocks": len(blocks)})
+    return _pass({"blocks": len(blocks)})
 
 
 def _eval_L_proof_elcoh(ctx, caps):
-    from .fks import iso_partitions
-
-    G = _ctx_group(ctx, caps)
-    why = _not_terminal(G, caps)
+    G, why = _terminal(ctx, caps)
     if why:
-        return _na("L_proof_elcoh", ctx, why)
-    N = normalizer_in_sym(G, max_degree=caps.max_degree)
-    report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
-    k = report.max_automorphic_degree_divisor() or 1
-    found = iso_partitions(G, N, k, caps.max_subgroup_order)
+        return _na(why)
+    _, k, found = terminal_partitions(G, caps.max_subgroup_order, caps.max_degree)
     if not found:
-        return _na("L_proof_elcoh", ctx,
-                   f"no qualifying partition into {k}-element isomorphic "
+        return _na(f"no qualifying partition into {k}-element isomorphic "
                    f"suborbits exists")
-    for part, projs in found:
-        for X in projs:
-            verdict = classify_coherence(
-                G, X, max_subgroup_order=caps.max_subgroup_order)
-            if verdict.kind != "elementary-coherent":
-                return _fail("L_proof_elcoh", ctx,
-                             {"reason": "projection is not elementary "
-                                        "coherent",
+    for part, projs, kinds in found:
+        for X, kind in zip(projs, kinds):
+            if kind != "elementary-coherent":
+                return _fail({"reason": "projection is not elementary coherent",
                               "classes": [sorted(c) for c in part.classes],
-                              "orbit_rep": list(_rep(X)),
-                              "kind": verdict.kind})
-    return _pass("L_proof_elcoh", ctx, notes={"partitions": len(found)})
+                              "orbit_rep": list(_rep(X)), "kind": kind})
+    return _pass({"partitions": len(found)})
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +833,11 @@ def run_check(check_id, context, caps=None):
     """Evaluate one check on one context dict; deterministic."""
     if check_id not in _BY_ID:
         raise DomainError(f"unknown check id {check_id!r}")
-    caps = caps or SuiteCaps()
-    return _BY_ID[check_id].evaluate(dict(context), caps)
+    return _run(_BY_ID[check_id], dict(context), caps or SuiteCaps())
+
+
+def _run(check, ctx, caps):
+    return _result(check.check_id, ctx, check.evaluate(ctx, caps))
 
 
 def replay_witness(witness, check_id, caps=None):
@@ -918,19 +886,17 @@ def run_suite(catalog, k_range=None, check_ids=None, caps=None):
                 G = _ctx_group(base, caps)
                 contexts = list(check.contexts(G, base, ks, caps))
             except ResourceLimitError as exc:
-                res = CheckResult(check.check_id, dict(base), "skipped",
-                                  reason=str(exc))
-                results.append(res)
-                tallies[check.check_id]["skipped"] += 1
+                results.append(_result(check.check_id, dict(base),
+                                       ("skipped", str(exc), None)))
                 continue
             for ctx in contexts:
                 try:
-                    res = check.evaluate(dict(ctx), caps)
+                    results.append(_run(check, dict(ctx), caps))
                 except ResourceLimitError as exc:
-                    res = CheckResult(check.check_id, ctx, "skipped",
-                                      reason=str(exc))
-                results.append(res)
-                tallies[check.check_id][res.verdict] += 1
+                    results.append(_result(check.check_id, ctx,
+                                           ("skipped", str(exc), None)))
+    for res in results:
+        tallies[res.check_id][res.verdict] += 1
     return SuiteReport(results=tuple(results), tallies=tallies)
 
 

@@ -1,14 +1,14 @@
 """Transitive-group catalogs: counts, flags, persistence."""
 
 import hashlib
+import re
 
 import pytest
 
 from korbits.catalog import (load_catalog, parse_catalog, render_catalog,
                              save_catalog, transitive_catalog)
 from korbits.errors import DomainError, ParseError
-from korbits.group import (close_group, is_primitive, is_transitive,
-                           symmetric_group)
+from korbits.group import close_group, is_transitive, symmetric_group
 from korbits.subgroups import subgroup_classes
 
 # number of transitive groups of degree n up to conjugacy
@@ -37,7 +37,6 @@ class TestGeneration:
             G = e.group()
             assert e.transitive and is_transitive(G)
             assert e.order == G.order
-            assert e.primitive == is_primitive(G, "classical")
 
     @pytest.mark.parametrize("n", sorted(RENDER_SHA256))
     def test_render_digest(self, n):
@@ -114,6 +113,25 @@ class TestPersistence:
     ])
     def test_bad_numbers_name_their_line(self, bad, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_catalog(bad)
+
+    @pytest.mark.parametrize("text", [
+        "# provenance: generated\ndegree 3 # c\nt3.1 | 2 | transitive:0 | (1 2)\n",
+        "# provenance: generated\ndegree 3\nt3.1 | 2 | transitive:0 | (1 2) # swap\n",
+    ])
+    def test_trailing_comment_is_cut(self, text):
+        cat = parse_catalog(text)
+        assert (cat.degree, cat.provenance) == (3, "generated")
+        assert [(e.entry_id, e.order) for e in cat] == [("t3.1", 2)]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("degree 3\nt3.1 | 3 | transitive:1 | (1 2 4)\n",
+         "line 2: point 4 out of range 1..3"),
+        ("# provenance: x\ndegree 3\n\nt3.1 | 3 | transitive:1 | (1 2 3), (1 2\n",
+         "line 4: malformed cycle notation: '(1 2'"),
+    ])
+    def test_bad_generator_names_its_line(self, bad, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_catalog(bad)
 
     def test_entry_group_keeps_the_catalog_degree(self):

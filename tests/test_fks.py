@@ -2,22 +2,27 @@
 lifting, the reduction pipeline, trace persistence, the terminal audit."""
 
 import itertools
+import re
 
 import pytest
 
-from korbits import fks, korbit
+from korbits import fks, korbit, propcheck
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError
 from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
                          lift_fpf, load_trace, parse_trace, preimages_of,
                          proof_audit, render_trace, replay_trace, save_trace,
-                         trace_from_dict, trace_to_dict)
+                         terminal_case, trace_from_dict, trace_to_dict)
 from korbits.group import (block_systems, close_group, cyclic_group,
                            dihedral_group, klein_four_group,
                            normalizer_in_sym, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, analyze_element, parse_permutation
+from korbits.propcheck import SuiteCaps, run_check
 from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+
+# the checks whose hypothesis is the terminal case
+TERMINAL_CHECKS = ("C_simple", "C_no_tr", "L_proof_elcoh")
 
 
 def on_pairs(*cycles):
@@ -258,6 +263,69 @@ class TestAudit:
         assert (N.order, record.normalizer_proper, record.chosen_k) == \
             (120, True, 10)
         assert len(record.partitions) == 1
+
+
+class TestTerminalCase:
+    """One decision of the terminal case, `terminal_case`, read by the
+    pipeline, the audit and the three checks of its hypothesis."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_checks_and_audit_give_one_reason(self, n):
+        groups = [e.group() for e in transitive_catalog(n)]
+        groups.append(close_group([parse_permutation("(1 2)", n + 2)]))
+        for G in groups:
+            why, _ = terminal_case(G)
+            assert why
+            ctx = {"degree": G.degree,
+                   "group": [g.cycle_string() for g in G.generators]}
+            for check_id in TERMINAL_CHECKS:
+                res = run_check(check_id, ctx)
+                assert (res.verdict, res.reason) == ("inapplicable", why)
+            with pytest.raises(DomainError, match="^audit hypothesis violated: "
+                                                  f"{re.escape(why)}$"):
+                proof_audit(G)
+        assert terminal_case(groups[-1])[0] == "group is intransitive"
+
+    def test_least_transitive_subgroup_is_the_descent(self):
+        for entry in transitive_catalog(5):
+            G = entry.group()
+            why, A = terminal_case(G)
+            steps = fks_pipeline(G).steps
+            if A is not None:
+                assert why.startswith("proper transitive subgroup of order "
+                                      f"{A.order} ")
+                assert steps[0]["kind"] == "descend-to-transitive-subgroup"
+                assert steps[0]["subgroup_generators"] == \
+                    [g.cycle_string() for g in A.generators]
+
+    @pytest.mark.parametrize("proper", [True, False])
+    def test_a5_on_pairs_reaches_every_reader(self, monkeypatch, proper):
+        """A5 on the 10 pairs of {1..5} is terminal. With the normalizer
+        stubbed in (S5 on the pairs, or G itself), the checks give
+        verdicts that agree with the audit and the pipeline records the
+        same audit."""
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
+        N = on_pairs("(1 2)", "(1 2 3 4 5)") if proper else G
+        for mod in (fks, propcheck):
+            monkeypatch.setattr(mod, "normalizer_in_sym",
+                                lambda G, max_degree: N)
+        assert terminal_case(G) == (None, None)
+        record = proof_audit(G, max_degree=10)
+        assert record.normalizer_proper == proper
+        assert fks_pipeline(G, max_degree=10).steps[-1]["audit"] == \
+            record.as_dict()
+        ctx = {"degree": 10, "group": [g.cycle_string() for g in G.generators]}
+        simple, no_tr, elcoh = (run_check(c, ctx, SuiteCaps(max_degree=10))
+                                for c in TERMINAL_CHECKS)
+        assert simple.verdict == "pass"      # A5 is simple
+        assert (no_tr.verdict == "pass") == record.normalizer_proper
+        assert no_tr.verdict in ("pass", "fail")
+        bad = [(p["classes"], i) for p in record.partitions
+               for i, ok in enumerate(p["projections_elementary_coherent"])
+               if not ok]
+        assert record.partitions and bad
+        assert elcoh.verdict == "fail"
+        assert elcoh.witness["detail"]["classes"] == bad[0][0]
 
 
 class TestIsoPartitions:

@@ -213,6 +213,10 @@ class TestGroupFiles:
         with pytest.raises(ParseError):
             parse_group(bad)
 
+    def test_bad_generator_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: malformed cycle"):
+            parse_group("degree 3\n(1 2 3)\n(1 2  # unclosed\n")
+
 
 class TestSubgroupPredicate:
     def test_is_subgroup(self):

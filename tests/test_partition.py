@@ -150,8 +150,6 @@ class TestSmash:
     def test_set_family_validation(self):
         with pytest.raises(DomainError):
             SetFamily([{1}, set()])
-        with pytest.raises(DomainError):
-            SetFamily([{1, 5}], universe={1, 2})
         fam = SetFamily([{2, 3}, {1, 2}])
         assert fam.union() == {1, 2, 3}
         assert list(fam) == [frozenset({1, 2}), frozenset({2, 3})]

@@ -197,6 +197,14 @@ class TestSuite:
         for cid, t in report.tallies.items():
             assert counted.get(cid, t) == t or sum(t.values()) == 0
 
+    @pytest.mark.parametrize("check_id", ALL_IDS)
+    def test_every_result_carries_its_check_id(self, check_id):
+        report = run_suite(transitive_catalog(4), check_ids=[check_id])
+        assert report.results
+        for r in report.results:
+            assert r.check_id == check_id
+            assert run_check(check_id, r.context).check_id == check_id
+
     def test_check_filter(self):
         report = run_suite(transitive_catalog(3), check_ids=["P_capcup"])
         assert {r.check_id for r in report.results} == {"P_capcup"}

@@ -17,7 +17,7 @@ from korbits.korbit import (KSet, _kset, aut_of_kset, k_orbits,
 from korbits.propcheck import (SuiteCaps, _aut_suborbit_partition_failure,
                                _ctx_group, _ctx_per_orbit, _fail, _na,
                                _orbit_from_ctx, _pair_partitions, _pass,
-                               _ser_kset, _suborbit_pool, run_check)
+                               _result, _ser_kset, _suborbit_pool, run_check)
 from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 CAPS = SuiteCaps()
@@ -51,8 +51,8 @@ def reference_capcup(ctx, caps=CAPS):
                  for i in range(len(pool)) for j in range(i + 1, len(pool))]
         pairs = pairs[:propcheck.MAX_PAIRS]
     if not pairs:
-        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
-                                    "partition translate sets")
+        return _result("P_capcup", ctx, _na("no pair of distinct suborbits "
+                                            "with partition translate sets"))
     checked = 0
     for Y, Z in pairs:
         wctx = {"degree": ctx["degree"], "group": ctx["group"],
@@ -60,8 +60,7 @@ def reference_capcup(ctx, caps=CAPS):
                 "suborbit2": _ser_kset(Z)}
 
         def fail(reason):
-            return _fail("P_capcup", ctx, {"reason": reason},
-                         witness_ctx=wctx)
+            return _result("P_capcup", ctx, _fail({"reason": reason}, wctx))
 
         ky, fy, union, ly = translate_keys(G, Y.rows)
         kz, fz, z_union, lz = translate_keys(G, Z.rows)
@@ -93,9 +92,9 @@ def reference_capcup(ctx, caps=CAPS):
                                              caps.max_elements):
                 return fail("Stab(U) != gr(Stab(Y), Stab(Z))")
     if not checked:
-        return _na("P_capcup", ctx, "no pair of distinct suborbits with "
-                                    "partition translate sets")
-    return _pass("P_capcup", ctx, notes={"pairs_checked": checked})
+        return _result("P_capcup", ctx, _na("no pair of distinct suborbits "
+                                            "with partition translate sets"))
+    return _result("P_capcup", ctx, _pass({"pairs_checked": checked}))
 
 
 def reference_aut_failure(Gaut, X, max_order=DEFAULT_SUBGROUP_CAP):

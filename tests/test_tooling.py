@@ -1,5 +1,6 @@
 """Source hygiene of the package, checked with the standard library's
-`ast`: no module of src/korbits/ imports a name it never reads."""
+`ast`: no module of src/korbits/ imports a name it never reads, and every
+module-level private function is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -23,6 +24,19 @@ def unused_imports(source):
     return sorted(set(bound) - read)
 
 
+def unread_private_functions(sources):
+    """Module-level private functions of the `sources` (module texts) that
+    no expression of any of them reads, by name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    return sorted(defined - read)
+
+
 def test_checker_flags_an_unread_import():
     source = ("import itertools\nimport numpy as np\nimport os.path\n"
               "from . import _backend as kb\n"
@@ -37,3 +51,20 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_checker_flags_an_unread_private_function():
+    sources = ["from . import b\ndef _left(): pass\ndef _called(): pass\n"
+               "def f():\n    return _called() + b._by_attribute()\n",
+               "def _by_attribute(): pass\ndef _cached(): pass\n"
+               "cache = {'x': _cached}\n"]
+    assert unread_private_functions(sources) == ["_left"]
+    package = [(SRC / m).read_text() for m in MODULES]
+    leftover = "\n\ndef _not_terminal(G, caps):\n    return None\n"
+    assert unread_private_functions(package[:-1] + [package[-1] + leftover]) \
+        == ["_not_terminal"]
+
+
+def test_every_private_function_is_read():
+    sources = [(SRC / m).read_text() for m in sorted(p.name for p in SRC.glob("*.py"))]
+    assert unread_private_functions(sources) == []

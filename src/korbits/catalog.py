@@ -5,6 +5,7 @@ Generation is supported for degree <= 7 (|S_7| = 5040); larger degrees
 enter via imported generator files and are flagged as such."""
 
 import functools
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -14,6 +15,9 @@ from .perm import content_lines, parse_header, parse_permutation_at
 from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 MAX_GENERATED_DEGREE = 7
+
+# a comma of the generator field that lies outside "(...)" and "[...]"
+_TOP_LEVEL_COMMA = re.compile(r",(?![^()\[\]]*[)\]])")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def parse_catalog(text, max_elements=DEFAULT_ELEMENT_CAP):
         if not trans_s.startswith("transitive:") or trans_s[11:] not in ("0", "1"):
             raise ParseError(f"line {lineno}: bad transitive flag {trans_s!r}")
         gens = tuple(parse_permutation_at(s, degree, lineno)
-                     for s in gens_s.split(",") if s.strip())
+                     for s in _TOP_LEVEL_COMMA.split(gens_s) if s.strip())
         G = close_group(gens, degree=degree, max_elements=max_elements)
         if G.order != order:
             raise ParseError(

@@ -147,15 +147,24 @@ def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     return qualified
 
 
+def not_primitive_reason(G):
+    """Why G is not primitive in the non-Abelian sense, None when it is:
+    the first two reasons of `terminal_case`, without its subgroup loop."""
+    if not is_transitive(G):
+        return "group is intransitive"
+    if not is_primitive(G, "paper"):
+        return "group is not primitive (non-Abelian convention)"
+    return None
+
+
 def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     """(reason, subgroup): why G is not the terminal case of the reduction
     (primitive in the non-Abelian sense, with no proper transitive
     subgroup), None when it is; and the least proper transitive subgroup
     in class order when G is primitive and has one, None otherwise."""
-    if not is_transitive(G):
-        return "group is intransitive", None
-    if not is_primitive(G, "paper"):
-        return "group is not primitive (non-Abelian convention)", None
+    why = not_primitive_reason(G)
+    if why:
+        return why, None
     for cls in subgroup_classes(G, max_order=max_subgroup_order):
         if cls.order < G.order and is_transitive(cls.rep):
             return f"proper transitive subgroup of order {cls.order} exists", cls.rep

@@ -18,7 +18,8 @@ from .group import (DEFAULT_DEGREE_CAP, PermGroup, is_subgroup,
                     orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
 from .perm import content_lines, parse_header
-from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+from .subgroups import (DEFAULT_SUBGROUP_CAP, _element_orders,
+                        subgroup_classes)
 
 DEFAULT_TUPLE_CAP = 10 ** 7
 
@@ -182,15 +183,30 @@ def project(X, I):
 # coordinate sets, blocks, coherence
 # ---------------------------------------------------------------------------
 
-def _smash_cells(rows):
-    """Smash labels of the (tuple, position) cells of these point rows:
-    the join of "same tuple" and "same point", numbered by least cell."""
-    return _backend.join_labels(np.arange(rows.size) // rows.shape[1],
-                                rows.ravel())
+def _smash_masks(rows):
+    """The smash of point rows: for each row, the bit mask of the points
+    of its component, the rows that meet it directly or through other
+    rows. Each row starts from the mask of its own points and ORs in the
+    masks of the rows through its points until nothing changes. Points
+    past 63 are renumbered by rank first, and more than 64 points make
+    Python-int masks."""
+    if rows.max() > 63:
+        rows = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
+    width = int(rows.max()) + 1
+    mask = np.bitwise_or.reduce(1 << rows.astype(np.int64 if width <= 64
+                                                  else object), axis=1)
+    while True:
+        through = np.zeros(width, dtype=mask.dtype)
+        np.bitwise_or.at(through, rows, mask[:, None])
+        grown = np.bitwise_or.reduce(through[rows], axis=1)
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
 
 
-def _smash_partition(rows, cells):
-    return Partition.from_labels((rows.ravel() + 1).tolist(), cells.tolist())
+def _smash_partition(rows, masks):
+    return Partition.from_labels((rows.ravel() + 1).tolist(),
+                                 np.repeat(masks, rows.shape[1]).tolist())
 
 
 def co_analysis(X):
@@ -198,7 +214,7 @@ def co_analysis(X):
     partition of the union plus whether the family was already disjoint
     (a partition) or overlapping (a covering)."""
     sets = np.unique(np.sort(X.rows, axis=1), axis=0)
-    part = _smash_partition(sets, _smash_cells(sets))
+    part = _smash_partition(sets, _smash_masks(sets))
     fam = SetFamily(frozenset(s) for s in (sets + 1).tolist())
     return fam, part, sets.size == len(part.domain)
 
@@ -257,12 +273,40 @@ class CoherenceVerdict:
         return self.kind in ("coherent", "elementary-coherent")
 
 
+@functools.lru_cache(maxsize=64)
+def _cyclic_classes(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+    """G's non-trivial cyclic subgroup classes in class order, as (cyc,
+    reps): cyc[c, p] is the bit mask of the orbit of point p under class
+    c's rep, the cycle through p of its generator, and reps[c] the
+    rep's element rows, the powers of that generator. A rep H is cyclic
+    iff it holds an element of order |H|."""
+    orders = _element_orders(G.images)
+    reps = [cls.rep.images
+            for cls in subgroup_classes(G, max_order=max_subgroup_order)[1:]
+            if cls.order in orders[np.searchsorted(G.keys, cls.rep.keys)]]
+    cyc = np.array([np.bitwise_or.reduce(1 << H, axis=0) for H in reps],
+                   dtype=np.int64).reshape(-1, G.degree)
+    return cyc, reps
+
+
 @functools.lru_cache(maxsize=2048)
 def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     """Coherence classification of a k-orbit X of G, read from X's rows:
     X is the image set of its first row, its coordinate sets are the
     keys of its sorted rows, and their smash joins the tuples that share
-    a point."""
+    a point.
+
+    A coherent X is elementary unless some subgroup class rep H has a
+    suborbit Ht of more than one tuple on a proper subset of X's points.
+    The first such class is cyclic: some h in H moves t, so <h>t, inside
+    Ht, is such a suborbit too, and so is its conjugate under the rep of
+    <h>'s class, whose order |<h>| puts it before H's class unless H =
+    <h>. For cyclic H the support of Ht is the union of the cycles
+    through t's points, and Ht has more than one tuple iff H moves some
+    point of t. So only the non-trivial cyclic classes are tested, on
+    bit masks, in chunks of about `_backend.KEY_BUDGET` masks, and the
+    witness is the suborbit of the first tuple that hits in the first
+    class that does."""
     rows = X.rows
     if rows.max() >= G.degree:
         raise DomainError("point out of range for this group")
@@ -275,22 +319,26 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     sets = rows[np.unique(np.sort(rows, axis=1) @ pw, return_index=True)[1]]
     if len(sets) == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
-    cells = _smash_cells(sets)
-    if cells.max() > 0:
+    masks = _smash_masks(sets)
+    # X's points as a mask: they lie below the degree, so none is renumbered
+    full = masks[0]
+    if (masks != full).any():
         return CoherenceVerdict(kind="incoherent",
-                                witness=_smash_partition(sets, cells))
-    union = np.unique(sets).size
-    for cls in subgroup_classes(G, max_order=max_subgroup_order):
-        labels = _backend.orbit_labels(cls.rep.images, rows)
-        # points[c, p]: whether point p lies in a tuple of suborbit c
-        points = np.zeros((labels.max() + 1, G.degree), dtype=bool)
-        points[labels[:, None], rows] = True
-        hits = (np.bincount(labels) > 1) & (points.sum(axis=1) < union)
-        if hits.any():
-            c = int(np.argmax(hits))
-            u = frozenset((np.flatnonzero(points[c]) + 1).tolist())
+                                witness=_smash_partition(sets, masks))
+    cyc, reps = _cyclic_classes(G, max_subgroup_order)
+    own = 1 << rows
+    step = max(1, _backend.KEY_BUDGET // rows.size)
+    for start in range(0, len(reps), step):
+        cycles = cyc[start:start + step, rows]          # (classes, R, k)
+        supp = np.bitwise_or.reduce(cycles, axis=2)
+        hit = (cycles != own).any(axis=2) & (supp != full)
+        if hit.any():
+            c, r = divmod(int(np.argmax(hit)), len(rows))
+            u = np.flatnonzero(supp[c, r] >> np.arange(G.degree) & 1) + 1
+            sub = reps[start + c][:, rows[r]]
+            sub = sub[np.unique(sub @ pw, return_index=True)[1]]
             return CoherenceVerdict(kind="coherent",
-                                    witness=(u, _kset(rows[labels == c])))
+                                    witness=(frozenset(u.tolist()), _kset(sub)))
     return CoherenceVerdict(kind="elementary-coherent")
 
 

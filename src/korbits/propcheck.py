@@ -19,11 +19,10 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ResourceLimitError
-from .fks import terminal_case, terminal_partitions
+from .fks import not_primitive_reason, terminal_case, terminal_partitions
 from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, close_group,
-                    conjugate_rows_by, is_primitive, is_subgroup,
-                    is_transitive, normalizer_in, normalizer_in_sym,
-                    perm_to_row)
+                    conjugate_rows_by, is_subgroup, is_transitive,
+                    normalizer_in, normalizer_in_sym, perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -279,8 +278,9 @@ def _eval_P_LkRk(ctx, caps):
 
 def _eval_P_prim_normal(ctx, caps):
     G = _ctx_group(ctx, caps)
-    if not is_transitive(G) or not is_primitive(G, "paper"):
-        return _na("group is not primitive (non-Abelian convention)")
+    why = not_primitive_reason(G)
+    if why:
+        return _na(why)
     if "subgroup" not in ctx:
         return _na("no proper non-trivial normal subgroup")
     H = _ctx_group(ctx, caps, "subgroup")
@@ -722,7 +722,7 @@ def _ctx_P_LkRk(G, base, ks, caps):
 
 
 def _ctx_P_prim_normal(G, base, ks, caps):
-    if not is_primitive(G, "paper"):
+    if not_primitive_reason(G):
         yield dict(base)
         return
     normals = _normal_proper_nontrivial(G, caps.max_subgroup_order)

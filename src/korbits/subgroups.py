@@ -64,20 +64,22 @@ def _rows_of(G, b):
     return G.images[np.searchsorted(G.keys, _key_array(b))]
 
 
-def _element_primes(images):
-    """The prime p of each element row of order p^a > 1, else 1.
-
-    An element's order is the lcm of its cycle lengths, and the cycle
-    length of a point is the least m with g^m fixing it: the powers g,
-    g^2, ..., g^n of all rows are walked at once.
-    """
+def _element_orders(images):
+    """The order of each element row: the lcm of its cycle lengths, where
+    the cycle length of a point is the least m with g^m fixing it. The
+    powers g, g^2, ..., g^n of all rows are walked at once."""
     n = images.shape[1]
     length = np.zeros_like(images)
     power = images
     for m in range(1, n + 1):
         length[(power == np.arange(n)) & (length == 0)] = m
         power = np.take_along_axis(images, power, axis=1)
-    orders, at = np.unique(np.lcm.reduce(length, axis=1), return_inverse=True)
+    return np.lcm.reduce(length, axis=1)
+
+
+def _element_primes(images):
+    """The prime p of each element row of order p^a > 1, else 1."""
+    orders, at = np.unique(_element_orders(images), return_inverse=True)
     primes = np.ones(orders.size, dtype=np.int64)
     for i, order in enumerate(orders.tolist()):
         fac = _factorize(order)

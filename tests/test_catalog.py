@@ -9,6 +9,7 @@ from korbits.catalog import (load_catalog, parse_catalog, render_catalog,
                              save_catalog, transitive_catalog)
 from korbits.errors import DomainError, ParseError
 from korbits.group import close_group, is_transitive, symmetric_group
+from korbits.perm import parse_permutation
 from korbits.subgroups import subgroup_classes
 
 # number of transitive groups of degree n up to conjugacy
@@ -133,6 +134,25 @@ class TestPersistence:
     def test_bad_generator_names_its_line(self, bad, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_catalog(bad)
+
+    @pytest.mark.parametrize("gens,want", [
+        ("[2,1]", ["(1 2)"]),
+        ("[2, 3, 1], (1 2)", ["(1 2 3)", "(1 2)"]),
+        ("(1, 2, 3)", ["(1 2 3)"]),
+        ("(1,2)(3, 4), [1,2,4,3]", ["(1 2)(3 4)", "(3 4)"]),
+    ])
+    def test_commas_inside_a_generator_do_not_split_it(self, gens, want):
+        degree = max(map(int, re.findall(r"\d+", gens)))
+        G = close_group([parse_permutation(g, degree) for g in want])
+        text = (f"degree {degree}\n"
+                f"t | {G.order} | transitive:{int(is_transitive(G))} | {gens}\n")
+        (e,) = parse_catalog(text).entries
+        assert [g.cycle_string() for g in e.generators] == want
+
+    @pytest.mark.parametrize("n", sorted(RENDER_SHA256))
+    def test_render_roundtrips(self, n):
+        text = render_catalog(transitive_catalog(n))
+        assert render_catalog(parse_catalog(text)) == text
 
     def test_entry_group_keeps_the_catalog_degree(self):
         cat = parse_catalog("degree 3\nt3.x | 1 | transitive:0 | \n")

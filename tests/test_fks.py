@@ -7,18 +7,19 @@ import re
 import pytest
 
 from korbits import fks, korbit, propcheck
-from korbits.catalog import transitive_catalog
+from korbits.catalog import parse_catalog, transitive_catalog
 from korbits.errors import DomainError, ParseError
 from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
-                         lift_fpf, load_trace, parse_trace, preimages_of,
-                         proof_audit, render_trace, replay_trace, save_trace,
-                         terminal_case, trace_from_dict, trace_to_dict)
+                         lift_fpf, load_trace, not_primitive_reason,
+                         parse_trace, preimages_of, proof_audit, render_trace,
+                         replay_trace, save_trace, terminal_case,
+                         trace_from_dict, trace_to_dict)
 from korbits.group import (block_systems, close_group, cyclic_group,
                            dihedral_group, klein_four_group,
                            normalizer_in_sym, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, analyze_element, parse_permutation
-from korbits.propcheck import SuiteCaps, run_check
+from korbits.propcheck import SuiteCaps, run_check, run_suite
 from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 
 # the checks whose hypothesis is the terminal case
@@ -285,6 +286,24 @@ class TestTerminalCase:
                                                   f"{re.escape(why)}$"):
                 proof_audit(G)
         assert terminal_case(groups[-1])[0] == "group is intransitive"
+
+    @pytest.mark.parametrize("gens,why", [
+        (["(1 2)"], "group is intransitive"),
+        (["(1 2)(3 4)", "(1 3)(2 4)"],
+         "group is not primitive (non-Abelian convention)"),
+    ])
+    def test_prim_normal_gives_the_same_first_two_reasons(self, gens, why):
+        G = close_group([parse_permutation(g, 4) for g in gens])
+        assert not_primitive_reason(G) == terminal_case(G)[0] == why
+        res = run_check("P_prim_normal", {"degree": 4, "group": gens})
+        assert (res.verdict, res.reason) == ("inapplicable", why)
+        # the suite's context generator reads the same helper
+        cat = parse_catalog(f"degree 4\nt | {G.order} | transitive:"
+                            f"{int(why != 'group is intransitive')} | "
+                            f"{', '.join(gens)}\n")
+        report = run_suite(cat, k_range=[2], check_ids=["P_prim_normal"])
+        assert [(r.verdict, r.reason) for r in report.results] == \
+            [("inapplicable", why)]
 
     def test_least_transitive_subgroup_is_the_descent(self):
         for entry in transitive_catalog(5):

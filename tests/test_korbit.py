@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +14,10 @@ from korbits import _backend
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
-                           klein_four_group, symmetric_group)
+                           klein_four_group, parse_group, symmetric_group)
 from korbits.partition import SetFamily, smash
-from korbits.korbit import (KSet, acts_transitively_on, aut_of_kset,
+from korbits.korbit import (CoherenceVerdict, KSet, _cyclic_classes,
+                            acts_transitively_on, aut_of_kset,
                             automorphic_analysis, classify_coherence,
                             co_analysis, coset_k_partitions, initial_tuple,
                             k_blocks, k_orbits, left_act, load_kset, n_orbit,
@@ -294,6 +296,14 @@ class TestCoherenceFromRows:
         assert (fam, part, disjoint) == (ref_fam, ref_part, ref_disjoint)
         assert list(fam) == list(ref_fam)
 
+    @pytest.mark.parametrize("tuples", [
+        [(1, 500), (500, 70), (2, 3)],                         # renumbered
+        [(i, i + 1) for i in range(1, 140, 2)] + [(2, 3), (138, 139)],
+    ])
+    def test_co_analysis_matches_smash_past_64_points(self, tuples):
+        X = KSet(tuples)
+        assert co_analysis(X) == _co_reference(X)
+
     def test_point_beyond_degree(self):
         G = cyclic_group(4)
         for X in [kset((1, 5)), kset((1, 2), (5, 6)), kset((1, 2, 3, 4, 5))]:
@@ -309,6 +319,101 @@ class TestCoherenceFromRows:
         assert {(v.kind, v.trivial) for v in verdicts} == {
             ("incoherent", False), ("coherent", True), ("coherent", False),
             ("elementary-coherent", False)}
+
+
+def _reference_coherence(G, X):
+    """The verdict of the per-class loop: the smash of the coordinate
+    sets by `partition.smash`, then, for every subgroup class rep H in
+    class order, H's orbits on X by `_backend.orbit_labels`, and the
+    first suborbit of more than one tuple on a proper subset of X's
+    points."""
+    if X.arity == 1 or len({frozenset(t) for t in X.tuples}) == 1:
+        return CoherenceVerdict(kind="coherent", trivial=True)
+    part, _ = smash(SetFamily(frozenset(t) for t in X.tuples))
+    if len(part) > 1:
+        return CoherenceVerdict(kind="incoherent", witness=part)
+    rows = X.rows
+    union = np.unique(rows).size
+    for cls in subgroup_classes(G):
+        labels = _backend.orbit_labels(cls.rep.images, rows)
+        for c in range(labels.max() + 1):
+            sub = rows[labels == c]
+            if len(sub) > 1 and np.unique(sub).size < union:
+                u = frozenset((np.unique(sub) + 1).tolist())
+                return CoherenceVerdict(kind="coherent", witness=(u, KSet(sub + 1)))
+    return CoherenceVerdict(kind="elementary-coherent")
+
+
+WREATH_C2_C4 = parse_group("degree 8\n(1 2)\n(1 3 5 7)(2 4 6 8)\n")
+WREATH_C3_C3 = parse_group("degree 9\n(1 2 3)\n(1 4 7)(2 5 8)(3 6 9)\n")
+
+
+def _oracle_orbits():
+    """(G, X) for every k-orbit of the degree 2..6 catalogs, and of D8,
+    C2 wr C4, D9 and C3 wr C3 at k <= 4."""
+    for n in range(2, 7):
+        for e in transitive_catalog(n):
+            G = e.group()
+            for k in range(1, n + 1):
+                for X in k_orbits(G, k):
+                    yield G, X
+    for G in [dihedral_group(8), WREATH_C2_C4, dihedral_group(9), WREATH_C3_C3]:
+        for k in range(1, 5):
+            for X in k_orbits(G, k):
+                yield G, X
+
+
+class TestCoherenceOracle:
+    """`classify_coherence`, which tests only the cyclic classes on bit
+    masks, against the per-class loop over every subgroup class."""
+
+    @staticmethod
+    def _compare():
+        """Compare on every oracle orbit; return how many of the
+        coherent ones had more cyclic classes than fit in one chunk."""
+        kinds = set()
+        chunked = 0
+        for G, X in _oracle_orbits():
+            got = classify_coherence.__wrapped__(G, X)
+            want = _reference_coherence(G, X)
+            assert (got.kind, got.trivial) == (want.kind, want.trivial)
+            assert got.witness == want.witness
+            kinds.add((got.kind, got.trivial))
+            step = max(1, _backend.KEY_BUDGET // X.rows.size)
+            chunked += (got.kind != "incoherent" and not got.trivial
+                        and len(_cyclic_classes(G)[1]) > step)
+        assert kinds == {("incoherent", False), ("coherent", True),
+                         ("coherent", False), ("elementary-coherent", False)}
+        return chunked
+
+    def test_matches_per_class_loop(self):
+        self._compare()
+
+    def test_matches_per_class_loop_in_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_backend, "KEY_BUDGET", 16)
+        assert self._compare() > 0
+
+    def test_witness_when_the_generator_permutes_the_tuples_own_points(self):
+        # the reflection fixing 1 swaps 2 and 8: it moves points of the
+        # tuple without leaving its point set
+        G = dihedral_group(8)
+        v = classify_coherence.__wrapped__(G, orbit_of_tuple(G, (1, 2, 8)))
+        assert v.kind == "coherent"
+        assert v.witness == (frozenset({1, 2, 8}), kset((1, 2, 8), (1, 8, 2)))
+
+    def test_reads_no_orbit_labels(self, monkeypatch):
+        G = WREATH_C3_C3
+        orbits = k_orbits(G, 3)
+        orbit_labels = _backend.orbit_labels
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return orbit_labels(*args)
+
+        monkeypatch.setattr(_backend, "orbit_labels", counted)
+        kinds = {classify_coherence.__wrapped__(G, X).kind for X in orbits}
+        assert calls == [] and "coherent" in kinds
 
 
 class TestKBlocks:

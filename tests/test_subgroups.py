@@ -10,7 +10,8 @@ from korbits.errors import ResourceLimitError
 from korbits.group import (PermGroup, alternating_group, cyclic_group,
                            is_subgroup, klein_four_group, symmetric_group)
 from korbits.perm import analyze_element
-from korbits.subgroups import _element_primes, all_subgroups, subgroup_classes
+from korbits.subgroups import (_element_orders, _element_primes,
+                               all_subgroups, subgroup_classes)
 
 
 # (group, classes, total subgroups) with the classical counts
@@ -136,3 +137,8 @@ class TestElementPrimes:
             want = [a.prime_power_split[0][0] if a.is_prime_power else 1
                     for a in map(analyze_element, G.elements)]
             assert _element_primes(G.images).tolist() == want
+
+    def test_orders_match_analyze_element(self):
+        for G in [symmetric_group(7)] + [e.group() for e in transitive_catalog(6)]:
+            want = [a.order for a in map(analyze_element, G.elements)]
+            assert _element_orders(G.images).tolist() == want

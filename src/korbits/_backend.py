@@ -10,8 +10,9 @@ MAX_KEY_DEGREE. The closure keeps the keys it has found as a sorted
 array; `orbit_labels` reads every orbit from the full element array,
 matching image keys against the sorted keys of the rows by
 `searchsorted`, so neither allocates anything indexed by the key space.
-`row_index`, `close_index` and `greedy_generators` work on row numbers
-of a group's sorted element array instead of keys. `fixed_rows`, the
+`row_index`, `close_index`, `greedy_generators` and `least_in_orbits`
+work on row numbers of a group's sorted element array instead of keys;
+`close_index` closes many index sets at once. `fixed_rows`, the
 one setwise-stabilizer filter, reads a group's rows or `sym_images`.
 """
 
@@ -37,7 +38,9 @@ _DENSE_SPACE_LIMIT = 40_000_000
 # Image keys gathered per batch of orbit_labels: a batch takes
 # max(1, _BATCH_KEYS // |G|) rows, so its temporaries hold about
 # max(_BATCH_KEYS, |G|) keys, while the batches, one Python iteration
-# each, stay few.
+# each, stay few. subgroups.subgroup_classes closes
+# max(1, _BATCH_KEYS // limit) candidates per `close_index` call, so a
+# batch marks about _BATCH_KEYS elements.
 _BATCH_KEYS = 4096
 
 # Image keys per chunk of `fixed_rows` and of the position matrix of
@@ -198,49 +201,81 @@ def row_index(images):
     return index
 
 
-def close_index(mask, frontier, maps, limit):
-    """Close the index set marked in the boolean array `mask` under the
-    index maps `maps`, in place, and return `mask`.
+def close_index(images, index, masks, maps, extra, limit):
+    """Close every row of the boolean (B, |G|) array `masks` in place and
+    return the mask of the rows that passed `limit`.
 
-    Each map is a permutation of the indices, such as the index of x*g
-    for every element x of a group. `frontier` lists the marked indices
-    whose images may be unmarked. Breadth first: every map sends the
-    frontier, and the indices each one marks first form the next
-    frontier. A map is one-to-one and marks are set before the next map
-    reads them, so a frontier never repeats an index. Once more than
-    `limit` indices are marked, all are marked and the search stops: for
-    a subgroup, `limit` is the largest order that Lagrange's theorem
-    leaves below the whole group.
+    `images` are the sorted element rows of a group G and `index` is
+    their `row_index`. Each row marks elements of G and is closed under
+    the index maps `maps`, each the index of x*g for every element x.
+    Row b is closed under those maps and under right multiplication by
+    the element at index `extra[b]`, which is applied to that row's
+    frontier alone, as the index of x*extra[b] for each frontier x.
+
+    One breadth-first search runs over (row, element) pairs, kept as
+    flat indices into `masks`. Round 1 applies only the extra elements,
+    since the rows are closed under `maps`; later rounds apply every map.
+    A map is one-to-one on each row and marks are set before the next
+    map reads them, so a frontier never repeats a pair. A row that marks
+    more than `limit` elements stops there, partly marked: for a
+    subgroup, `limit` is an order above which the closure is known.
     """
-    count = int(np.count_nonzero(mask))
+    rows, order = masks.shape
+    flat = masks.reshape(-1)
+    count = np.count_nonzero(masks, axis=1)
+    cols = images[extra]
+    frontier = np.flatnonzero(flat)
+    row = frontier // order
+    applied = []
     while frontier.size:
-        fresh = []
-        for m in maps:
-            img = m[frontier]
-            img = img[~mask[img]]
-            mask[img] = True
-            fresh.append(img)
-        frontier = np.concatenate(fresh)
-        count += frontier.size
-        if count > limit:
-            mask[:] = True
-            break
-    return mask
+        base = row * order
+        x = frontier - base
+        imgs = [index(images[x[:, None], cols[row]])] + [m[x] for m in applied]
+        for i, img in enumerate(imgs):
+            img += base
+            imgs[i] = img = img[~flat[img]]
+            flat[img] = True
+        frontier = np.concatenate(imgs)
+        row = frontier // order
+        count += np.bincount(row, minlength=rows)
+        over = count > limit
+        if over.any():
+            keep = ~over[row]
+            frontier, row = frontier[keep], row[keep]
+        applied = maps
+    return count > limit
 
 
-def greedy_generators(right_map, sub, have, gens=(), maps=()):
-    """Generators of the subgroup with index mask `sub`: `gens`, which
-    generate the mask `have` and have the index maps `maps`, then
-    greedily the least index of `sub` outside the closure so far, whose
-    map is `right_map(i)`. Marks that closure in `have`."""
+def greedy_generators(images, index, sub, have, gens=(), maps=()):
+    """Generators of the subgroup with index mask `sub` of the group
+    whose sorted element rows are `images`, with `row_index` `index`:
+    `gens`, which generate the mask `have` and have the right
+    multiplication maps `maps`, then greedily the least index of `sub`
+    outside the closure so far. Marks that closure in `have`."""
     gens, maps = list(gens), list(maps)
     while True:
         rest = np.flatnonzero(sub & ~have)
         if not rest.size:
             return gens
+        if len(maps) < len(gens):       # the map of the last generator
+            maps.append(index(images[:, images[gens[-1]]]))
         gens.append(int(rest[0]))
-        maps.append(right_map(rest[0]))
-        close_index(have, np.flatnonzero(have), maps, have.size)
+        close_index(images, index, have[None], maps, gens[-1:], have.size)
+
+
+def least_in_orbits(maps, size):
+    """The least index in the orbit of each of range(size) under the
+    group generated by the index permutations `maps`: every index takes
+    the least label of its images, and then the label of its label,
+    until nothing changes."""
+    lab = np.arange(size)
+    while True:
+        prev = lab
+        for m in maps:
+            lab = np.minimum(lab, lab[m])
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            return lab
 
 
 def meet_labels(a, b):

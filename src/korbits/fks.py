@@ -238,6 +238,11 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     why, _ = terminal_case(G, max_subgroup_order)
     if why:
         raise DomainError(f"audit hypothesis violated: {why}")
+    return _audit_terminal(G, max_subgroup_order, max_degree)
+
+
+def _audit_terminal(G, max_subgroup_order, max_degree):
+    """`proof_audit` on a G that `terminal_case` has found terminal."""
     N, k, found = terminal_partitions(G, max_subgroup_order, max_degree)
     report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
     k_var = report.max_automorphic_order_divisor() or 1
@@ -367,9 +372,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                                         "direct search only")
             if not why:
                 try:
-                    audit, audit_error = proof_audit(
-                        G, max_subgroup_order=max_subgroup_order,
-                        max_degree=max_degree).as_dict(), None
+                    audit, audit_error = _audit_terminal(
+                        G, max_subgroup_order, max_degree).as_dict(), None
                 except Exception as exc:   # caps; recorded, never fatal
                     audit_error = str(exc)
             steps.append({"kind": "primitive-terminal",

@@ -138,7 +138,7 @@ def reduce_generators(images):
     least element outside the subgroup generated so far."""
     index = _backend.row_index(images)
     have = np.arange(images.shape[0]) == 0              # the identity is row 0
-    gens = _backend.greedy_generators(lambda i: index(images[:, images[i]]),
+    gens = _backend.greedy_generators(images, index,
                                       np.ones_like(have), have)
     return tuple(row_to_perm(images[i]) for i in gens)
 
@@ -253,34 +253,6 @@ def block_systems(G):
                if not any(q != p and q.refines(p) for q in found)]
     minimal.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return minimal
-
-
-def invariant_partitions_bruteforce(G):
-    """All non-trivial G-invariant partitions, by exhaustive search.
-
-    Oracle-grade: exponential in the degree, for cross-checks only.
-    """
-    n = G.degree
-    points = list(range(1, n + 1))
-    out = []
-    for p in _all_partitions(points):
-        if len(p) in (1, n):
-            continue
-        part = Partition(p)
-        if _is_invariant(G, part):
-            out.append(part)
-    return out
-
-
-def _all_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for p in _all_partitions(rest):
-        for i in range(len(p)):
-            yield p[:i] + [p[i] | {first}] + p[i + 1:]
-        yield p + [{first}]
 
 
 def _is_invariant(G, part):

@@ -153,11 +153,6 @@ def orbit_of_tuple(G, t):
     return _kset(rows[first])
 
 
-def n_orbit(G):
-    """The n-orbit of G: all rows g<1..n>, g in G."""
-    return _kset(G.images)
-
-
 @functools.lru_cache(maxsize=4096)
 def k_orbits(G, k, max_tuples=DEFAULT_TUPLE_CAP):
     """All G-orbits on non-diagonal k-tuples, ordered by least tuple."""

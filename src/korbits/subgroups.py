@@ -5,24 +5,36 @@ Inside `subgroup_classes(G)` every subgroup is a boolean mask over G's
 element index: the rows of `G.images`, which are sorted by `G.keys`.
 Multiplying every element on the right by g, and conjugating every
 element by g, are index maps, found for all elements at once by
-`_backend.row_index`. The subgroup generated by a class representative
-H and one more element c is closed by a breadth-first search over such
-a mask (`_backend.close_index`): it starts from H's mask and follows
-the right-multiplication maps of H's generators, computed once per
-representative, and of c, computed once per closure. Its conjugation
-orbit is walked with the conjugation maps of generators of G. The
-generators of G and of each normalizer are the greedy ones of
-`PermGroup.generators`, read by `_backend.greedy_generators`.
+`_backend.row_index`.
 
 Every subgroup is generated by prime-power elements, so extending the
 representatives by one element c of order p^a with c^p in H at a time,
-one per orbit of H's normalizer, reaches every conjugacy class. A
-subgroup's identity is the bytes of its sorted int64 element keys,
+one per orbit of H's normalizer N, reaches every conjugacy class. The
+N-conjugation orbits of all elements are labelled in one pass, each by
+its least index (`_backend.least_in_orbits`), and the candidates are
+the orbit minima. All candidates of a representative H are then closed
+by one batched breadth-first search over (candidate, element) pairs
+(`_backend.close_index`): every row starts from H's mask, follows the
+right-multiplication maps of H's generators, computed once per
+representative, and multiplies only its own frontier by its c. Batches
+hold about `_backend._BATCH_KEYS` marks. A row stops once it passes the
+largest order that Lagrange's theorem leaves below G; for G = S_n or
+A_n with n >= 5 it stops past |G|/n elements, since no proper subgroup
+of A_n, and none of S_n but A_n, has index below n (Dixon and
+Mortimer, Permutation Groups, 1996, Thm 5.2B). Such a row is G, or A_n
+inside S_n when H and c are even.
+
+A subgroup's identity is the bytes of its sorted int64 element keys,
 `G.keys[mask]`; a global table of *all* conjugate subgroups by those
-bytes makes class membership a hash lookup.
+bytes makes class membership a hash lookup. A new class's conjugation
+orbit is walked one layer at a time with the conjugation maps of
+generators of G. The generators of G and of each normalizer are the
+greedy ones of `PermGroup.generators`, read by
+`_backend.greedy_generators`.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -88,6 +100,13 @@ def _element_primes(images):
     return primes[at]
 
 
+def _odd(images):
+    """Whether each element row is an odd permutation: the parity of
+    its number of inversions."""
+    i, j = np.triu_indices(images.shape[1], 1)
+    return np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2 == 1
+
+
 @functools.lru_cache(maxsize=64)
 def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     """All subgroups of G up to G-conjugacy.
@@ -117,25 +136,36 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         """Index of g x g^-1 for every element x, g the element at index i."""
         return index(conjugate_rows_by(G.images, G.images[i]))
 
+    # Dixon and Mortimer, Permutation Groups, Thm 5.2B: for n >= 5 no
+    # proper subgroup of A_n, and none of S_n but A_n, has index below n
+    n = G.degree
+    sym = n >= 5 and G.order == math.factorial(n)
+    big = sym or (n >= 5 and G.order == math.factorial(n) // 2)
+    alt = ~_odd(G.images) if sym else None      # A_n, when G is S_n
+    everything = np.ones(G.order, dtype=bool)
     identity = np.arange(G.order) == 0                  # the identity is row 0
     g_conj = [conj_map(i) for i in _backend.greedy_generators(
-        right_map, np.ones(G.order, dtype=bool), identity)]
+        G.images, index, everything, identity)]
 
     seen = set()       # key bytes of every subgroup found so far
     raw = []           # per class: (generator indices, element indices, conjugates)
 
     def register(idx, gens):
-        """Walk the conjugation orbit of a new subgroup and record its class."""
+        """Walk the conjugation orbit of a new subgroup, one layer of
+        conjugates at a time, and record its class."""
+        width = idx.size * 8
         orbit = {G.keys[idx].tobytes()}
-        queue = [idx]
-        while queue:
-            i = queue.pop()
-            for c in g_conj:
-                ci = np.sort(c[i])
-                b = G.keys[ci].tobytes()
+        layer = idx[None]
+        while g_conj and layer.size:
+            conj = np.sort(np.concatenate([c[layer] for c in g_conj]), axis=1)
+            buf = G.keys[conj].tobytes()
+            fresh = []
+            for j in range(conj.shape[0]):
+                b = buf[j * width:(j + 1) * width]
                 if b not in orbit:
                     orbit.add(b)
-                    queue.append(ci)
+                    fresh.append(j)
+            layer = conj[fresh]
         members = list(orbit)
         mat = _key_array(b"".join(members)).reshape(len(members), -1)
         conjugates = tuple(members[i] for i in np.lexsort(mat.T[::-1]))
@@ -151,33 +181,39 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         h_mask[h_idx] = True
         maps = [right_map(g) for g in gens]
         # Lagrange: a subgroup containing H with more elements than this
-        # is G
+        # is G; for S_n and A_n, more than |G|/n elements suffice
         limit = max((d for d in range(h_idx.size, G.order, h_idx.size)
                      if G.order % d == 0), default=G.order)
+        if big:
+            limit = min(limit, G.order // n)
         # the normalizer N of H
         norm = np.ones(G.order, dtype=bool)
         for g in gens:
             norm &= _backend.in_sorted(G.keys[h_idx],
                                        conjugate_elementwise(G, G.images[g]))
         n_conj = [conj_map(g) for g in _backend.greedy_generators(
-            right_map, norm, h_mask.copy(), gens, maps)]
+            G.images, index, norm, h_mask.copy(), gens, maps)]
         # Extension candidates: the elements c of order p^a outside H
         # with c^p in H. Every subgroup is reached this way, through the
-        # powers c^(p^(a-1)), ..., c^p, c of its prime-power generators. One
-        # candidate per N-conjugation orbit: the other elements and H
-        # are unions of such orbits, so closing `done` from a candidate
-        # under N's conjugations marks its orbit.
+        # powers c^(p^(a-1)), ..., c^p, c of its prime-power generators.
+        # One candidate per N-conjugation orbit, its least index: the
+        # other elements and H are unions of such orbits.
         done = h_mask | (prime == 1) | ~h_mask[root]
-        for i in np.flatnonzero(~done):
-            if done[i]:
-                continue
-            done[i] = True
-            _backend.close_index(done, np.array([i]), n_conj, G.order)
-            k_mask = _backend.close_index(h_mask.copy(), h_idx,
-                                          [right_map(i)] + maps, limit)
-            k_idx = np.flatnonzero(k_mask)
-            if G.keys[k_idx].tobytes() not in seen:
-                register(k_idx, gens + [i])
+        least = _backend.least_in_orbits(n_conj, G.order)
+        cands = np.flatnonzero(~done & (least == np.arange(G.order)))
+        # past `limit`, a closure is G, or A_n in S_n when H and c are even
+        h_even = sym and alt[h_idx].all()
+        step = max(1, _backend._BATCH_KEYS // limit)
+        for start in range(0, cands.size, step):
+            batch = cands[start:start + step]
+            masks = np.tile(h_mask, (batch.size, 1))
+            over = _backend.close_index(G.images, index, masks, maps, batch, limit)
+            for i, mask, full in zip(batch.tolist(), masks, over.tolist()):
+                if full:
+                    mask = alt if h_even and alt[i] else everything
+                k_idx = np.flatnonzero(mask)
+                if G.keys[k_idx].tobytes() not in seen:
+                    register(k_idx, gens + [i])
 
     signature = lambda e: (e[1].size, _key_array(e[2][0]).tolist())
     out = []

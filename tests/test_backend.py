@@ -140,14 +140,44 @@ class TestIndexSpace:
                 support = rng.choice(7, size=rng.integers(2, 8), replace=False)
                 g[support] = rng.permutation(support)
             want = _backend.encode_rows(_backend.closure_images(gens, 7, self.N), 7)
-            mask = np.zeros(self.N, dtype=bool)
-            mask[0] = True                              # the identity
-            maps = [index(self.IMAGES[:, g]) for g in gens]
+            mask = np.zeros((1, self.N), dtype=bool)
+            mask[0, 0] = True                           # the identity
+            g0, g1 = index(gens)
             limit = self.N // 2 if lagrange else self.N
-            _backend.close_index(mask, np.array([0]), maps, limit)
-            assert np.array_equal(keys[mask], want)
+            # <g0>, then <g0, g1> from it, each closed under the maps so far
+            over = _backend.close_index(self.IMAGES, index, mask, [], [g0], limit)
+            if not over[0]:
+                over = _backend.close_index(self.IMAGES, index, mask,
+                                            [index(self.IMAGES[:, gens[0]])],
+                                            [g1], limit)
+            if over[0]:
+                assert lagrange and np.count_nonzero(mask) > limit
+                mask[:] = True
+            assert np.array_equal(keys[mask[0]], want)
             orders.add(want.size)
         assert len(orders) > 10 and {1, 2, 5040} <= orders
+
+    def test_batch_rows_match_single_rows(self):
+        """Closing many rows at once, each from the same subgroup with its
+        own extra element, gives the closures of one row at a time."""
+        index = _backend.row_index(self.IMAGES)
+        h = index(np.array([[1, 0, 2, 3, 4, 5, 6]]))[0]     # <(1 2)>
+        base = np.zeros(self.N, dtype=bool)
+        base[[0, h]] = True
+        maps = [index(self.IMAGES[:, self.IMAGES[h]])]
+        # rows 1..6 move only the last points, so some closures stay small
+        extra = np.concatenate([np.arange(1, 7), np.random.default_rng(7).choice(
+            np.arange(7, self.N), size=6, replace=False)])
+        masks = np.tile(base, (extra.size, 1))
+        over = _backend.close_index(self.IMAGES, index, masks, maps, extra, 100)
+        for row, c, full in zip(masks, extra, over):
+            one = base[None].copy()
+            assert _backend.close_index(self.IMAGES, index, one, maps,
+                                        [c], 100)[0] == full
+            assert full == (np.count_nonzero(one) > 100)
+            if not full:
+                assert np.array_equal(row, one[0])
+        assert 0 < np.count_nonzero(over) < extra.size
 
 
 def _brute_tuple_orbits(images, k, n):

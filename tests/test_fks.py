@@ -7,6 +7,7 @@ import re
 import pytest
 
 from korbits import fks, korbit, propcheck
+from korbits import group as group_module
 from korbits.catalog import parse_catalog, transitive_catalog
 from korbits.errors import DomainError, ParseError
 from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
@@ -345,6 +346,30 @@ class TestTerminalCase:
         assert record.partitions and bad
         assert elcoh.verdict == "fail"
         assert elcoh.witness["detail"]["classes"] == bad[0][0]
+
+    def test_pipeline_decides_the_terminal_case_once(self, monkeypatch):
+        """On a terminal G the pipeline hands its decision to the audit:
+        one `terminal_case` per pipeline, and `block_systems` once in
+        the pipeline and once in that decision."""
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
+        monkeypatch.setattr(fks, "normalizer_in_sym", lambda G, max_degree: G)
+        calls = {"terminal_case": 0, "block_systems": 0}
+
+        def counted(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(fks, "terminal_case")
+        counted(fks, "block_systems")
+        counted(group_module, "block_systems")
+        steps = fks_pipeline(G, max_degree=10).steps
+        assert steps[-1]["kind"] == "primitive-terminal"
+        assert steps[-1]["audit"] is not None
+        assert calls == {"terminal_case": 1, "block_systems": 2}
 
 
 class TestIsoPartitions:

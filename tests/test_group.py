@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
-from korbits.group import (PermGroup, alternating_group, block_images, block_systems,
-                           close_group, cyclic_group, dihedral_group,
-                           invariant_partitions_bruteforce, is_abelian,
+from korbits.group import (PermGroup, _is_invariant, alternating_group,
+                           block_images, block_systems, close_group,
+                           cyclic_group, dihedral_group, is_abelian,
                            is_primitive, is_subgroup, is_transitive,
                            klein_four_group, normalizer_in, normalizer_in_sym,
                            orbits_on_points, parse_group, quotient_action,
@@ -19,6 +19,31 @@ from korbits.group import (PermGroup, alternating_group, block_images, block_sys
                            save_group, load_group, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, parse_permutation
+
+
+def invariant_partitions_bruteforce(G):
+    """Oracle: all non-trivial G-invariant partitions, by exhaustive
+    search; exponential in the degree."""
+    n = G.degree
+    out = []
+    for p in _all_partitions(list(range(1, n + 1))):
+        if len(p) in (1, n):
+            continue
+        part = Partition(p)
+        if _is_invariant(G, part):
+            out.append(part)
+    return out
+
+
+def _all_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _all_partitions(rest):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] | {first}] + p[i + 1:]
+        yield p + [{first}]
 
 
 class TestStandardGroups:

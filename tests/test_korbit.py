@@ -20,7 +20,7 @@ from korbits.korbit import (CoherenceVerdict, KSet, _cyclic_classes,
                             acts_transitively_on, aut_of_kset,
                             automorphic_analysis, classify_coherence,
                             co_analysis, coset_k_partitions, initial_tuple,
-                            k_blocks, k_orbits, left_act, load_kset, n_orbit,
+                            k_blocks, k_orbits, left_act, load_kset,
                             orbit_of_tuple, orbits_on_kset, parse_kset,
                             pointwise_tuple_stabilizer, project,
                             render_kset, render_norbit, right_act, save_kset,
@@ -32,6 +32,11 @@ from korbits.subgroups import subgroup_classes
 
 def kset(*tuples):
     return KSet(tuples)
+
+
+def n_orbit(G):
+    """Oracle: the n-orbit of G, all rows g<1..n> for g in G."""
+    return KSet(map(tuple, (G.images + 1).tolist()))
 
 
 class TestKSet:

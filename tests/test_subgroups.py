@@ -1,5 +1,8 @@
 """Subgroup enumeration: class counts, Lagrange, conjugacy structure."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from korbits._backend import decode_keys
 from korbits.catalog import transitive_catalog
 from korbits.errors import ResourceLimitError
 from korbits.group import (PermGroup, alternating_group, cyclic_group,
-                           is_subgroup, klein_four_group, symmetric_group)
+                           is_subgroup, klein_four_group, parse_group,
+                           symmetric_group)
 from korbits.perm import analyze_element
 from korbits.subgroups import (_element_orders, _element_primes,
                                all_subgroups, subgroup_classes)
@@ -20,6 +24,7 @@ CASES = [
     (klein_four_group(), 5, 5),
     (alternating_group(4), 5, 10),
     (symmetric_group(4), 11, 30),
+    (alternating_group(5), 9, 59),
     (symmetric_group(5), 19, 156),
     (alternating_group(6), 22, 501),
     (alternating_group(7), 40, 3786),
@@ -29,7 +34,7 @@ CASES = [
 
 class TestCounts:
     @pytest.mark.parametrize("G,n_classes,n_subs", CASES,
-                             ids=["S3", "V4", "A4", "S4", "S5", "A6", "A7", "S7"])
+                             ids=["S3", "V4", "A4", "S4", "A5", "S5", "A6", "A7", "S7"])
     def test_known_counts(self, G, n_classes, n_subs):
         classes = subgroup_classes(G)
         assert len(classes) == n_classes
@@ -108,6 +113,65 @@ class TestAllSubgroups:
         subs = all_subgroups(symmetric_group(3))
         key = [(H.order, tuple(int(k) for k in H.keys)) for H in subs]
         assert key == sorted(key)
+
+
+def _digest(classes):
+    """SHA-256 of the (order, conjugates) of every class, in class order."""
+    h = hashlib.sha256()
+    for c in classes:
+        h.update(f"{c.order}:{len(c.conjugates)};".encode())
+        for b in c.conjugates:
+            h.update(b)
+    return h.hexdigest()
+
+
+# Lattice digests, recorded with the one-closure-per-candidate search.
+DIGESTS = [
+    (alternating_group(7),
+     "931549b90bdf7b40f6e128c773c7cb8b10842e31c395bc0502bdfba337f92f2f"),
+    (symmetric_group(6),
+     "e59b3b378f8550f3f66cc198e71f55c627a006ae3ac5e809fea2e1f5271e9c17"),
+    (symmetric_group(5),
+     "528a2b55afb0126ae9acb1241b1b977ec637c27ff73786e617e3821ab1346595"),
+    (next(e.group() for e in transitive_catalog(7) if e.order == 168),
+     "0eb2cae75903bcb0019f8e13fad9178bd23a211ec4525d470649f3ad90a49054"),
+    (parse_group("degree 8\n(1 2)\n(1 3)(2 4)\n(1 3 5 7)(2 4 6 8)\n"),
+     "8c385aeb5222b3b9baee869afe07295f0786ec51caa3c9dcf464056f36e2c025"),
+]
+
+
+class TestPinned:
+    @pytest.mark.parametrize("G,digest", DIGESTS,
+                             ids=["A7", "S6", "S5", "PSL32", "S2wrS4"])
+    def test_lattice_bytes(self, G, digest):
+        assert _digest(subgroup_classes(G)) == digest
+
+    def test_batch_boundaries_do_not_matter(self, monkeypatch):
+        """One candidate per batched closure gives the same lattice."""
+        monkeypatch.setattr(_backend, "_BATCH_KEYS", 1)
+        G, digest = DIGESTS[0]
+        assert _digest(subgroup_classes.__wrapped__(G)) == digest
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_alternating_subgroup_of_symmetric(self, n):
+        """Closures that stop early inside S_n (Dixon and Mortimer, Thm
+        5.2B) still find A_n, as one class with one member."""
+        G = symmetric_group(n)
+        half = [c for c in subgroup_classes(G) if c.order == G.order // 2]
+        assert len(half) == 1 and len(half[0].conjugates) == 1
+        assert half[0].rep == alternating_group(n)
+
+    def test_traced_peak_of_a7(self):
+        """The batched closures stay within twice the traced peak of one
+        closure per candidate (1.73 MB)."""
+        G = alternating_group(7)
+        tracemalloc.start()
+        try:
+            subgroup_classes.__wrapped__(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 def test_lattice_closes_in_index_space(monkeypatch):

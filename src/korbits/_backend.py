@@ -1,4 +1,4 @@
-"""Hot kernels: closure, orbit labels, label meet/join, sorted-key
+"""Hot kernels: closure, orbit labels, label join, sorted-key
 membership, and the element index of a group with closure inside it,
 in numpy.
 
@@ -276,12 +276,6 @@ def least_in_orbits(maps, size):
         lab = lab[lab]
         if np.array_equal(lab, prev):
             return lab
-
-
-def meet_labels(a, b):
-    """Labels of the meet of the partitions given by the label arrays a
-    and b, numbered in order of their (a, b) pairs."""
-    return np.unique(a * (b.max() + 1) + b, return_inverse=True)[1]
 
 
 def join_labels(a, b):

@@ -139,8 +139,8 @@ def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
             continue
         projs = [orbit_of_tuple(G, tuple(sorted(c))) for c in classes]
         # the key rows of the N-translates of the first projection
-        keys = {r.tobytes() for r in translate_keys(N, projs[0].rows)[0]}
-        if not all(_backend.encode_rows(p.rows, n).tobytes() in keys
+        keys = translate_keys(N, projs[0].rows)[0]
+        if not all((keys == _backend.encode_rows(p.rows, n)).all(axis=1).any()
                    for p in projs[1:]):
             continue
         qualified.append((Partition(set(c) for c in classes), tuple(projs)))

@@ -343,7 +343,7 @@ def _eval_P_giso(ctx, caps):
         sizes = np.bincount(ids)
         for z in range(sizes.size):
             Z = tuples[ids == z]
-            T = np.unique(translate_keys(G, Z)[0], axis=0)
+            T = translate_keys(G, Z)[0]
             at = ids[np.searchsorted(keys, T)]
             hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
                    & (at[:, 0] != z))
@@ -447,25 +447,24 @@ def _pair_partitions(ly, lz):
     return meet - meet[:, :1], join - join[:, :1]
 
 
-def _first_capcup_failure(G, k, trans, stabs, todo, max_elements):
+def _first_capcup_failure(G, sets, trans, stabs, todo, max_elements):
     """(index in `todo`, reason) of the first failing pair of `todo`,
     or None when all pass.
 
-    `todo` lists pairs (i, j) of k-sets whose translates partition one
-    common union; trans[i] and stabs[i] are `translate_keys` and
-    `stab_of_ksuborbit` of set i. The meets and joins of all pairs are
-    built in one batch; the translate match and the stabilizer mask of
-    a class are computed once per distinct class and partition.
+    `todo` lists pairs (i, j) of the k-sets `sets` whose translates
+    partition one common union; trans[i] and stabs[i] are
+    `translate_keys` and `stab_of_ksuborbit` of sets[i], and each set is
+    found in the union by its own least key. The meets and joins of all
+    pairs are built in one batch; the translate match and the stabilizer
+    mask of a class are computed once per distinct class and partition.
     """
-    n = G.degree
+    n, k = G.degree, sets[0].arity
     union = trans[todo[0][0]][2]
     ly = np.stack([trans[i][3] for i, _ in todo])
     lz = np.stack([trans[j][3] for _, j in todo])
     meet, join = _pair_partitions(ly, lz)
-    # the row of each set's least key: row 0 of G is the identity, so
-    # keys[0] holds the keys of the set itself
-    at = np.searchsorted(union, [t[0][0, 0] for t in trans])
-    matched, fixing = {}, {}
+    at = np.searchsorted(union, _backend.encode_rows([Y.rows[0] for Y in sets], n))
+    matched = {}
 
     def matches(cls, part):
         """Whether the translates of the class with sorted keys `cls`
@@ -479,10 +478,7 @@ def _first_capcup_failure(G, k, trans, stabs, todo, max_elements):
 
     def stabilizer(cls):
         """The mask of the g in G with gC = C, C the class with keys `cls`."""
-        key = cls.tobytes()
-        if key not in fixing:
-            fixing[key] = translate_keys(G, _backend.decode_keys(cls, n, k))[1]
-        return fixing[key]
+        return translate_keys(G, _backend.decode_keys(cls, n, k))[1]
 
     for p, (i, j) in enumerate(todo):
         m, jn, a = meet[p], join[p], at[i]
@@ -544,7 +540,7 @@ def _eval_P_capcup(ctx, caps):
             mismatch = True
             break
         todo.append((i, j))
-    failure = (_first_capcup_failure(G, sets[0].arity, trans, stabs, todo,
+    failure = (_first_capcup_failure(G, sets, trans, stabs, todo,
                                      caps.max_elements) if todo else None)
     if failure:
         p, reason = failure

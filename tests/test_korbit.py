@@ -105,6 +105,15 @@ class TestOrbits:
         G = cyclic_group(4)
         assert orbit_of_tuple(G, (1, 2)) == kset((1, 2), (2, 3), (3, 4), (4, 1))
 
+    def test_orbit_of_tuple_takes_any_sequence(self):
+        G = cyclic_group(4)
+        want = orbit_of_tuple(G, (1, 2))
+        for t in ([1, 2], range(1, 3), np.array([1, 2])):
+            assert orbit_of_tuple(G, t) == want
+        for bad in [(), [], (0, 1), [1, 1], np.array([2, 2]), (1, 5), [5]]:
+            with pytest.raises(DomainError):
+                orbit_of_tuple(G, bad)
+
     def test_n_orbit_size_is_order(self):
         G = dihedral_group(4)
         assert len(n_orbit(G)) == G.order
@@ -611,9 +620,13 @@ class TestTranslatesAndCosets:
                         gY = [frozenset(tuple(int(g[v - 1]) + 1 for v in t)
                                         for t in Y) for g in G.images]
                         union = sorted(set().union(*gY))
-                        distinct = sorted(set(gY), key=min)
+                        # first g, then least key: a stable sort keeps
+                        # the first-g order among equal least keys
+                        distinct = sorted(dict.fromkeys(gY), key=min)
                         keys, fixed, u, labels = translate_keys(G, Y.rows)
-                        assert keys.tolist() == [sorted(code(T)) for T in gY]
+                        assert keys.tolist() == [sorted(code(T))
+                                                 for T in distinct]
+                        assert len(keys) * np.count_nonzero(fixed) == G.order
                         assert fixed.tolist() == [T == set(Y) for T in gY]
                         assert u.tolist() == code(union)
                         if sum(map(len, distinct)) > len(union):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's
-`ast`: no module of src/korbits/ imports a name it never reads, and every
-module-level private function is read somewhere in the package."""
+`ast`: no module of src/korbits/ imports a name it never reads, every
+module-level private function is read somewhere in the package, and
+every public function of `_backend` is read by another module."""
 
 import ast
 import pathlib
@@ -24,17 +25,34 @@ def unused_imports(source):
     return sorted(set(bound) - read)
 
 
+def _functions(tree):
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _read(trees):
+    """The names that expressions of the `trees` read, by name or as an
+    attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
 def unread_private_functions(sources):
     """Module-level private functions of the `sources` (module texts) that
     no expression of any of them reads, by name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
-    defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
-    return sorted(defined - read)
+    defined = {name for tree in trees for name in _functions(tree)
+               if name.startswith("_")}
+    return sorted(defined - _read(trees))
+
+
+def unread_public_functions(source, others):
+    """Module-level public functions of the module text `source` that no
+    expression of the `others` (the other module texts) reads."""
+    defined = {name for name in _functions(ast.parse(source))
+               if not name.startswith("_")}
+    return sorted(defined - _read([ast.parse(other) for other in others]))
 
 
 def test_checker_flags_an_unread_import():
@@ -68,3 +86,19 @@ def test_checker_flags_an_unread_private_function():
 def test_every_private_function_is_read():
     sources = [(SRC / m).read_text() for m in sorted(p.name for p in SRC.glob("*.py"))]
     assert unread_private_functions(sources) == []
+
+
+def test_checker_flags_an_unread_public_function():
+    source = "def used(): pass\ndef only_here(): pass\ndef _private(): pass\n"
+    others = ["from . import _backend\nx = _backend.used()\n"]
+    assert unread_public_functions(source, others) == ["only_here"]
+    assert unread_public_functions(source + "y = only_here()\n", others) \
+        == ["only_here"]
+
+
+def test_every_backend_function_is_read_elsewhere():
+    others = [(SRC / m).read_text()
+              for m in sorted(p.name for p in SRC.glob("*.py"))
+              if m != "_backend.py"]
+    assert unread_public_functions((SRC / "_backend.py").read_text(),
+                                   others) == []

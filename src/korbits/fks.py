@@ -157,15 +157,36 @@ def not_primitive_reason(G):
     return None
 
 
+def _has_full_cycle(G):
+    """Whether G holds an n-cycle: a row whose cycle through point 0 has
+    length n, walked for all rows at once."""
+    rows = np.arange(G.order)
+    at = G.images[:, 0]
+    full = at != 0
+    for _ in range(G.degree - 2):
+        at = G.images[rows, at]
+        full &= at != 0
+    return bool(full.any())
+
+
 def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     """(reason, subgroup): why G is not the terminal case of the reduction
     (primitive in the non-Abelian sense, with no proper transitive
     subgroup), None when it is; and the least proper transitive subgroup
-    in class order when G is primitive and has one, None otherwise."""
+    in class order when G is primitive and has one, None otherwise.
+
+    A transitive subgroup has order at least n, so when G holds an
+    n-cycle that subgroup has order n, and only the classes of order at
+    most n are built (`subgroup_classes(..., upto=n)`, a prefix of the
+    full lattice); other groups read the full lattice."""
     why = not_primitive_reason(G)
     if why:
         return why, None
-    for cls in subgroup_classes(G, max_order=max_subgroup_order):
+    # the unbounded call shares its cache entry with every other caller
+    classes = (subgroup_classes(G, max_order=max_subgroup_order, upto=G.degree)
+               if _has_full_cycle(G)
+               else subgroup_classes(G, max_order=max_subgroup_order))
+    for cls in classes:
         if cls.order < G.order and is_transitive(cls.rep):
             return f"proper transitive subgroup of order {cls.order} exists", cls.rep
     return None, None

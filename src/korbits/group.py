@@ -291,8 +291,9 @@ def quotient_action(G, Q):
     gen_rows = np.array([perm_to_row(g) for g in G.generators],
                         dtype=np.int64).reshape(-1, G.degree)
     gen_at = np.searchsorted(G.keys, _backend.encode_rows(gen_rows, G.degree))
-    return PermGroup(len(Q.classes), np.unique(rows, axis=0),
-                     tuple(row_to_perm(r) for r in rows[gen_at]))
+    m = len(Q.classes)
+    _, first = np.unique(_backend.encode_rows(rows, m), return_index=True)
+    return PermGroup(m, rows[first], tuple(row_to_perm(r) for r in rows[gen_at]))
 
 
 def is_primitive(G, convention="paper"):

@@ -24,6 +24,14 @@ of A_n, and none of S_n but A_n, has index below n (Dixon and
 Mortimer, Permutation Groups, 1996, Thm 5.2B). Such a row is G, or A_n
 inside S_n when H and c are even.
 
+`subgroup_classes(G, upto=d)` keeps only the classes of order at most
+d: a row also stops past d elements and is then dropped, and a
+representative of order above d/2 is not extended. The method reaches
+each subgroup K through subgroups of K alone, and every class is still
+walked over its whole conjugation orbit, so the bounded lattice is the
+order-<= d prefix of the full one, with the same ids, representatives
+and conjugates.
+
 A subgroup's identity is the bytes of its sorted int64 element keys,
 `G.keys[mask]`; a global table of *all* conjugate subgroups by those
 bytes makes class membership a hash lookup. A new class's conjugation
@@ -108,11 +116,14 @@ def _odd(images):
 
 
 @functools.lru_cache(maxsize=64)
-def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
-    """All subgroups of G up to G-conjugacy.
+def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP, upto=None):
+    """All subgroups of G up to G-conjugacy, or, when `upto` is given,
+    those of order at most `upto`.
 
     Returns SubgroupClass records ordered by (order, canonical key
-    signature); ids follow that order and are stable across runs.
+    signature); ids follow that order and are stable across runs, and
+    a bounded call returns the prefix of the full list. `max_order`
+    caps |G| whatever the bound.
     """
     if G.order > max_order:
         raise ResourceLimitError("max-subgroup-order", max_order, G.order,
@@ -139,6 +150,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     # Dixon and Mortimer, Permutation Groups, Thm 5.2B: for n >= 5 no
     # proper subgroup of A_n, and none of S_n but A_n, has index below n
     n = G.degree
+    top = G.order if upto is None else upto
     sym = n >= 5 and G.order == math.factorial(n)
     big = sym or (n >= 5 and G.order == math.factorial(n) // 2)
     alt = ~_odd(G.images) if sym else None      # A_n, when G is S_n
@@ -177,6 +189,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
     while head < len(raw):
         gens, h_idx, _ = raw[head]
         head += 1
+        if 2 * h_idx.size > top:
+            continue                    # every extension is over the bound
         h_mask = np.zeros(G.order, dtype=bool)
         h_mask[h_idx] = True
         maps = [right_map(g) for g in gens]
@@ -186,6 +200,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
                      if G.order % d == 0), default=G.order)
         if big:
             limit = min(limit, G.order // n)
+        limit = min(limit, top)
         # the normalizer N of H
         norm = np.ones(G.order, dtype=bool)
         for g in gens:
@@ -201,7 +216,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
         done = h_mask | (prime == 1) | ~h_mask[root]
         least = _backend.least_in_orbits(n_conj, G.order)
         cands = np.flatnonzero(~done & (least == np.arange(G.order)))
-        # past `limit`, a closure is G, or A_n in S_n when H and c are even
+        # past `limit`, a closure is G, or A_n in S_n when H and c are
+        # even; or it is over the bound, and so is what stands in for it
         h_even = sym and alt[h_idx].all()
         step = max(1, _backend._BATCH_KEYS // limit)
         for start in range(0, cands.size, step):
@@ -212,7 +228,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP):
                 if full:
                     mask = alt if h_even and alt[i] else everything
                 k_idx = np.flatnonzero(mask)
-                if G.keys[k_idx].tobytes() not in seen:
+                if k_idx.size <= top and G.keys[k_idx].tobytes() not in seen:
                     register(k_idx, gens + [i])
 
     signature = lambda e: (e[1].size, _key_array(e[2][0]).tolist())

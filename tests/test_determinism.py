@@ -27,6 +27,8 @@ CHECK_DIGESTS = {
 }
 # render_trace(fks_pipeline(G)) concatenated over the catalogs of degree 2..6
 FKS_DIGEST = "10f0b335ed68a6dd0f892bad297b457cae74d52d6d2cf9f03e0941b1a1621b2f"
+# the same over the degree-7 catalog
+FKS7_DIGEST = "0c45d273ac0a50d3eeef01a9fb2592a39ef21538a2a5c094c64219fdccd06e05"
 # `korbits orbits` and `korbits blocks` JSON reports concatenated over the
 # groups of the degree-5 catalog
 CLI_DIGESTS = {
@@ -66,6 +68,9 @@ with tempfile.TemporaryDirectory() as tmp:
 traces = "".join(render_trace(fks_pipeline(e.group()))
                  for n in range(2, 7) for e in transitive_catalog(n))
 out["fks"] = sha(traces.encode())
+traces = "".join(render_trace(fks_pipeline(e.group()))
+                 for e in transitive_catalog(7))
+out["fks7"] = sha(traces.encode())
 print(json.dumps(out))
 """
 
@@ -85,6 +90,7 @@ def test_golden_digests(hash_seed):
     got = digests(hash_seed)
     assert got["check"] == CHECK_DIGESTS
     assert got["fks"] == FKS_DIGEST
+    assert got["fks7"] == FKS7_DIGEST
     assert {cmd: got[cmd] for cmd in CLI_DIGESTS} == CLI_DIGESTS
 
 

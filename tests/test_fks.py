@@ -1,23 +1,26 @@
 """Fixed-point-free prime-power elements: direct search, quotient
 lifting, the reduction pipeline, trace persistence, the terminal audit."""
 
+import importlib.util
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 
 from korbits import fks, korbit, propcheck
 from korbits import group as group_module
 from korbits.catalog import parse_catalog, transitive_catalog
-from korbits.errors import DomainError, ParseError
+from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.fks import (find_fpf_prime_power, fks_pipeline, iso_partitions,
                          lift_fpf, load_trace, not_primitive_reason,
                          parse_trace, preimages_of, proof_audit, render_trace,
                          replay_trace, save_trace, terminal_case,
                          trace_from_dict, trace_to_dict)
-from korbits.group import (block_systems, close_group, cyclic_group,
-                           dihedral_group, klein_four_group,
-                           normalizer_in_sym, symmetric_group)
+from korbits.group import (alternating_group, block_systems, close_group,
+                           cyclic_group, dihedral_group, is_transitive,
+                           klein_four_group, normalizer_in_sym, parse_group,
+                           symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, analyze_element, parse_permutation
 from korbits.propcheck import SuiteCaps, run_check, run_suite
@@ -38,6 +41,16 @@ def on_pairs(*cycles):
                            for a, b in pairs)
 
     return close_group([act(c) for c in cycles])
+
+
+def bench_fks_groups(seeds):
+    """The groups of the benchmark's `fks` workload at the given seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_group(text) for seed in seeds
+            for text in workloads.make_inputs("fks", seed).values()]
 
 
 class TestDirectSearch:
@@ -247,9 +260,9 @@ class TestAudit:
         the n! search at degree 10 is too large here."""
         calls = []
 
-        def spy(H, max_order=DEFAULT_SUBGROUP_CAP):
+        def spy(H, max_order=DEFAULT_SUBGROUP_CAP, **bound):
             calls.append(max_order)
-            return subgroup_classes(H, max_order=max_order)
+            return subgroup_classes(H, max_order=max_order, **bound)
 
         N = on_pairs("(1 2)", "(1 2 3 4 5)")
         monkeypatch.setattr(fks, "normalizer_in_sym",
@@ -370,6 +383,74 @@ class TestTerminalCase:
         assert steps[-1]["kind"] == "primitive-terminal"
         assert steps[-1]["audit"] is not None
         assert calls == {"terminal_case": 1, "block_systems": 2}
+
+    def test_subgroup_matches_the_full_lattice(self):
+        """The descent subgroup is the first proper transitive class of
+        the full lattice, whether `terminal_case` read the lattice
+        bounded at the degree (G holds an n-cycle) or the full one."""
+        groups = [e.group() for n in range(2, 8) for e in transitive_catalog(n)]
+        groups += bench_fks_groups(range(4))
+        groups.append(on_pairs("(1 2 3)", "(1 2 3 4 5)"))
+        for G in groups:
+            why, A = terminal_case(G)
+            if not_primitive_reason(G):
+                assert (why, A) == (not_primitive_reason(G), None)
+                continue
+            want = next((c.rep for c in subgroup_classes(G)
+                         if c.order < G.order and is_transitive(c.rep)), None)
+            assert A == want
+            assert why == (None if A is None else
+                           f"proper transitive subgroup of order {A.order} exists")
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_full_cycle_matches_cycle_decomposition(self, n):
+        for entry in transitive_catalog(n):
+            G = entry.group()
+            want = any(len(c) == n > 1 for g in G.elements for c in g.cycles())
+            assert fks._has_full_cycle(G) == want, entry.entry_id
+
+    @pytest.mark.parametrize("G,bounded", [
+        (symmetric_group(6), True),
+        (alternating_group(7), True),
+        (alternating_group(6), False),
+        (next(e.group() for e in transitive_catalog(6) if e.order == 60), False),
+        (on_pairs("(1 2 3)", "(1 2 3 4 5)"), False),
+    ], ids=["S6", "A7", "A6", "PSL25", "A5-pairs"])
+    def test_reads_one_lattice(self, monkeypatch, G, bounded):
+        """A group with an n-cycle has its lattice built up to order n;
+        any other group reads the one cached full lattice that every
+        other caller reads, without building a second."""
+        subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP)
+        before = subgroup_classes.cache_info()
+        calls = []
+
+        def spy(H, **kwargs):
+            calls.append(kwargs)
+            return subgroup_classes(H, **kwargs)
+
+        monkeypatch.setattr(fks, "subgroup_classes", spy)
+        terminal_case(G)
+        after = subgroup_classes.cache_info()
+        if bounded:
+            assert calls == [{"max_order": DEFAULT_SUBGROUP_CAP,
+                              "upto": G.degree}]
+        else:
+            assert calls == [{"max_order": DEFAULT_SUBGROUP_CAP}]
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("G,cap,need", [
+        (symmetric_group(8), DEFAULT_SUBGROUP_CAP, 40320),
+        (alternating_group(7), 100, 2520),
+    ], ids=["S8", "A7"])
+    def test_cap_names_its_flag(self, G, cap, need):
+        """A group over the cap raises before any lattice is built,
+        bounded or not, with the flag that raises the cap."""
+        msg = (f"max-subgroup-order cap exceeded: need {need}, cap is {cap} "
+               "(raise with --max-subgroup-order)")
+        for run in (terminal_case, fks_pipeline):
+            with pytest.raises(ResourceLimitError) as exc:
+                run(G, max_subgroup_order=cap)
+            assert str(exc.value) == msg
 
 
 class TestIsoPartitions:

@@ -188,6 +188,58 @@ def test_lattice_closes_in_index_space(monkeypatch):
     assert sum(len(c.conjugates) for c in classes) == 156
 
 
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _class_records(classes):
+    return [(c.class_id, c.order, c.conjugates, c.rep.keys.tobytes())
+            for c in classes]
+
+
+def _bounded_cases():
+    """S3-S6, A4-A6 and the catalog groups of degree <= 7 and order
+    <= 720, each once."""
+    cases = {f"S{n}": symmetric_group(n) for n in range(3, 7)}
+    cases.update({f"A{n}": alternating_group(n) for n in range(4, 7)})
+    for n in range(1, 8):
+        for e in transitive_catalog(n):
+            G = e.group()
+            if e.order <= 720 and G not in cases.values():
+                cases[e.entry_id] = G
+    return cases
+
+
+BOUNDED = _bounded_cases()
+
+
+class TestBounded:
+    """`subgroup_classes(G, upto=d)` is the order-<= d prefix of the full
+    lattice: the same ids, orders, conjugates and representatives."""
+
+    def assert_prefix(self, G, bounds):
+        full = subgroup_classes(G)
+        for d in bounds:
+            bounded = subgroup_classes.__wrapped__(G, upto=d)
+            assert _class_records(bounded) == \
+                _class_records([c for c in full if c.order <= d]), d
+
+    @pytest.mark.parametrize("G", BOUNDED.values(), ids=BOUNDED.keys())
+    def test_every_divisor_bound(self, G):
+        """Every divisor of |G|; for S5 and S6 that includes bounds
+        below |G|/n and |G|/2, which keeps A_n."""
+        self.assert_prefix(G, _divisors(G.order))
+
+    @pytest.mark.parametrize("G", [alternating_group(7), symmetric_group(7)],
+                             ids=["A7", "S7"])
+    def test_degree_seven(self, G):
+        """The divisors up to 2n, a bound below |G|/n (past which a
+        closure in S_n is S_n or A_n), and |G|/2, which keeps A_7 in S_7."""
+        n = G.degree
+        bounds = [d for d in _divisors(G.order) if d <= 2 * n]
+        self.assert_prefix(G, bounds + [G.order // n - 1, G.order // 2])
+
+
 def test_order_cap():
     with pytest.raises(ResourceLimitError):
         subgroup_classes(symmetric_group(7), max_order=100)

@@ -13,7 +13,7 @@ matching image keys against the sorted keys of the rows by
 `row_index`, `close_index`, `greedy_generators` and `least_in_orbits`
 work on row numbers of a group's sorted element array instead of keys;
 `close_index` closes many index sets at once. `fixed_rows`, the
-one setwise-stabilizer filter, reads a group's rows or `sym_images`.
+one setwise-stabilizer filter, reads a group's rows or `sym_chunks`.
 """
 
 import itertools
@@ -45,7 +45,8 @@ _BATCH_KEYS = 4096
 
 # Image keys per chunk of `fixed_rows` and of the position matrix of
 # propcheck._aut_suborbit_partition_failure: a chunk of elements that
-# map w point rows each holds about max(KEY_BUDGET, w) keys.
+# map w point rows each holds about max(KEY_BUDGET, w) keys. A chunk
+# of `sym_chunks` holds about KEY_BUDGET points.
 KEY_BUDGET = 1 << 18
 
 
@@ -72,16 +73,25 @@ def in_sorted(sorted_keys, keys):
     return sorted_keys[pos] == keys
 
 
-def _arrangements(n, k):
-    """All k-tuples of distinct points of range(n), in key order."""
-    count = math.perm(n, k)
+def _arrangements(n, k, rows):
+    """All k-tuples of distinct points of range(n), in key order, in
+    chunks of at most `rows` tuples."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
+    left = math.perm(n, k)
+    while left:
+        count = min(rows, left)
+        left -= count
+        yield np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
 
 
-def sym_images(n):
-    """Every permutation of degree n as an image row, in key order."""
-    return _arrangements(n, n)
+def sym_chunks(n, max_elements):
+    """Every permutation of degree n as an image row, in key order, in
+    chunks of at most max(1, KEY_BUDGET // n) rows. Raises
+    ResourceLimitError, before it enumerates any, when n! > max_elements."""
+    total = math.factorial(n)
+    if total > max_elements:
+        raise ResourceLimitError("max-elements", max_elements, total, flag="--max-elements")
+    return _arrangements(n, n, max(1, KEY_BUDGET // n))
 
 
 def fixed_rows(images, rows):
@@ -307,5 +317,5 @@ def tuple_orbits(images, k, max_tuples):
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
         raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
-    tuples = _arrangements(n, k)
+    [tuples] = _arrangements(n, k, total)
     return tuples, orbit_labels(images, tuples)

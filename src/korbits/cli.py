@@ -14,8 +14,7 @@ import sys
 from . import catalog as cat
 from . import fks, propcheck
 from .errors import KorbitsError
-from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, is_primitive,
-                    is_transitive, load_group)
+from .group import DEFAULT_ELEMENT_CAP, is_primitive, is_transitive, load_group
 from .korbit import (DEFAULT_TUPLE_CAP, classify_coherence, co_analysis,
                      k_blocks, k_orbits, render_norbit)
 from .subgroups import DEFAULT_SUBGROUP_CAP
@@ -43,7 +42,6 @@ def _positive(text):
 
 _OPTIONS = {
     "--max-elements": {"type": _positive, "default": DEFAULT_ELEMENT_CAP},
-    "--max-degree": {"type": _positive, "default": DEFAULT_DEGREE_CAP},
     "--max-tuples": {"type": _positive, "default": DEFAULT_TUPLE_CAP},
     "--max-subgroup-order": {"type": _positive, "default": DEFAULT_SUBGROUP_CAP},
     "--convention": {"choices": ("classical", "paper"), "default": "paper"},
@@ -52,12 +50,12 @@ _OPTIONS = {
 # the cap and convention flags of each subcommand: those its code reads
 _FLAGS = {
     "orbits": ("--max-elements", "--max-tuples", "--max-subgroup-order", "--convention"),
-    "blocks": ("--max-elements", "--max-degree", "--max-tuples", "--convention"),
+    "blocks": ("--max-elements", "--max-tuples", "--convention"),
     "render": ("--max-elements",),
     "catalog": ("--max-subgroup-order",),
-    "check": ("--max-elements", "--max-degree", "--max-tuples", "--max-subgroup-order"),
-    "fks": ("--max-elements", "--max-degree", "--max-subgroup-order"),
-    "audit": ("--max-elements", "--max-degree", "--max-subgroup-order"),
+    "check": ("--max-elements", "--max-tuples", "--max-subgroup-order"),
+    "fks": ("--max-elements", "--max-subgroup-order"),
+    "audit": ("--max-elements", "--max-subgroup-order"),
 }
 
 
@@ -158,7 +156,7 @@ def cmd_blocks(args):
     for k in _ks(args, G.degree):
         for X in k_orbits(G, k, max_tuples=args.max_tuples):
             fam, part, disjoint = co_analysis(X)
-            _, blocks = k_blocks(X, max_aut_points=args.max_degree)
+            _, blocks = k_blocks(X, max_elements=args.max_elements)
             rep = (X.rows[0] + 1).tolist()
             records.append({
                 "record": "blocks", "k": k, "rep": rep,
@@ -206,7 +204,6 @@ def cmd_check(args):
     elif not args.all:
         raise KorbitsError("check needs --check ID[,ID...] or --all")
     caps = propcheck.SuiteCaps(max_subgroup_order=args.max_subgroup_order,
-                               max_degree=args.max_degree,
                                max_elements=args.max_elements,
                                max_tuples=args.max_tuples)
     report = propcheck.run_suite(c, k_range=_ks(args, c.degree), check_ids=ids,
@@ -219,7 +216,7 @@ def cmd_check(args):
 def cmd_fks(args):
     G = load_group(args.group, max_elements=args.max_elements)
     trace = fks.fks_pipeline(G, max_subgroup_order=args.max_subgroup_order,
-                             max_degree=args.max_degree)
+                             max_elements=args.max_elements)
     _emit(args, fks.render_trace(trace),
           f"fixed-point-free prime-power element: "
           f"{trace.result['element']} of order {trace.result['order']}\n")
@@ -229,7 +226,7 @@ def cmd_fks(args):
 def cmd_audit(args):
     G = load_group(args.group, max_elements=args.max_elements)
     record = fks.proof_audit(G, max_subgroup_order=args.max_subgroup_order,
-                             max_degree=args.max_degree)
+                             max_elements=args.max_elements)
     _emit(args, _jsonl([record.as_dict()]),
           f"closed: {record.closed}, normalizer proper: "
           f"{record.normalizer_proper}, k = {record.chosen_k}\n")

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError
-from .group import (DEFAULT_DEGREE_CAP, block_images, block_systems,
-                    is_primitive, is_transitive, normalizer_in_sym, perm_to_row,
-                    quotient_action, row_to_perm)
+from .group import (DEFAULT_ELEMENT_CAP, block_images, block_systems,
+                    close_group, is_primitive, is_transitive, normalizer_in_sym,
+                    perm_to_row, quotient_action, row_to_perm)
 from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
                      setwise_point_stabilizer, translate_keys)
 from .partition import Partition
@@ -193,12 +193,12 @@ def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
 
 
 def terminal_partitions(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                        max_degree=DEFAULT_DEGREE_CAP):
+                        max_elements=DEFAULT_ELEMENT_CAP):
     """(N, k, found) for a terminal G: N its normalizer in Sym, k the
     largest automorphic divisor of the degree (1 when none), and found
     the (partition, projections, coherence kind of each projection) of
     every iso partition of G into k-element sets."""
-    N = normalizer_in_sym(G, max_degree=max_degree)
+    N = normalizer_in_sym(G, max_elements=max_elements)
     report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
     k = report.max_automorphic_degree_divisor() or 1
     found = []
@@ -247,7 +247,7 @@ class AuditRecord:
 
 
 def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                max_degree=DEFAULT_DEGREE_CAP):
+                max_elements=DEFAULT_ELEMENT_CAP):
     """Audit the reduction argument for the terminal case on G.
 
     Preconditions are checked and violations named: G must be
@@ -255,16 +255,16 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     transitive subgroup.  Findings are reported even when they
     contradict the claims the audit is probing (e.g. no qualifying
     partition exists).  max_subgroup_order caps every subgroup lattice
-    and max_degree the n! normalizer search."""
+    and max_elements the n! permutations of the normalizer search."""
     why, _ = terminal_case(G, max_subgroup_order)
     if why:
         raise DomainError(f"audit hypothesis violated: {why}")
-    return _audit_terminal(G, max_subgroup_order, max_degree)
+    return _audit_terminal(G, max_subgroup_order, max_elements)
 
 
-def _audit_terminal(G, max_subgroup_order, max_degree):
+def _audit_terminal(G, max_subgroup_order, max_elements):
     """`proof_audit` on a G that `terminal_case` has found terminal."""
-    N, k, found = terminal_partitions(G, max_subgroup_order, max_degree)
+    N, k, found = terminal_partitions(G, max_subgroup_order, max_elements)
     report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
     k_var = report.max_automorphic_order_divisor() or 1
     findings = []
@@ -338,7 +338,7 @@ def trace_from_dict(d):
 
 
 def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                 max_degree=DEFAULT_DEGREE_CAP):
+                 max_elements=DEFAULT_ELEMENT_CAP):
     """Run the reduction argument on a transitive group G and return a
     ReductionTrace ending in a verified fpf prime-power element.
 
@@ -347,7 +347,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     proper transitive subgroup when one exists, and otherwise run
     proof_audit; Abelian groups with no block system (prime degree) go
     straight to direct search.  A direct search always runs last and
-    disagreements with the reduction are recorded."""
+    disagreements with the reduction are recorded.  An audit over one
+    of proof_audit's caps records the error as its audit_error."""
     if not is_transitive(G):
         raise DomainError("the pipeline requires a transitive group")
     steps = []
@@ -360,7 +361,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
         for Q in systems:
             quot = quotient_action(G, Q)
             sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
-                               max_degree=max_degree)
+                               max_elements=max_elements)
             g_quot = sub.element()
             step = {"kind": "quotient",
                     "blocks": [sorted(c) for c in Q.classes],
@@ -379,7 +380,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
         why, A = terminal_case(G, max_subgroup_order)
         if A is not None:
             sub = fks_pipeline(A, max_subgroup_order=max_subgroup_order,
-                               max_degree=max_degree)
+                               max_elements=max_elements)
             reduced = sub.element()
             steps.append({"kind": "descend-to-transitive-subgroup",
                           "subgroup_generators": [g.cycle_string()
@@ -394,7 +395,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
             if not why:
                 try:
                     audit, audit_error = _audit_terminal(
-                        G, max_subgroup_order, max_degree).as_dict(), None
+                        G, max_subgroup_order, max_elements).as_dict(), None
                 except Exception as exc:   # caps; recorded, never fatal
                     audit_error = str(exc)
             steps.append({"kind": "primitive-terminal",
@@ -420,15 +421,13 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
 
 
 def replay_trace(trace, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                 max_degree=DEFAULT_DEGREE_CAP):
-    """Re-run the pipeline on the trace's group, with the caps it was
-    made with; True when the rerun reproduces the trace exactly."""
-    from .group import close_group
-
+                 max_elements=DEFAULT_ELEMENT_CAP):
+    """Re-run the pipeline on the trace's group, closed under the caps it
+    was made with; True when the rerun reproduces the trace exactly."""
     gens = [parse_permutation(s, trace.degree) for s in trace.generators]
-    G = close_group(gens, degree=trace.degree)
+    G = close_group(gens, degree=trace.degree, max_elements=max_elements)
     return fks_pipeline(G, max_subgroup_order=max_subgroup_order,
-                        max_degree=max_degree) == trace
+                        max_elements=max_elements) == trace
 
 
 # ---------------------------------------------------------------------------

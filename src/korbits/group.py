@@ -17,9 +17,8 @@ from .partition import Partition
 from .perm import (Permutation, content_lines, parse_header, parse_permutation,
                    parse_permutation_at)
 
+# every enumeration of group elements: closures and Sym(m) (`--max-elements`)
 DEFAULT_ELEMENT_CAP = 10 ** 6
-# points of the n! normalizer search and of Aut(X) (`--max-degree`)
-DEFAULT_DEGREE_CAP = 8
 
 
 def perm_to_row(p):
@@ -42,7 +41,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
-                 "_generators", "_elements", "_inv_images")
+                 "_generators", "_elements")
 
     def __init__(self, degree, images, generators=None):
         object.__setattr__(self, "degree", int(degree))
@@ -59,7 +58,6 @@ class PermGroup:
         object.__setattr__(self, "_generators",
                            None if generators is None else tuple(generators))
         object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_inv_images", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PermGroup is immutable")
@@ -77,12 +75,6 @@ class PermGroup:
             elems = tuple(row_to_perm(r) for r in self.images)
             object.__setattr__(self, "_elements", elems)
         return self._elements
-
-    @property
-    def inv_images(self):
-        if self._inv_images is None:
-            object.__setattr__(self, "_inv_images", np.argsort(self.images, axis=1))
-        return self._inv_images
 
     def identity(self):
         return Permutation.identity(self.degree)
@@ -147,11 +139,16 @@ def is_subgroup(A, G):
     return A.degree == G.degree and bool(_backend.in_sorted(G.keys, A.keys).all())
 
 
-def conjugate_elementwise(G, h_row):
-    """Keys of x*h*x^-1 for every x in G, aligned with G.images rows;
-    h is a 0-based image row."""
-    conj = np.take_along_axis(G.images, h_row[G.inv_images], axis=1)
-    return _backend.encode_rows(conj, G.degree)
+def normalizer_mask(rows, gens, keys):
+    """The mask of the permutation rows x of `rows` that normalize the
+    group with sorted element keys `keys` and generator rows `gens`:
+    x*h*x^-1, which maps x(i) to x(h(i)), is in it for every h in gens."""
+    mask = np.ones(rows.shape[0], dtype=bool)
+    conj = np.empty_like(rows)
+    for h in gens:
+        np.put_along_axis(conj, rows, rows[:, h], axis=1)
+        mask &= _backend.in_sorted(keys, _backend.encode_rows(conj, rows.shape[1]))
+    return mask
 
 
 def conjugate_rows_by(rows, g_row):
@@ -314,23 +311,21 @@ def is_primitive(G, convention="paper"):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def normalizer_in_sym(G, max_degree=DEFAULT_DEGREE_CAP):
-    """N_{S_n}(G) by filtering all n! permutations."""
-    n = G.degree
-    if n > max_degree:
-        raise ResourceLimitError("max-degree", max_degree, n, flag="--max-degree")
-    sym = PermGroup(n, _backend.sym_images(n))
-    return normalizer_in(sym, G)
+def normalizer_in_sym(G, max_elements=DEFAULT_ELEMENT_CAP):
+    """N_{S_n}(G) by filtering all n! permutations, one chunk of
+    `_backend.sym_chunks` at a time; n! counts against max_elements."""
+    gens = [perm_to_row(h) for h in G.generators]
+    rows = [c[normalizer_mask(c, gens, G.keys)]
+            for c in _backend.sym_chunks(G.degree, max_elements)]
+    return PermGroup(G.degree, np.concatenate(rows))
 
 
 def normalizer_in(W, G):
     """N_W(G) = {x in W : x G x^-1 = G}."""
     if G.degree != W.degree:
         raise DomainError("degree mismatch")
-    mask = np.ones(W.order, dtype=bool)
-    for h in G.generators:
-        mask &= _backend.in_sorted(G.keys, conjugate_elementwise(W, perm_to_row(h)))
-    return PermGroup(W.degree, W.images[mask])
+    gens = [perm_to_row(h) for h in G.generators]
+    return PermGroup(W.degree, W.images[normalizer_mask(W.images, gens, G.keys)])
 
 
 # ---------------------------------------------------------------------------

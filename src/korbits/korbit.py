@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .errors import DomainError, ParseError, ResourceLimitError
-from .group import (DEFAULT_DEGREE_CAP, PermGroup, is_subgroup,
+from .errors import DomainError, ParseError
+from .group import (DEFAULT_ELEMENT_CAP, PermGroup, is_subgroup,
                     orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
 from .perm import content_lines, parse_header
@@ -233,17 +233,17 @@ class KBlock:
     aut_transitive: bool
 
 
-def k_blocks(X, max_aut_points=DEFAULT_DEGREE_CAP):
+def k_blocks(X, max_elements=DEFAULT_ELEMENT_CAP):
     """Group X's tuples by identical coordinate set.
 
     Returns (partition of X's tuples, list of KBlock in canonical
-    order)."""
+    order); max_elements bounds the k! filter of each block's Aut."""
     sets, label = np.unique(np.sort(X.rows, axis=1), axis=0,
                             return_inverse=True)
     blocks = []
     for i, co in enumerate((sets + 1).tolist()):
         ks = _kset(X.rows[label == i])
-        aut = aut_of_kset(ks, max_points=max_aut_points)
+        aut = aut_of_kset(ks, max_elements=max_elements)
         blocks.append(KBlock(kset=ks, points=frozenset(co), aut=aut,
                              aut_transitive=acts_transitively_on(aut, co)))
     return Partition.from_labels(X.tuples, label.tolist()), blocks
@@ -401,19 +401,19 @@ def setwise_point_stabilizer(G, points):
 
 
 @functools.lru_cache(maxsize=4096)
-def aut_of_kset(X, degree=None, max_points=DEFAULT_DEGREE_CAP):
+def aut_of_kset(X, degree=None, max_elements=DEFAULT_ELEMENT_CAP):
     """{s in Sym(u) : sX = X} for the points u of X, embedded at the
-    ambient degree (default: the largest point of X) fixing the rest."""
+    ambient degree (default: the largest point of X) fixing the rest,
+    filtered from Sym(u) one `_backend.sym_chunks` chunk at a time;
+    |u|! counts against max_elements."""
     u = np.unique(X.rows)
-    if u.size > max_points:
-        raise ResourceLimitError("max-aut-points", max_points, u.size,
-                                 flag="--max-degree")
     if degree is None:
         degree = int(u[-1]) + 1
     elif degree <= u[-1]:
         raise DomainError(f"point {u[-1] + 1} out of range for degree {degree}")
-    sym = _backend.sym_images(u.size)
-    sym = sym[_backend.fixed_rows(sym, np.searchsorted(u, X.rows))]
+    rows = np.searchsorted(u, X.rows)
+    sym = np.concatenate([c[_backend.fixed_rows(c, rows)]
+                          for c in _backend.sym_chunks(u.size, max_elements)])
     aut = np.tile(np.arange(degree, dtype=np.int64), (len(sym), 1))
     aut[:, u] = u[sym]
     return PermGroup(degree, aut)

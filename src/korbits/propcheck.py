@@ -20,9 +20,9 @@ import numpy as np
 from . import _backend
 from .errors import DomainError, ResourceLimitError
 from .fks import not_primitive_reason, terminal_case, terminal_partitions
-from .group import (DEFAULT_DEGREE_CAP, DEFAULT_ELEMENT_CAP, close_group,
-                    conjugate_rows_by, is_subgroup, is_transitive,
-                    normalizer_in, normalizer_in_sym, perm_to_row)
+from .group import (DEFAULT_ELEMENT_CAP, close_group, conjugate_rows_by,
+                    is_subgroup, is_transitive, normalizer_in,
+                    normalizer_in_sym, perm_to_row)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -150,7 +150,7 @@ def _terminal(ctx, caps):
 
 def _normalizer_exceeds(G, caps):
     """The conclusion of L_alt_norm and C_no_tr: N_Sym(G) is larger than G."""
-    N = normalizer_in_sym(G, max_degree=caps.max_degree)
+    N = normalizer_in_sym(G, max_elements=caps.max_elements)
     if N == G:
         return _fail({"reason": "group is self-normalizing in the symmetric "
                                 "group", "normalizer_order": N.order})
@@ -168,7 +168,7 @@ def _aut_partition_gate(G, X, caps):
     """(Aut(X), why): why the hypothesis of L_H_order, P_triv_norm and
     T_coherent, that every suborbit's Aut-translate set is a partition,
     fails on X; None when it holds."""
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
     if _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order) is None:
         return aut, None
     return aut, "some suborbit's Aut-translate set is not a partition"
@@ -240,7 +240,7 @@ def _eval_P_stab_co(ctx, caps):
     G = setwise_point_stabilizer(W, frozenset(alpha))
     H = pointwise_tuple_stabilizer(G, alpha)
     X = orbit_of_tuple(G, alpha)
-    aut = aut_of_kset(X, degree=W.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=W.degree, max_elements=caps.max_elements)
     if not _is_normal(H, G):
         return _fail({"reason": "tuple stabilizer not normal in the "
                                 "coordinate-set stabilizer",
@@ -375,7 +375,7 @@ def _eval_C_no_tr(ctx, caps):
 def _eval_P_equal_classes(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
     rows = X.rows
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
         sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
@@ -397,7 +397,7 @@ def _eval_L_grAB(ctx, caps):
         pairs = [(A, B, alpha)]
     else:
         X = _orbit_from_ctx(G, ctx)
-        aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+        aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
         t0 = _rep(X)
         # subgroup class reps of Aut whose orbit of t0 is regular
         regs = [cls.rep for cls in subgroup_classes(
@@ -579,9 +579,9 @@ def _eval_P_incoherent(ctx, caps):
     if verdict.kind != "incoherent":
         return _na(f"k-orbit is {verdict.kind}"
                    + (" (trivial)" if verdict.trivial else ""))
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
     notes = None
-    _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
+    _, blocks = k_blocks(X, max_elements=caps.max_elements)
     if len(blocks) == 2:
         Y = blocks[0].kset
         SY, _ = stab_of_ksuborbit(aut, Y)
@@ -638,7 +638,7 @@ def _eval_L_elcoh_part(ctx, caps):
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("k-orbit is not elementary coherent")
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
     bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
     if bad is not None:
         return _fail({"reason": "Aut(X)-translates of a suborbit are not a "
@@ -654,7 +654,7 @@ def _eval_T_elcoh(ctx, caps):
                                  max_subgroup_order=caps.max_subgroup_order)
     if verdict.kind != "elementary-coherent":
         return _na("k-orbit is not elementary coherent")
-    aut = aut_of_kset(X, degree=G.degree, max_points=caps.max_degree)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
     if aut.order != len(X):
         return _fail({"reason": "elementary coherent k-orbit with "
                                 "|Aut(X)| != |X|",
@@ -667,7 +667,7 @@ def _eval_L_block_aut(ctx, caps):
     X = _orbit_from_ctx(G, ctx)
     if not _is_automorphic(G, _rep(X), caps):
         return _na("not a right-automorphic k-orbit: no automorphic tuple")
-    _, blocks = k_blocks(X, max_aut_points=caps.max_degree)
+    _, blocks = k_blocks(X, max_elements=caps.max_elements)
     for b in blocks:
         if not b.aut_transitive:
             return _fail({"reason": "k-block automorphism group is not "
@@ -681,7 +681,7 @@ def _eval_L_proof_elcoh(ctx, caps):
     G, why = _terminal(ctx, caps)
     if why:
         return _na(why)
-    _, k, found = terminal_partitions(G, caps.max_subgroup_order, caps.max_degree)
+    _, k, found = terminal_partitions(G, caps.max_subgroup_order, caps.max_elements)
     if not found:
         return _na(f"no qualifying partition into {k}-element isomorphic "
                    f"suborbits exists")
@@ -816,11 +816,11 @@ def check_ids():
 @dataclass(frozen=True)
 class SuiteCaps:
     """The caps of `korbits check`, one per flag, each reaching every call
-    that can exceed it: `max_degree` bounds the n! normalizer search and
-    the points of Aut(X), `max_elements` every group closure and
+    that can exceed it: `max_subgroup_order` bounds every subgroup
+    lattice, `max_elements` every enumeration of group elements (each
+    closure, the n! normalizer search and the m! filter of Aut(X)) and
     `max_tuples` every k-tuple enumeration."""
     max_subgroup_order: int = DEFAULT_SUBGROUP_CAP
-    max_degree: int = DEFAULT_DEGREE_CAP
     max_elements: int = DEFAULT_ELEMENT_CAP
     max_tuples: int = DEFAULT_TUPLE_CAP
 

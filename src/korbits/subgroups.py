@@ -17,12 +17,13 @@ by one batched breadth-first search over (candidate, element) pairs
 (`_backend.close_index`): every row starts from H's mask, follows the
 right-multiplication maps of H's generators, computed once per
 representative, and multiplies only its own frontier by its c. Batches
-hold about `_backend._BATCH_KEYS` marks. A row stops once it passes the
-largest order that Lagrange's theorem leaves below G; for G = S_n or
-A_n with n >= 5 it stops past |G|/n elements, since no proper subgroup
-of A_n, and none of S_n but A_n, has index below n (Dixon and
-Mortimer, Permutation Groups, 1996, Thm 5.2B). Such a row is G, or A_n
-inside S_n when H and c are even.
+hold about `_backend._BATCH_KEYS` marks, in at most 8 *
+`_backend.KEY_BUDGET` bytes of |G|-byte masks. A row stops once it
+passes the largest order that Lagrange's theorem leaves below G; for
+G = S_n or A_n with n >= 5 it stops past |G|/n elements, since no
+proper subgroup of A_n, and none of S_n but A_n, has index below n
+(Dixon and Mortimer, Permutation Groups, 1996, Thm 5.2B). Such a row
+is G, or A_n inside S_n when H and c are even.
 
 `subgroup_classes(G, upto=d)` keeps only the classes of order at most
 d: a row also stops past d elements and is then dropped, and a
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ResourceLimitError
-from .group import PermGroup, conjugate_elementwise, conjugate_rows_by
+from .group import PermGroup, conjugate_rows_by, normalizer_mask
 from .perm import _factorize
 
 DEFAULT_SUBGROUP_CAP = 10 ** 4
@@ -202,10 +203,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP, upto=None):
             limit = min(limit, G.order // n)
         limit = min(limit, top)
         # the normalizer N of H
-        norm = np.ones(G.order, dtype=bool)
-        for g in gens:
-            norm &= _backend.in_sorted(G.keys[h_idx],
-                                       conjugate_elementwise(G, G.images[g]))
+        norm = normalizer_mask(G.images, G.images[gens], G.keys[h_idx])
         n_conj = [conj_map(g) for g in _backend.greedy_generators(
             G.images, index, norm, h_mask.copy(), gens, maps)]
         # Extension candidates: the elements c of order p^a outside H
@@ -219,7 +217,8 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP, upto=None):
         # past `limit`, a closure is G, or A_n in S_n when H and c are
         # even; or it is over the bound, and so is what stands in for it
         h_even = sym and alt[h_idx].all()
-        step = max(1, _backend._BATCH_KEYS // limit)
+        step = max(1, min(_backend._BATCH_KEYS // limit,
+                          8 * _backend.KEY_BUDGET // G.order))
         for start in range(0, cands.size, step):
             batch = cands[start:start + step]
             masks = np.tile(h_mask, (batch.size, 1))

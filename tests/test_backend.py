@@ -1,13 +1,14 @@
 """Closure and tuple-orbit kernels against brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from korbits import _backend
+from korbits import _backend, group, korbit
 from korbits.errors import ResourceLimitError
 
 
@@ -228,15 +229,38 @@ class TestTupleOrbits:
 
 
 class TestSetwiseFilter:
-    def test_sym_images_are_every_permutation_in_key_order(self):
-        for n in range(1, 6):
-            rows = _backend.sym_images(n)
-            assert rows.tolist() == list(map(list, itertools.permutations(range(n))))
-            assert np.all(np.diff(_backend.encode_rows(rows, n)) > 0)
+    def test_sym_chunks_are_every_permutation_in_key_order(self, monkeypatch):
+        for budget in (1, 7, 100, 1 << 18):
+            monkeypatch.setattr(_backend, "KEY_BUDGET", budget)
+            for n in range(1, 8):
+                chunks = list(_backend.sym_chunks(n, math.factorial(n)))
+                assert all(len(c) <= max(1, budget // n) for c in chunks)
+                rows = np.concatenate(chunks)
+                assert rows.tolist() == list(map(list, itertools.permutations(range(n))))
+                assert np.all(np.diff(_backend.encode_rows(rows, n)) > 0)
+
+    def test_sym_filters_read_one_chunk_at_a_time(self, monkeypatch):
+        """At degree 8, with chunks of 1,000 rows, Aut(X) and N_Sym(G)
+        filter one chunk per call, and agree with the one-chunk filters."""
+        G = group.cyclic_group(8)
+        X = korbit.k_orbits(G, 2)[0]
+        aut_of_kset = korbit.aut_of_kset.__wrapped__
+        normalizer_in_sym = group.normalizer_in_sym.__wrapped__
+        want = aut_of_kset(X), normalizer_in_sym(G)
+        monkeypatch.setattr(_backend, "KEY_BUDGET", 8 * 1000)
+        filtered = []
+        for mod, name in ((_backend, "fixed_rows"), (group, "normalizer_mask")):
+            def spy(rows, *args, real=getattr(mod, name)):
+                filtered.append(len(rows))
+                return real(rows, *args)
+            monkeypatch.setattr(mod, name, spy)
+        assert (aut_of_kset(X), normalizer_in_sym(G)) == want
+        assert max(filtered) == 1000
+        assert sum(filtered) == 2 * math.factorial(8)
 
     @given(st.integers(min_value=1, max_value=3), st.data())
     def test_fixed_rows_matches_set_images(self, k, data):
-        images = _backend.sym_images(5)
+        images = np.concatenate(list(_backend.sym_chunks(5, 120)))
         picked = data.draw(st.sets(st.tuples(*[st.integers(0, 4)] * k)
                                    .filter(lambda t: len(set(t)) == k),
                                    min_size=1, max_size=8))

@@ -15,28 +15,32 @@ from korbits.group import (close_group, cyclic_group, normalizer_in_sym,
 from korbits.korbit import aut_of_kset, k_orbits, orbit_of_tuple
 from korbits.subgroups import subgroup_classes
 
-# (cap name, flag, call taking the cap value or None, cap that fails)
-SITES = [
-    ("max-elements", "--max-elements",
-     lambda cap: symmetric_group(5, max_elements=cap), 119),
-    ("max-tuples", "--max-tuples",
-     lambda cap: k_orbits(cyclic_group(4), 2, max_tuples=cap), 11),
-    ("max-subgroup-order", "--max-subgroup-order",
-     lambda cap: subgroup_classes(symmetric_group(4), max_order=cap), 23),
-    ("max-degree", "--max-degree",
-     lambda cap: normalizer_in_sym(cyclic_group(5), max_degree=cap), 4),
-    ("max-aut-points", "--max-degree",
-     lambda cap: aut_of_kset(orbit_of_tuple(cyclic_group(3), (1, 2)),
-                             max_points=cap), 2),
-    ("tuple-key-space", None,
-     lambda cap: k_orbits(cyclic_group(9), 8, max_tuples=10 ** 8), None),
-    ("key-degree", None,
-     lambda cap: close_group([], degree=13), None),
-]
+# test id: (cap name, flag, call taking the cap value or None, cap that
+# fails); the two Sym(m) filters count m! against --max-elements
+SITES = {
+    "max-elements": ("max-elements", "--max-elements",
+                     lambda cap: symmetric_group(5, max_elements=cap), 119),
+    "max-tuples": ("max-tuples", "--max-tuples",
+                   lambda cap: k_orbits(cyclic_group(4), 2, max_tuples=cap), 11),
+    "max-subgroup-order": (
+        "max-subgroup-order", "--max-subgroup-order",
+        lambda cap: subgroup_classes(symmetric_group(4), max_order=cap), 23),
+    "max-elements-normalizer_in_sym": (
+        "max-elements", "--max-elements",
+        lambda cap: normalizer_in_sym(cyclic_group(5), max_elements=cap), 119),
+    "max-elements-aut_of_kset": (
+        "max-elements", "--max-elements",
+        lambda cap: aut_of_kset(orbit_of_tuple(cyclic_group(3), (1, 2)),
+                                max_elements=cap), 5),
+    "tuple-key-space": (
+        "tuple-key-space", None,
+        lambda cap: k_orbits(cyclic_group(9), 8, max_tuples=10 ** 8), None),
+    "key-degree": ("key-degree", None,
+                   lambda cap: close_group([], degree=13), None),
+}
 
 
-@pytest.mark.parametrize("name, flag, call, cap", SITES,
-                         ids=[site[0] for site in SITES])
+@pytest.mark.parametrize("name, flag, call, cap", SITES.values(), ids=SITES)
 def test_raise_site(name, flag, call, cap):
     with pytest.raises(ResourceLimitError) as info:
         call(cap)
@@ -52,24 +56,24 @@ def test_raise_site(name, flag, call, cap):
 
 
 # the cap and convention flags of each subcommand
-ALL_FLAGS = {"--max-elements", "--max-degree", "--max-tuples",
-             "--max-subgroup-order", "--convention"}
+ALL_FLAGS = {"--max-elements", "--max-tuples", "--max-subgroup-order",
+             "--convention"}
 FLAGS = {
     "orbits": {"--max-elements", "--max-tuples", "--max-subgroup-order",
                "--convention"},
-    "blocks": {"--max-elements", "--max-degree", "--max-tuples",
-               "--convention"},
+    "blocks": {"--max-elements", "--max-tuples", "--convention"},
     "render": {"--max-elements"},
     "catalog": {"--max-subgroup-order"},
-    "check": {"--max-elements", "--max-degree", "--max-tuples",
-              "--max-subgroup-order"},
-    "fks": {"--max-elements", "--max-degree", "--max-subgroup-order"},
-    "audit": {"--max-elements", "--max-degree", "--max-subgroup-order"},
+    "check": {"--max-elements", "--max-tuples", "--max-subgroup-order"},
+    "fks": {"--max-elements", "--max-subgroup-order"},
+    "audit": {"--max-elements", "--max-subgroup-order"},
 }
+# flags no subcommand takes any more: --max-degree, folded into --max-elements
+GONE = {"--max-degree"}
 # the flags each subcommand needs to get past argparse
 REQUIRED = {"catalog": ["--degree", "3"], "check": []}
 DELETED = [(command, flag) for command in FLAGS
-           for flag in sorted(ALL_FLAGS - FLAGS[command])]
+           for flag in sorted((ALL_FLAGS | GONE) - FLAGS[command])]
 
 
 def _subcommands():
@@ -80,8 +84,8 @@ def _subcommands():
 
 def test_flag_table_covers_every_subcommand():
     assert set(_subcommands()) == set(FLAGS)
-    assert sum(len(flags) for flags in FLAGS.values()) == 20
-    assert len(DELETED) == 15
+    assert sum(len(flags) for flags in FLAGS.values()) == 16
+    assert len(DELETED) == 19
 
 
 @pytest.mark.parametrize("command", list(FLAGS))

@@ -192,14 +192,16 @@ class TestFks:
         assert code == 2 and "error:" in err
 
     def test_max_degree_reaches_audit(self, capsys, a5_on_pairs_file):
+        """The n! normalizer search of the audit counts against
+        --max-elements."""
         code, out, err = run(capsys, "fks", "--group", a5_on_pairs_file,
-                             "--max-degree", "9")
+                             "--max-elements", "3628799")
         assert code == 0
         records = [json.loads(l) for l in out.splitlines()
                    if l.startswith("{")]
         [step] = [r for r in records if r["record"] == "step"]
         assert step["kind"] == "primitive-terminal"
-        assert "cap is 9" in step["audit_error"]
+        assert "need 3628800, cap is 3628799" in step["audit_error"]
 
 
 class TestAudit:
@@ -209,10 +211,12 @@ class TestAudit:
         assert "error:" in err and "hypothesis violated" in err
 
     def test_max_degree_reaches_normalizer(self, capsys, a5_on_pairs_file):
+        """The n! normalizer search counts against --max-elements."""
         code, out, err = run(capsys, "audit", "--group", a5_on_pairs_file,
-                             "--max-degree", "9")
+                             "--max-elements", "3628799")
         assert code == 2
-        assert "max-degree cap exceeded: need 10, cap is 9" in err
+        assert ("max-elements cap exceeded: need 3628800, cap is 3628799 "
+                "(raise with --max-elements)") in err
 
 
 class TestCheckCaps:

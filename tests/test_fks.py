@@ -199,14 +199,14 @@ class TestTracePersistence:
         assert replay_trace(trace)
 
     def test_replay_keeps_max_degree(self):
-        """The audit of A5 on the 10 pairs of {1..5} records the cap of
-        the n! normalizer search it was run with, so a replay must run
+        """The audit of A5 on the 10 pairs of {1..5} records the element
+        cap that stopped its n! normalizer search, so a replay must run
         with the same cap."""
         G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
-        trace = fks_pipeline(G, max_degree=9)
+        trace = fks_pipeline(G, max_elements=3628799)
         assert G.order == 60
-        assert "cap is 9" in trace.steps[-1]["audit_error"]
-        assert replay_trace(trace, max_degree=9)
+        assert "need 3628800, cap is 3628799" in trace.steps[-1]["audit_error"]
+        assert replay_trace(trace, max_elements=3628799)
         assert not replay_trace(trace)
 
     def test_replay_detects_tampering(self):
@@ -266,14 +266,14 @@ class TestAudit:
 
         N = on_pairs("(1 2)", "(1 2 3 4 5)")
         monkeypatch.setattr(fks, "normalizer_in_sym",
-                            lambda G, max_degree: N)
+                            lambda G, max_elements: N)
         for mod in (fks, korbit):
             monkeypatch.setattr(mod, "subgroup_classes", spy)
         # uncached, so that a cached earlier analysis cannot hide a call
         for name in ("automorphic_analysis", "classify_coherence"):
             monkeypatch.setattr(fks, name, getattr(korbit, name).__wrapped__)
         G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
-        record = proof_audit(G, max_subgroup_order=60, max_degree=10)
+        record = proof_audit(G, max_subgroup_order=60, max_elements=3628800)
         assert calls and set(calls) == {60}
         assert (N.order, record.normalizer_proper, record.chosen_k) == \
             (120, True, 10)
@@ -341,14 +341,14 @@ class TestTerminalCase:
         N = on_pairs("(1 2)", "(1 2 3 4 5)") if proper else G
         for mod in (fks, propcheck):
             monkeypatch.setattr(mod, "normalizer_in_sym",
-                                lambda G, max_degree: N)
+                                lambda G, max_elements: N)
         assert terminal_case(G) == (None, None)
-        record = proof_audit(G, max_degree=10)
+        record = proof_audit(G, max_elements=3628800)
         assert record.normalizer_proper == proper
-        assert fks_pipeline(G, max_degree=10).steps[-1]["audit"] == \
+        assert fks_pipeline(G, max_elements=3628800).steps[-1]["audit"] == \
             record.as_dict()
         ctx = {"degree": 10, "group": [g.cycle_string() for g in G.generators]}
-        simple, no_tr, elcoh = (run_check(c, ctx, SuiteCaps(max_degree=10))
+        simple, no_tr, elcoh = (run_check(c, ctx, SuiteCaps(max_elements=3628800))
                                 for c in TERMINAL_CHECKS)
         assert simple.verdict == "pass"      # A5 is simple
         assert (no_tr.verdict == "pass") == record.normalizer_proper
@@ -365,7 +365,7 @@ class TestTerminalCase:
         one `terminal_case` per pipeline, and `block_systems` once in
         the pipeline and once in that decision."""
         G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
-        monkeypatch.setattr(fks, "normalizer_in_sym", lambda G, max_degree: G)
+        monkeypatch.setattr(fks, "normalizer_in_sym", lambda G, max_elements: G)
         calls = {"terminal_case": 0, "block_systems": 0}
 
         def counted(mod, name):
@@ -379,7 +379,7 @@ class TestTerminalCase:
         counted(fks, "terminal_case")
         counted(fks, "block_systems")
         counted(group_module, "block_systems")
-        steps = fks_pipeline(G, max_degree=10).steps
+        steps = fks_pipeline(G, max_elements=3628800).steps
         assert steps[-1]["kind"] == "primitive-terminal"
         assert steps[-1]["audit"] is not None
         assert calls == {"terminal_case": 1, "block_systems": 2}

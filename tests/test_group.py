@@ -211,8 +211,9 @@ class TestNormalizer:
             assert (x in N) == conj_ok
 
     def test_degree_cap(self):
+        """10! permutations are over the default element cap, 9! are not."""
         with pytest.raises(ResourceLimitError):
-            normalizer_in_sym(cyclic_group(9))
+            normalizer_in_sym(cyclic_group(10))
 
 
 class TestGroupFiles:

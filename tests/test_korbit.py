@@ -505,7 +505,8 @@ class TestAut:
             assert left_act(g, X) == X
 
     def test_point_cap(self):
-        X = kset(tuple(range(1, 10)))
+        """Sym of 10 points is over the default element cap."""
+        X = kset(tuple(range(1, 11)))
         with pytest.raises(ResourceLimitError):
             aut_of_kset(X)
 

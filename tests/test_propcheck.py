@@ -160,7 +160,7 @@ class TestHypothesisOnlyChecks:
     def test_l_alt_norm_builds_no_alternating_group(self):
         """A5 on the 10 pairs of {1..5} lies in A10, read from the parity
         of its generators: the check gets as far as the n! normalizer
-        search, whose degree cap stops it, instead of enumerating
+        search, whose element cap stops it, instead of enumerating
         |A10| = 1,814,400 elements."""
         pairs = list(itertools.combinations(range(1, 6), 2))
 
@@ -173,7 +173,7 @@ class TestHypothesisOnlyChecks:
                "group": [on_pairs("(1 2 3 4 5)"), on_pairs("(1 2 3)")]}
         with pytest.raises(ResourceLimitError) as info:
             run_check("L_alt_norm", ctx)
-        assert info.value.cap_name == "max-degree"
+        assert info.value.cap_name == "max-elements"
 
 
 class TestSuite:
@@ -234,14 +234,17 @@ class TestSuite:
                    for r in report.results)
         assert any(r.verdict == "skipped" for r in report.results)
 
-    @pytest.mark.parametrize("cap, reason", [
-        ({"max_elements": 5}, "max-elements cap exceeded: need > 5, cap is 5"),
-        ({"max_tuples": 5}, "max-tuples cap exceeded: need 6, cap is 5")],
+    @pytest.mark.parametrize("cap, reasons", [
+        # the closure of S3, and the 3! filter of Sym on the points of C3
+        ({"max_elements": 5}, {"max-elements cap exceeded: need > 5, cap is 5",
+                               "max-elements cap exceeded: need 6, cap is 5"}),
+        ({"max_tuples": 5}, {"max-tuples cap exceeded: need 6, cap is 5"})],
         ids=["max_elements", "max_tuples"])
-    def test_element_and_tuple_caps_reach_the_suite(self, cap, reason):
+    def test_element_and_tuple_caps_reach_the_suite(self, cap, reasons):
         report = run_suite(transitive_catalog(3), caps=SuiteCaps(**cap))
-        skipped = [r.reason for r in report.results if r.verdict == "skipped"]
-        assert skipped and all(r.startswith(reason) for r in skipped)
+        skipped = {r.reason.split(" (raise with")[0]
+                   for r in report.results if r.verdict == "skipped"}
+        assert skipped == reasons
 
 
 # C9 and its 8-orbit of (1, ..., 8), whose union has 9 points
@@ -255,15 +258,15 @@ C9_CONTEXTS = [
 
 
 class TestAutPointCap:
-    """Every check that builds Aut(X) reads its point cap from
-    `SuiteCaps.max_degree`, the cap of `--max-degree`."""
+    """Every check that builds Aut(X) counts the 9! permutations of its
+    filter against `SuiteCaps.max_elements`, the cap of `--max-elements`."""
 
     @pytest.mark.parametrize("check_id, ctx", C9_CONTEXTS,
                              ids=[c for c, _ in C9_CONTEXTS])
     def test_max_degree_reaches_aut(self, check_id, ctx):
         with pytest.raises(ResourceLimitError,
-                           match=r"max-aut-points cap exceeded: need 9, "
-                                 r"cap is 8 \(raise with --max-degree\)"):
-            run_check(check_id, ctx)
-        res = run_check(check_id, ctx, SuiteCaps(max_degree=9))
+                           match=r"max-elements cap exceeded: need 362880, "
+                                 r"cap is 362879 \(raise with --max-elements\)"):
+            run_check(check_id, ctx, SuiteCaps(max_elements=362879))
+        res = run_check(check_id, ctx, SuiteCaps(max_elements=362880))
         assert res.verdict in ("pass", "fail", "inapplicable")

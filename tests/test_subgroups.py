@@ -152,6 +152,24 @@ class TestPinned:
         G, digest = DIGESTS[0]
         assert _digest(subgroup_classes.__wrapped__(G)) == digest
 
+    @pytest.mark.parametrize("G", [symmetric_group(5), alternating_group(6)],
+                             ids=["S5", "A6"])
+    def test_batch_masks_fit_one_key_chunk(self, monkeypatch, G):
+        """A batch of candidate masks takes at most 8 * KEY_BUDGET bytes,
+        or one mask, and the lattice does not depend on that bound."""
+        want = _class_records(subgroup_classes.__wrapped__(G))
+        monkeypatch.setattr(_backend, "KEY_BUDGET", 64)
+        rows = []
+        close_index = _backend.close_index
+
+        def spy(images, index, masks, *args):
+            rows.append(masks.shape[0])
+            return close_index(images, index, masks, *args)
+
+        monkeypatch.setattr(_backend, "close_index", spy)
+        assert _class_records(subgroup_classes.__wrapped__(G)) == want
+        assert max(rows) == max(1, 8 * 64 // G.order)
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_alternating_subgroup_of_symmetric(self, n):
         """Closures that stop early inside S_n (Dixon and Mortimer, Thm

@@ -1,12 +1,17 @@
 """Source hygiene of the package, checked with the standard library's
 `ast`: no module of src/korbits/ imports a name it never reads, every
-module-level private function is read somewhere in the package, and
-every public function of `_backend` is read by another module."""
+module-level private function is read somewhere in the package, every
+public function of `_backend` is read by another module, and every
+`ResourceLimitError` names a cap that `test_caps` raises and a flag
+that the CLI registers."""
 
 import ast
 import pathlib
 
 import pytest
+from test_caps import SITES
+
+from korbits.cli import _OPTIONS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "korbits"
 # __init__.py imports names to re-export them
@@ -102,3 +107,27 @@ def test_every_backend_function_is_read_elsewhere():
               if m != "_backend.py"]
     assert unread_public_functions((SRC / "_backend.py").read_text(),
                                    others) == []
+
+
+def raise_sites(source):
+    """(cap name, flag or None) of every `ResourceLimitError(...)` call
+    of the module text `source`, read from its literal arguments."""
+    return [(node.args[0].value,
+             next((k.value.value for k in node.keywords if k.arg == "flag"), None))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "ResourceLimitError"]
+
+
+def test_checker_reads_raise_sites():
+    source = ('def f(cap):\n    raise ResourceLimitError("a", cap, 2, flag="--a")\n'
+              'def g():\n    raise ResourceLimitError("b", 1, 2)\n')
+    assert raise_sites(source) == [("a", "--a"), ("b", None)]
+
+
+def test_every_cap_is_tested_and_every_flag_registered():
+    """The cap names raised in src/korbits/ are the names that
+    `test_caps.SITES` raises, and each flag they name is a CLI option."""
+    sites = [s for m in MODULES for s in raise_sites((SRC / m).read_text())]
+    assert {name for name, _ in sites} == {site[0] for site in SITES.values()}
+    assert {flag for _, flag in sites} - {None} <= set(_OPTIONS)

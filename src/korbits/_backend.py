@@ -16,6 +16,7 @@ work on row numbers of a group's sorted element array instead of keys;
 one setwise-stabilizer filter, reads a group's rows or `sym_chunks`.
 """
 
+import functools
 import itertools
 import math
 
@@ -50,9 +51,13 @@ _BATCH_KEYS = 4096
 KEY_BUDGET = 1 << 18
 
 
+@functools.lru_cache(maxsize=1024)
 def powers_for(n, width):
-    """Key weights: position 0 is most significant."""
-    return np.array([n ** (width - 1 - i) for i in range(width)], dtype=np.int64)
+    """Key weights: position 0 is most significant. The array is shared
+    between calls, so it is read-only."""
+    pw = np.array([n ** (width - 1 - i) for i in range(width)], dtype=np.int64)
+    pw.flags.writeable = False
+    return pw
 
 
 def encode_rows(rows, n):

@@ -293,10 +293,17 @@ def _cyclic_classes(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
 
 @functools.lru_cache(maxsize=2048)
 def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
-    """Coherence classification of a k-orbit X of G, read from X's rows:
-    X is the image set of its first row, its coordinate sets are the
-    keys of its sorted rows, and their smash joins the tuples that share
-    a point.
+    """Coherence classification of a k-orbit X = G t0 of G.
+
+    One sort checks X: the keys of G t0 hold each tuple of t0's orbit
+    |G|/|X| times, so X is that orbit iff, sorted and reshaped to |X|
+    rows, they equal X's keys row by row. All but the witness depends
+    only on the family F of X's coordinate sets, the G-orbit of t0's
+    point set, so `_coherence_family` classifies each F once: X's smash
+    is F's, X is trivial iff k = 1 or |F| = 1, and whether a tuple hits
+    a class (below) depends on its point set alone. A coherent X's
+    witness is the suborbit, under the first class rep that hits, of
+    X's first row whose point set it hits.
 
     A coherent X is elementary unless some subgroup class rep H has a
     suborbit Ht of more than one tuple on a proper subset of X's points.
@@ -305,42 +312,59 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     <h>'s class, whose order |<h>| puts it before H's class unless H =
     <h>. For cyclic H the support of Ht is the union of the cycles
     through t's points, and Ht has more than one tuple iff H moves some
-    point of t. So only the non-trivial cyclic classes are tested, on
-    bit masks, in chunks of about `_backend.KEY_BUDGET` masks, and the
-    witness is the suborbit of the first tuple that hits in the first
-    class that does."""
+    point of t."""
     rows = X.rows
     if rows.max() >= G.degree:
         raise DomainError("point out of range for this group")
     pw = _backend.powers_for(G.degree, X.arity)
-    if not np.array_equal(np.unique(G.images[:, rows[0]] @ pw), rows @ pw):
+    keys = np.sort(G.images[:, rows[0]] @ pw)
+    if keys.size % len(rows) or (keys.reshape(len(rows), -1)
+                                 != (rows @ pw)[:, None]).any():
         raise DomainError("X is not a k-orbit of G")
-    if X.arity == 1:
-        return CoherenceVerdict(kind="coherent", trivial=True)
-    # one row per coordinate set
-    sets = rows[np.unique(np.sort(rows, axis=1) @ pw, return_index=True)[1]]
-    if len(sets) == 1:
+    masks = np.bitwise_or.reduce(1 << rows, axis=1)
+    family = _coherence_family(G, int(masks.min()), max_subgroup_order)
+    if isinstance(family, CoherenceVerdict):
+        return family
+    rep, hits, supports = family
+    r = int(np.argmax(_backend.in_sorted(hits, masks)))
+    u = supports[np.searchsorted(hits, masks[r])] >> np.arange(G.degree) & 1
+    sub = rep[:, rows[r]]
+    sub = sub[np.unique(sub @ pw, return_index=True)[1]]
+    return CoherenceVerdict(kind="coherent", witness=(
+        frozenset((np.flatnonzero(u) + 1).tolist()), _kset(sub)))
+
+
+@functools.lru_cache(maxsize=2048)
+def _coherence_family(G, least, max_subgroup_order):
+    """The verdict shared by the k-orbits whose coordinate sets form the
+    G-orbit F of the point set with bit mask `least`: trivial, incoherent
+    (witness: F's smash) or elementary-coherent, or for a coherent F
+    (rep, hits, supports): the element rows of the first cyclic class rep
+    that hits a set of F, the sorted masks of the sets it hits and of
+    their supports. Classes are tested in chunks of about
+    `_backend.KEY_BUDGET` point masks of F."""
+    points = np.flatnonzero(least >> np.arange(G.degree) & 1)
+    sets = np.unique(np.sort(G.images[:, points], axis=1), axis=0)
+    if sets.shape[1] == 1 or len(sets) == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
     masks = _smash_masks(sets)
-    # X's points as a mask: they lie below the degree, so none is renumbered
+    # F's points as a mask: they lie below the degree, so none is renumbered
     full = masks[0]
     if (masks != full).any():
         return CoherenceVerdict(kind="incoherent",
                                 witness=_smash_partition(sets, masks))
     cyc, reps = _cyclic_classes(G, max_subgroup_order)
-    own = 1 << rows
-    step = max(1, _backend.KEY_BUDGET // rows.size)
+    own = 1 << sets
+    step = max(1, _backend.KEY_BUDGET // sets.size)
     for start in range(0, len(reps), step):
-        cycles = cyc[start:start + step, rows]          # (classes, R, k)
+        cycles = cyc[start:start + step, sets]          # (classes, |F|, k)
         supp = np.bitwise_or.reduce(cycles, axis=2)
         hit = (cycles != own).any(axis=2) & (supp != full)
         if hit.any():
-            c, r = divmod(int(np.argmax(hit)), len(rows))
-            u = np.flatnonzero(supp[c, r] >> np.arange(G.degree) & 1) + 1
-            sub = reps[start + c][:, rows[r]]
-            sub = sub[np.unique(sub @ pw, return_index=True)[1]]
-            return CoherenceVerdict(kind="coherent",
-                                    witness=(frozenset(u.tolist()), _kset(sub)))
+            c = int(np.argmax(hit.any(axis=1)))
+            hits = np.bitwise_or.reduce(own[hit[c]], axis=1)
+            order = np.argsort(hits)
+            return reps[start + c], hits[order], supp[c, hit[c]][order]
     return CoherenceVerdict(kind="elementary-coherent")
 
 

@@ -295,3 +295,10 @@ class TestEncoding:
         rows = np.array(list(itertools.permutations(range(4))), dtype=np.int64)
         keys = _backend.encode_rows(rows, 4)
         assert np.all(np.diff(keys) > 0)
+
+    def test_powers_are_cached_and_read_only(self):
+        pw = _backend.powers_for(5, 3)
+        assert pw.tolist() == [25, 5, 1]
+        assert _backend.powers_for(5, 3) is pw
+        with pytest.raises(ValueError):
+            pw[0] = 0

@@ -1,6 +1,7 @@
 """k-orbit actions, projections, coherence, stabilizers, automorphism
 groups, coset partitions, automorphic numbers, rendering, persistence."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from korbits import _backend
+from korbits import _backend, korbit
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
                            klein_four_group, parse_group, symmetric_group)
-from korbits.partition import SetFamily, smash
-from korbits.korbit import (CoherenceVerdict, KSet, _cyclic_classes,
+from korbits.partition import Partition, SetFamily, smash
+from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
+                            _cyclic_classes,
                             acts_transitively_on, aut_of_kset,
                             automorphic_analysis, classify_coherence,
                             co_analysis, coset_k_partitions, initial_tuple,
@@ -215,8 +217,11 @@ class TestCoherence:
             assert set(sub.tuples) <= set(X.tuples)
 
     def test_rejects_non_orbit(self):
+        G = cyclic_group(4)
+        for X in k_orbits(G, 2):        # also once {1, 2}'s family is cached
+            classify_coherence(G, X)
         with pytest.raises(DomainError):
-            classify_coherence(cyclic_group(4), kset((1, 2), (1, 3)))
+            classify_coherence(G, kset((1, 2), (1, 3)))
 
 
 def _orbit_oracle(G, k):
@@ -384,7 +389,11 @@ class TestCoherenceOracle:
     @staticmethod
     def _compare():
         """Compare on every oracle orbit; return how many of the
-        coherent ones had more cyclic classes than fit in one chunk."""
+        coherent ones had more cyclic classes than fit in one chunk of
+        their family's coordinate sets. The family cache is cleared
+        first, so that each family is classified under the current
+        `KEY_BUDGET`."""
+        _coherence_family.cache_clear()
         kinds = set()
         chunked = 0
         for G, X in _oracle_orbits():
@@ -393,7 +402,8 @@ class TestCoherenceOracle:
             assert (got.kind, got.trivial) == (want.kind, want.trivial)
             assert got.witness == want.witness
             kinds.add((got.kind, got.trivial))
-            step = max(1, _backend.KEY_BUDGET // X.rows.size)
+            family = {frozenset(t) for t in X.tuples}
+            step = max(1, _backend.KEY_BUDGET // (len(family) * X.arity))
             chunked += (got.kind != "incoherent" and not got.trivial
                         and len(_cyclic_classes(G)[1]) > step)
         assert kinds == {("incoherent", False), ("coherent", True),
@@ -428,6 +438,79 @@ class TestCoherenceOracle:
         monkeypatch.setattr(_backend, "orbit_labels", counted)
         kinds = {classify_coherence.__wrapped__(G, X).kind for X in orbits}
         assert calls == [] and "coherent" in kinds
+
+
+def _witness_text(w):
+    if w is None:
+        return "-"
+    if isinstance(w, Partition):
+        return repr([sorted(c) for c in w.classes])
+    u, sub = w
+    return repr((sorted(u), (sub.rows + 1).tolist()))
+
+
+class TestCoherenceFamilies:
+    """The k-orbits of one family of coordinate sets share one
+    `_coherence_family` record; only the witness is read from X."""
+
+    # SHA-256 of "kind trivial witness" lines over every k-orbit of D8,
+    # C2 wr C4, D9 and C3 wr C3 at k = 1..7, recorded with the
+    # per-orbit classification (each orbit smashed and tested against
+    # the cyclic classes on its own) in fresh processes under
+    # PYTHONHASHSEED 0 and 1
+    DIGEST = "383172d16852b6aa7df165bc7c8cdb83ce370794600052b3918fc12d5e56abc6"
+
+    def test_verdicts_match_the_per_orbit_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for G in [dihedral_group(8), WREATH_C2_C4, dihedral_group(9),
+                  WREATH_C3_C3]:
+            for k in range(1, 8):
+                for X in k_orbits(G, k):
+                    v = classify_coherence.__wrapped__(G, X)
+                    h.update(f"{v.kind} {v.trivial} "
+                             f"{_witness_text(v.witness)}\n".encode())
+                    count += 1
+        assert (count, h.hexdigest()) == (23388, self.DIGEST)
+
+    def test_d9_at_k7_classifies_four_families(self, monkeypatch):
+        G = dihedral_group(9)
+        orbits = k_orbits(G, 7)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return subgroup_classes(*args, **kwargs)
+
+        monkeypatch.setattr(korbit, "subgroup_classes", counted)
+        _coherence_family.cache_clear()
+        _cyclic_classes.cache_clear()
+        for X in orbits:
+            classify_coherence.__wrapped__(G, X)
+        info = _coherence_family.cache_info()
+        assert len(orbits) == 10080
+        assert (info.misses, info.hits) == (4, 10080 - 4)
+        assert len(calls) == 1
+
+    # in C3 x <(7 8)>, of order 6, the union of the 2-orbits of (1, 2)
+    # and (1, 3) has 6 tuples and either orbit less a tuple has 2, so
+    # only the comparison of keys, not |X| dividing |G|, rejects them
+    @pytest.mark.parametrize("G, k", [
+        (cyclic_group(4), 2), (dihedral_group(9), 3), (WREATH_C3_C3, 4),
+        (parse_group("degree 8\n(1 2 3)(4 5 6)\n(7 8)\n"), 2)])
+    def test_non_orbits_of_a_known_family_raise(self, G, k):
+        orbits = k_orbits(G, k)
+        by_family = {}
+        for X in orbits:
+            by_family.setdefault(frozenset(frozenset(t) for t in X.tuples),
+                                 []).append(X)
+        X, Y = next(xs for xs in by_family.values() if len(xs) > 1)[:2]
+        classify_coherence.__wrapped__(G, X)       # the family is cached
+        cases = [KSet(X.tuples + Y.tuples), KSet(X.tuples[1:]),
+                 KSet(X.tuples[:-1])]
+        for Z in cases:
+            with pytest.raises(DomainError, match="not a k-orbit"):
+                classify_coherence.__wrapped__(G, Z)
 
 
 class TestKBlocks:

@@ -339,8 +339,9 @@ def trace_from_dict(d):
 
 def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                  max_elements=DEFAULT_ELEMENT_CAP):
-    """Run the reduction argument on a transitive group G and return a
-    ReductionTrace ending in a verified fpf prime-power element.
+    """Run the reduction argument on a transitive group G of degree at
+    least 2 and return a ReductionTrace ending in a verified fpf
+    prime-power element.
 
     Imprimitive groups quotient by a minimal block system and lift;
     primitive non-Abelian groups descend to the canonically least
@@ -349,6 +350,9 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     straight to direct search.  A direct search always runs last and
     disagreements with the reduction are recorded.  An audit over one
     of proof_audit's caps records the error as its audit_error."""
+    if G.degree < 2:
+        raise DomainError("the theorem requires degree at least 2, "
+                          f"got degree {G.degree}")
     if not is_transitive(G):
         raise DomainError("the pipeline requires a transitive group")
     steps = []

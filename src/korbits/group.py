@@ -29,6 +29,12 @@ def row_to_perm(row):
     return Permutation(int(v) + 1 for v in row)
 
 
+def generator_rows(G):
+    """G's generators as 0-based image rows, one row each."""
+    return np.array([perm_to_row(g) for g in G.generators],
+                    dtype=np.int64).reshape(-1, G.degree)
+
+
 class PermGroup:
     """A fully enumerated permutation group of some degree.
 
@@ -38,6 +44,10 @@ class PermGroup:
     degree and `keys`, membership by `searchsorted` into `keys`.
     `generators` is the given tuple, or else the greedy set of
     `reduce_generators`, read in the element index on first read.
+
+    The group takes ownership of the `images` array it is given: it
+    makes that array and `keys` read-only in place, since equality,
+    hashing, membership and the caches that share groups read them.
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
@@ -51,6 +61,8 @@ class PermGroup:
             order = np.argsort(keys)
             images = images[order]
             keys = keys[order]
+        images.flags.writeable = False
+        keys.flags.writeable = False
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "order", int(images.shape[0]))
@@ -208,8 +220,10 @@ def is_transitive(G):
 
 
 def is_abelian(G):
-    gens = G.generators
-    return all(a * b == b * a for a in gens for b in gens)
+    """Whether every two generator rows a, b commute: a[b] equals b[a]."""
+    gens = generator_rows(G)
+    prods = gens[:, gens]
+    return bool((prods == prods.transpose(1, 0, 2)).all())
 
 
 def _pair_closures(G):
@@ -252,29 +266,24 @@ def block_systems(G):
     return minimal
 
 
-def _is_invariant(G, part):
-    for g in G.generators:
-        for c in part.classes:
-            img = frozenset(g(x) for x in c)
-            if img not in part.classes:
-                return False
-    return True
-
-
 def block_images(G, Q):
     """0-based images of the classes of a G-invariant partition Q under
     every element of G, aligned with G.images rows.
 
-    Class i is the i-th class of Q.classes (canonical order).
+    Class i is the i-th class of Q.classes (canonical order). Q is
+    G-invariant iff each generator maps every point into the class of
+    the image of its class's first point: a bijection that maps each
+    class into a class permutes the classes.
     """
     if Q.domain != frozenset(range(1, G.degree + 1)):
         raise DomainError("partition domain must be the full point set")
-    if not _is_invariant(G, Q):
-        raise DomainError("partition is not G-invariant")
     class_of = np.empty(G.degree, dtype=np.int64)
     for i, c in enumerate(Q.classes):
         class_of[[x - 1 for x in c]] = i
     firsts = [min(c) - 1 for c in Q.classes]
+    gens = generator_rows(G)
+    if (class_of[gens] != class_of[gens[:, firsts]][:, class_of]).any():
+        raise DomainError("partition is not G-invariant")
     return class_of[G.images[:, firsts]]
 
 
@@ -285,9 +294,8 @@ def quotient_action(G, Q):
     Classes are numbered 1..|Q| in canonical order.
     """
     rows = block_images(G, Q)
-    gen_rows = np.array([perm_to_row(g) for g in G.generators],
-                        dtype=np.int64).reshape(-1, G.degree)
-    gen_at = np.searchsorted(G.keys, _backend.encode_rows(gen_rows, G.degree))
+    gen_at = np.searchsorted(G.keys, _backend.encode_rows(generator_rows(G),
+                                                          G.degree))
     m = len(Q.classes)
     _, first = np.unique(_backend.encode_rows(rows, m), return_index=True)
     return PermGroup(m, rows[first], tuple(row_to_perm(r) for r in rows[gen_at]))
@@ -314,7 +322,7 @@ def is_primitive(G, convention="paper"):
 def normalizer_in_sym(G, max_elements=DEFAULT_ELEMENT_CAP):
     """N_{S_n}(G) by filtering all n! permutations, one chunk of
     `_backend.sym_chunks` at a time; n! counts against max_elements."""
-    gens = [perm_to_row(h) for h in G.generators]
+    gens = generator_rows(G)
     rows = [c[normalizer_mask(c, gens, G.keys)]
             for c in _backend.sym_chunks(G.degree, max_elements)]
     return PermGroup(G.degree, np.concatenate(rows))
@@ -324,8 +332,8 @@ def normalizer_in(W, G):
     """N_W(G) = {x in W : x G x^-1 = G}."""
     if G.degree != W.degree:
         raise DomainError("degree mismatch")
-    gens = [perm_to_row(h) for h in G.generators]
-    return PermGroup(W.degree, W.images[normalizer_mask(W.images, gens, G.keys)])
+    mask = normalizer_mask(W.images, generator_rows(G), G.keys)
+    return PermGroup(W.degree, W.images[mask])
 
 
 # ---------------------------------------------------------------------------

@@ -162,14 +162,15 @@ orbit_of_tuple.cache_info = _orbit_of_tuple.cache_info
 
 @functools.lru_cache(maxsize=4096)
 def k_orbits(G, k, max_tuples=DEFAULT_TUPLE_CAP):
-    """All G-orbits on non-diagonal k-tuples, ordered by least tuple."""
+    """All G-orbits on non-diagonal k-tuples, ordered by least tuple, as
+    a tuple, since the cache hands the same value to every caller."""
     n = G.degree
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     tuples, orbit_ids = _backend.tuple_orbits(G.images, k, max_tuples)
     by_orbit = tuples[np.argsort(orbit_ids, kind="stable")]
     ends = np.cumsum(np.bincount(orbit_ids))[:-1]
-    return [_kset(rows) for rows in np.split(by_orbit, ends)]
+    return tuple(_kset(rows) for rows in np.split(by_orbit, ends))
 
 
 def project(X, I):
@@ -185,30 +186,13 @@ def project(X, I):
 # coordinate sets, blocks, coherence
 # ---------------------------------------------------------------------------
 
-def _smash_masks(rows):
-    """The smash of point rows: for each row, the bit mask of the points
-    of its component, the rows that meet it directly or through other
-    rows. Each row starts from the mask of its own points and ORs in the
-    masks of the rows through its points until nothing changes. Points
-    past 63 are renumbered by rank first, and more than 64 points make
-    Python-int masks."""
-    if rows.max() > 63:
-        rows = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
-    width = int(rows.max()) + 1
-    mask = np.bitwise_or.reduce(1 << rows.astype(np.int64 if width <= 64
-                                                  else object), axis=1)
-    while True:
-        through = np.zeros(width, dtype=mask.dtype)
-        np.bitwise_or.at(through, rows, mask[:, None])
-        grown = np.bitwise_or.reduce(through[rows], axis=1)
-        if np.array_equal(grown, mask):
-            return mask
-        mask = grown
-
-
-def _smash_partition(rows, masks):
-    return Partition.from_labels((rows.ravel() + 1).tolist(),
-                                 np.repeat(masks, rows.shape[1]).tolist())
+def _smash(rows):
+    """The smash of point rows, a partition of their points: one
+    `_backend.join_labels` pass joins the (row, point) cells of each row
+    with those of each point, points renumbered by rank."""
+    points = np.unique(rows, return_inverse=True)[1].reshape(-1)
+    labels = _backend.join_labels(np.arange(points.size) // rows.shape[1], points)
+    return Partition.from_labels((rows.ravel() + 1).tolist(), labels.tolist())
 
 
 def co_analysis(X):
@@ -216,7 +200,7 @@ def co_analysis(X):
     partition of the union plus whether the family was already disjoint
     (a partition) or overlapping (a covering)."""
     sets = np.unique(np.sort(X.rows, axis=1), axis=0)
-    part = _smash_partition(sets, _smash_masks(sets))
+    part = _smash(sets)
     fam = SetFamily(frozenset(s) for s in (sets + 1).tolist())
     return fam, part, sets.size == len(part.domain)
 
@@ -347,14 +331,12 @@ def _coherence_family(G, least, max_subgroup_order):
     sets = np.unique(np.sort(G.images[:, points], axis=1), axis=0)
     if sets.shape[1] == 1 or len(sets) == 1:
         return CoherenceVerdict(kind="coherent", trivial=True)
-    masks = _smash_masks(sets)
-    # F's points as a mask: they lie below the degree, so none is renumbered
-    full = masks[0]
-    if (masks != full).any():
-        return CoherenceVerdict(kind="incoherent",
-                                witness=_smash_partition(sets, masks))
+    part = _smash(sets)
+    if len(part) > 1:
+        return CoherenceVerdict(kind="incoherent", witness=part)
     cyc, reps = _cyclic_classes(G, max_subgroup_order)
     own = 1 << sets
+    full = np.bitwise_or.reduce(own, axis=None)       # F's points
     step = max(1, _backend.KEY_BUDGET // sets.size)
     for start in range(0, len(reps), step):
         cycles = cyc[start:start + step, sets]          # (classes, |F|, k)

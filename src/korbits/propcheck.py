@@ -21,8 +21,8 @@ from . import _backend
 from .errors import DomainError, ResourceLimitError
 from .fks import not_primitive_reason, terminal_case, terminal_partitions
 from .group import (DEFAULT_ELEMENT_CAP, close_group, conjugate_rows_by,
-                    is_subgroup, is_transitive, normalizer_in,
-                    normalizer_in_sym, perm_to_row)
+                    generator_rows, is_subgroup, is_transitive, normalizer_in,
+                    normalizer_in_sym)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
@@ -120,8 +120,8 @@ def _rep(X):
 
 def _is_normal(H, G):
     """Whether g H g^-1 = H for each generator g of G, by H's element keys."""
-    for g in G.generators:
-        conj = conjugate_rows_by(H.images, perm_to_row(g))
+    for g in generator_rows(G):
+        conj = conjugate_rows_by(H.images, g)
         if not _backend.in_sorted(H.keys, _backend.encode_rows(conj, H.degree)).all():
             return False
     return True

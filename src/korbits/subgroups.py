@@ -121,9 +121,10 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP, upto=None):
     """All subgroups of G up to G-conjugacy, or, when `upto` is given,
     those of order at most `upto`.
 
-    Returns SubgroupClass records ordered by (order, canonical key
+    Returns a tuple, since the cache hands the same value to every
+    caller, of SubgroupClass records ordered by (order, canonical key
     signature); ids follow that order and are stable across runs, and
-    a bounded call returns the prefix of the full list. `max_order`
+    a bounded call returns the prefix of the full tuple. `max_order`
     caps |G| whatever the bound.
     """
     if G.order > max_order:
@@ -235,7 +236,7 @@ def subgroup_classes(G, max_order=DEFAULT_SUBGROUP_CAP, upto=None):
     for new_id, (_, _, conjugates) in enumerate(sorted(raw, key=signature)):
         rep = PermGroup(G.degree, _rows_of(G, conjugates[0]))
         out.append(SubgroupClass(new_id, rep, conjugates))
-    return out
+    return tuple(out)
 
 
 def all_subgroups(G, max_order=DEFAULT_SUBGROUP_CAP):

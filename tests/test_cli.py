@@ -191,6 +191,14 @@ class TestFks:
         code, out, err = run(capsys, "fks", "--group", str(path))
         assert code == 2 and "error:" in err
 
+    def test_degree_one_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.grp"
+        path.write_text("degree 1\n")
+        code, out, err = run(capsys, "fks", "--group", str(path))
+        assert code == 2 and out == ""
+        assert "error:" in err and "degree at least 2" in err
+        assert "contradicts" not in err
+
     def test_max_degree_reaches_audit(self, capsys, a5_on_pairs_file):
         """The n! normalizer search of the audit counts against
         --max-elements."""

@@ -162,6 +162,17 @@ class TestPipeline:
         with pytest.raises(DomainError):
             fks_pipeline(close_group([parse_permutation("(1 2)", 3)]))
 
+    def test_requires_degree_two(self):
+        """The trivial group on one point is transitive, but the theorem
+        needs degree at least 2; a replay of such a trace is rejected
+        the same way."""
+        with pytest.raises(DomainError, match="degree at least 2"):
+            fks_pipeline(close_group([], degree=1))
+        trace = trace_from_dict({"degree": 1, "generators": [], "steps": [],
+                                 "result": {"element": "()"}})
+        with pytest.raises(DomainError, match="degree at least 2"):
+            replay_trace(trace)
+
     def test_result_always_verified(self):
         for n in range(2, 7):
             for entry in transitive_catalog(n):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError, ParseError, ResourceLimitError
-from korbits.group import (PermGroup, _is_invariant, alternating_group,
-                           block_images, block_systems, close_group,
+from korbits.group import (PermGroup, alternating_group, block_images,
+                           block_systems, close_group,
                            cyclic_group, dihedral_group, is_abelian,
                            is_primitive, is_subgroup, is_transitive,
                            klein_four_group, normalizer_in, normalizer_in_sym,
@@ -19,6 +19,16 @@ from korbits.group import (PermGroup, _is_invariant, alternating_group,
                            save_group, load_group, symmetric_group)
 from korbits.partition import Partition
 from korbits.perm import Permutation, parse_permutation
+
+
+def _is_invariant(G, part):
+    """Oracle: every generator maps every class onto a class."""
+    for g in G.generators:
+        for c in part.classes:
+            img = frozenset(g(x) for x in c)
+            if img not in part.classes:
+                return False
+    return True
 
 
 def invariant_partitions_bruteforce(G):
@@ -168,8 +178,26 @@ class TestQuotient:
         with pytest.raises(DomainError):
             quotient_action(symmetric_group(4), Partition([{1, 2}, {3}]))
 
+    def test_invariance_matches_the_oracle(self):
+        """Over every partition of the points, `block_images` raises on
+        exactly those that the oracle finds not G-invariant."""
+        groups = _identity_cases() + [e.group() for e in transitive_catalog(6)]
+        for G in groups:
+            for p in _all_partitions(list(range(1, G.degree + 1))):
+                part = Partition(p)
+                if _is_invariant(G, part):
+                    assert block_images(G, part).shape == (G.order, len(part))
+                else:
+                    with pytest.raises(DomainError, match="not G-invariant"):
+                        block_images(G, part)
+
 
 class TestPrimitivity:
+    def test_abelian_matches_element_products(self):
+        for G in _identity_cases() + [close_group([], degree=1)]:
+            assert is_abelian(G) == all(a * b == b * a for a in G.elements
+                                        for b in G.elements)
+
     def test_conventions_diverge_on_prime_cycle(self):
         G = cyclic_group(5)
         assert is_primitive(G, "classical")
@@ -272,6 +300,15 @@ class TestIdentity:
                     assert hash(A) == hash(B)
                 assert is_subgroup(A, B) == (da == db and ea <= eb)
         assert len(set(groups)) == len({(d, frozenset(e)) for d, e in sets})
+
+    def test_arrays_are_read_only_and_owned(self):
+        rows = symmetric_group(3).images.copy()
+        G = PermGroup(3, rows)
+        assert G.images is rows
+        for arr in (G.images, G.keys, rows):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert G == symmetric_group(3)
 
     def test_membership_matches_sets(self):
         for H in _identity_cases():

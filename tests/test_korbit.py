@@ -131,6 +131,13 @@ class TestOrbits:
         reps = [X.tuples[0] for X in k_orbits(symmetric_group(4), 2)]
         assert reps == sorted(reps)
 
+    def test_cached_orbits_cannot_be_mutated(self):
+        orbs = k_orbits(cyclic_group(4), 2)
+        assert isinstance(orbs, tuple)
+        with pytest.raises(AttributeError):
+            orbs.append(orbs[0])
+        assert k_orbits(cyclic_group(4), 2) is orbs and len(orbs) == 3
+
     def test_k_range_check(self):
         with pytest.raises(DomainError):
             k_orbits(cyclic_group(3), 4)
@@ -302,7 +309,7 @@ class TestCoherenceFromRows:
         # D8's 3-orbits have coordinate sets with equal least points,
         # which the family lists in order of first tuple
         orbits = k_orbits(dihedral_group(8), 3)
-        for X in orbits + [X for X, _ in _identity_cases()]:
+        for X in list(orbits) + [X for X, _ in _identity_cases()]:
             fam, part, disjoint = co_analysis(X)
             ref_fam, ref_part, ref_disjoint = _co_reference(X)
             assert (fam, part, disjoint) == (ref_fam, ref_part, ref_disjoint)

@@ -74,6 +74,14 @@ class TestStructure:
         assert len(classes[0].conjugates) == 1
         assert len(classes[-1].conjugates) == 1
 
+    def test_cached_classes_cannot_be_mutated(self):
+        classes = subgroup_classes(symmetric_group(3))
+        assert isinstance(classes, tuple)
+        with pytest.raises(AttributeError):
+            classes.pop()
+        assert subgroup_classes(symmetric_group(3)) is classes
+        assert len(classes) == 4
+
     def test_ids_stable_and_ordered(self):
         G = symmetric_group(4)
         a = subgroup_classes(G)

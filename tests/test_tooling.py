@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with the standard library's
 `ast`: no module of src/korbits/ imports a name it never reads, every
 module-level private function is read somewhere in the package, every
-public function of `_backend` is read by another module, and every
+public function of `_backend` is read by another module, every
 `ResourceLimitError` names a cap that `test_caps` raises and a flag
-that the CLI registers."""
+that the CLI registers, only `group.generator_rows` turns a group's
+generators into rows, and the `functools.lru_cache` functions are the
+pinned ones."""
 
 import ast
 import pathlib
@@ -131,3 +133,73 @@ def test_every_cap_is_tested_and_every_flag_registered():
     sites = [s for m in MODULES for s in raise_sites((SRC / m).read_text())]
     assert {name for name, _ in sites} == {site[0] for site in SITES.values()}
     assert {flag for _, flag in sites} - {None} <= set(_OPTIONS)
+
+
+def generator_row_builders(source):
+    """Functions of the module text `source`, nested ones included, that
+    both read an attribute `.generators` and call `perm_to_row`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        if (any(isinstance(n, ast.Attribute) and n.attr == "generators"
+                for n in nodes)
+                and any(isinstance(n, ast.Call)
+                        and "perm_to_row" in (getattr(n.func, "id", None),
+                                              getattr(n.func, "attr", None))
+                        for n in nodes)):
+            found.append(fn.name)
+    return sorted(found)
+
+
+def test_checker_flags_a_generator_row_builder():
+    source = ("def rows(G):\n    return [perm_to_row(g) for g in G.generators]\n"
+              "def rows_by_module(G):\n"
+              "    return [group.perm_to_row(g) for g in G.generators]\n"
+              "def gens(G):\n    return G.generators\n"
+              "def row(p):\n    return perm_to_row(p)\n")
+    assert generator_row_builders(source) == ["rows", "rows_by_module"]
+
+
+def test_generator_rows_is_the_one_conversion():
+    builders = {(m, name) for m in MODULES
+                for name in generator_row_builders((SRC / m).read_text())}
+    assert builders == {("group.py", "generator_rows")}
+
+
+def cached_functions(source):
+    """The functions of the module text `source` that `functools.lru_cache`
+    decorates, with or without arguments."""
+    return sorted(fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(ast.unparse(getattr(d, "func", d)) == "functools.lru_cache"
+                          for d in fn.decorator_list))
+
+
+# every cache of the package, as module.function: the cache counters
+# that a benchmark of korbits can read
+CACHED = {
+    "_backend.powers_for", "catalog.transitive_catalog",
+    "group.normalizer_in_sym", "korbit._orbit_of_tuple", "korbit.k_orbits",
+    "korbit._cyclic_classes", "korbit.classify_coherence",
+    "korbit._coherence_family", "korbit._translates",
+    "korbit.stab_of_ksuborbit", "korbit.aut_of_kset",
+    "korbit.automorphic_analysis", "propcheck._deser_group",
+    "propcheck._join_groups", "propcheck._aut_suborbit_partition_failure",
+    "subgroups.subgroup_classes",
+}
+
+
+def test_checker_reads_cached_functions():
+    source = ("import functools\n@functools.lru_cache(maxsize=4)\ndef a(): pass\n"
+              "@functools.lru_cache\ndef b(): pass\n"
+              "@staticmethod\ndef c(): pass\ndef d(): pass\n")
+    assert cached_functions(source) == ["a", "b"]
+
+
+def test_cached_functions_are_pinned():
+    found = {f"{m[:-3]}.{name}" for m in MODULES
+             for name in cached_functions((SRC / m).read_text())}
+    assert len(CACHED) == 16
+    assert found == CACHED

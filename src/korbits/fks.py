@@ -26,8 +26,8 @@ from .group import (DEFAULT_ELEMENT_CAP, block_images, block_systems,
 from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
                      setwise_point_stabilizer, translate_keys)
 from .partition import Partition
-from .perm import Permutation, analyze_element, parse_permutation
-from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+from .perm import analyze_element, parse_permutation
+from .subgroups import DEFAULT_SUBGROUP_CAP, _element_orders, subgroup_classes
 
 
 def find_fpf_prime_power(G):
@@ -44,17 +44,6 @@ def find_fpf_prime_power(G):
 # ---------------------------------------------------------------------------
 # quotient lift
 # ---------------------------------------------------------------------------
-
-def _perm_power(g, e):
-    out = Permutation.identity(g.degree)
-    base = g
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
-
 
 def _preimage_rows(G, Q, g_quot):
     """Image rows of the g in G whose induced action on the classes of Q
@@ -88,17 +77,17 @@ def lift_fpf(G, Q, g_quot, preimage=None):
         raise DomainError(
             f"quotient element order {a_quot.order} is not a prime power")
     pre = _preimage_rows(G, Q, g_quot)
-    if preimage is None:
-        preimage = row_to_perm(pre[0])
-    elif not (preimage.degree == G.degree
-              and (pre == perm_to_row(preimage)).all(axis=1).any()):
+    row = pre[0] if preimage is None else perm_to_row(preimage)
+    if not (row.size == G.degree and (pre == row).all(axis=1).any()):
         raise DomainError("given preimage does not reduce to the quotient element")
     p = a_quot.prime_power_split[0][0]
-    order = preimage.order()
-    d = order
+    d = int(_element_orders(row[None])[0])
     while d % p == 0:
         d //= p
-    lifted = _perm_power(preimage, d)
+    power = row
+    for _ in range(d - 1):
+        power = row[power]
+    lifted = row_to_perm(power)
     a = analyze_element(lifted)
     if not a.is_fpf_prime_power:
         raise DomainError(

@@ -30,9 +30,13 @@ def row_to_perm(row):
 
 
 def generator_rows(G):
-    """G's generators as 0-based image rows, one row each."""
-    return np.array([perm_to_row(g) for g in G.generators],
-                    dtype=np.int64).reshape(-1, G.degree)
+    """G's generators as a read-only (m, degree) array of 0-based image
+    rows: the given ones, or else the greedy set of `reduce_generators`,
+    computed on first read."""
+    if G._gen_rows is None:
+        object.__setattr__(G, "_gen_rows", reduce_generators(G.images))
+        G._gen_rows.flags.writeable = False
+    return G._gen_rows
 
 
 class PermGroup:
@@ -42,18 +46,19 @@ class PermGroup:
     lexicographically (the canonical element order); `keys` the matching
     encoded keys, the group's identity: equality and hashing are by
     degree and `keys`, membership by `searchsorted` into `keys`.
-    `generators` is the given tuple, or else the greedy set of
-    `reduce_generators`, read in the element index on first read.
+    The generators are 0-based image rows, read by `generator_rows`;
+    `generators` builds `Permutation`s from them on every read.
 
-    The group takes ownership of the `images` array it is given: it
-    makes that array and `keys` read-only in place, since equality,
-    hashing, membership and the caches that share groups read them.
+    The group takes ownership of the `images` and `gen_rows` arrays it
+    is given: it makes them and `keys` read-only in place, since
+    equality, hashing, membership and the caches that share groups read
+    them.
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
-                 "_generators", "_elements")
+                 "_gen_rows", "_elements")
 
-    def __init__(self, degree, images, generators=None):
+    def __init__(self, degree, images, gen_rows=None):
         object.__setattr__(self, "degree", int(degree))
         images = np.asarray(images, dtype=np.int64)
         keys = _backend.encode_rows(images, degree)
@@ -67,8 +72,10 @@ class PermGroup:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "order", int(images.shape[0]))
         object.__setattr__(self, "_hash", hash((self.degree, keys.tobytes())))
-        object.__setattr__(self, "_generators",
-                           None if generators is None else tuple(generators))
+        if gen_rows is not None:
+            gen_rows = np.asarray(gen_rows, dtype=np.int64).reshape(-1, degree)
+            gen_rows.flags.writeable = False
+        object.__setattr__(self, "_gen_rows", gen_rows)
         object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, *a):
@@ -76,10 +83,7 @@ class PermGroup:
 
     @property
     def generators(self):
-        if self._generators is None:
-            gens = reduce_generators(self.images)
-            object.__setattr__(self, "_generators", gens)
-        return self._generators
+        return tuple(row_to_perm(r) for r in generator_rows(self))
 
     @property
     def elements(self):
@@ -133,7 +137,7 @@ def close_group(generators, degree=None, max_elements=DEFAULT_ELEMENT_CAP):
             raise DomainError(f"generator degree {g.degree} != {degree}")
     rows = np.array([perm_to_row(g) for g in generators], dtype=np.int64).reshape(-1, degree)
     images = _backend.closure_images(rows, degree, max_elements)
-    return PermGroup(degree, images, generators)
+    return PermGroup(degree, images, rows)
 
 
 def reduce_generators(images):
@@ -144,7 +148,7 @@ def reduce_generators(images):
     have = np.arange(images.shape[0]) == 0              # the identity is row 0
     gens = _backend.greedy_generators(images, index,
                                       np.ones_like(have), have)
-    return tuple(row_to_perm(images[i]) for i in gens)
+    return images[gens]
 
 
 def is_subgroup(A, G):
@@ -173,8 +177,8 @@ def conjugate_rows_by(rows, g_row):
 # ---------------------------------------------------------------------------
 
 def symmetric_group(n, max_elements=DEFAULT_ELEMENT_CAP):
-    if n == 1:
-        return close_group([], degree=1)
+    if n <= 1:
+        return close_group([], degree=n)
     gens = [parse_permutation("(1 2)", n)]
     if n > 2:
         gens.append(Permutation(list(range(2, n + 1)) + [1]))
@@ -298,7 +302,7 @@ def quotient_action(G, Q):
                                                           G.degree))
     m = len(Q.classes)
     _, first = np.unique(_backend.encode_rows(rows, m), return_index=True)
-    return PermGroup(m, rows[first], tuple(row_to_perm(r) for r in rows[gen_at]))
+    return PermGroup(m, rows[first], rows[gen_at])
 
 
 def is_primitive(G, convention="paper"):

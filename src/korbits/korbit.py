@@ -123,7 +123,7 @@ def left_act(g, s):
         if s.rows.max() >= g.degree:
             raise DomainError("point out of range for this permutation")
         return _kset(np.unique(perm_to_row(g)[s.rows], axis=0))
-    t = tuple(s)
+    t = check_ktuple(s)
     if max(t) > g.degree:
         raise DomainError("point out of range for this permutation")
     return tuple(g(v) for v in t)
@@ -396,13 +396,18 @@ def stab_of_ksuborbit(G, Y):
 
 def pointwise_tuple_stabilizer(G, t):
     """{g in G : g fixes every coordinate of t}, the setwise stabilizer of {t}."""
-    row = np.array([check_ktuple(t)], dtype=np.int64) - 1
-    return PermGroup(G.degree, G.images[_backend.fixed_rows(G.images, row)])
+    return _fixing(G, np.array([check_ktuple(t)], dtype=np.int64) - 1)
 
 
 def setwise_point_stabilizer(G, points):
     """{g in G : g maps the point set onto itself}."""
-    rows = np.array(sorted(points), dtype=np.int64)[:, None] - 1
+    return _fixing(G, np.array(sorted(points), dtype=np.int64)[:, None] - 1)
+
+
+def _fixing(G, rows):
+    """The g in G that map the set of 0-based point rows onto itself."""
+    if rows.size and (rows.min() < 0 or rows.max() >= G.degree):
+        raise DomainError("point out of range for this group")
     return PermGroup(G.degree, G.images[_backend.fixed_rows(G.images, rows)])
 
 

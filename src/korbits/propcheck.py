@@ -20,16 +20,16 @@ import numpy as np
 from . import _backend
 from .errors import DomainError, ResourceLimitError
 from .fks import not_primitive_reason, terminal_case, terminal_partitions
-from .group import (DEFAULT_ELEMENT_CAP, close_group, conjugate_rows_by,
-                    generator_rows, is_subgroup, is_transitive, normalizer_in,
-                    normalizer_in_sym)
+from .group import (DEFAULT_ELEMENT_CAP, PermGroup, close_group,
+                    conjugate_rows_by, generator_rows, is_subgroup,
+                    is_transitive, normalizer_in, normalizer_in_sym)
 from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
                      automorphic_analysis, classify_coherence, k_blocks,
                      k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
                      setwise_point_stabilizer, stab_of_ksuborbit,
                      translate_keys)
 from .perm import parse_permutation
-from .subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
+from .subgroups import DEFAULT_SUBGROUP_CAP, _odd, subgroup_classes
 
 # subgroup pairs per orbit checked by L_grAB and P_capcup, and P_LkRk
 # contexts per group
@@ -129,8 +129,9 @@ def _is_normal(H, G):
 
 @functools.lru_cache(maxsize=16384)
 def _join_groups(A, B, degree, max_elements):
-    return close_group(list(A.generators) + list(B.generators), degree=degree,
-                       max_elements=max_elements)
+    rows = np.concatenate([generator_rows(A), generator_rows(B)])
+    return PermGroup(degree, _backend.closure_images(rows, degree, max_elements),
+                     rows)
 
 
 def _normal_proper_nontrivial(G, max_order):
@@ -362,7 +363,7 @@ def _eval_L_alt_norm(ctx, caps):
         return _na("alternating group is trivial below degree 3")
     # G < A_n: even generators and |G| < n!/2
     if not (2 * G.order < math.factorial(n)
-            and all(g.is_even() for g in G.generators)):
+            and not _odd(generator_rows(G)).any()):
         return _na("group is not a proper subgroup of the alternating group")
     return _normalizer_exceeds(G, caps)
 

@@ -38,7 +38,7 @@ A subgroup's identity is the bytes of its sorted int64 element keys,
 bytes makes class membership a hash lookup. A new class's conjugation
 orbit is walked one layer at a time with the conjugation maps of
 generators of G. The generators of G and of each normalizer are the
-greedy ones of `PermGroup.generators`, read by
+greedy ones of `generator_rows`, read by
 `_backend.greedy_generators`.
 """
 

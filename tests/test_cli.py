@@ -199,7 +199,7 @@ class TestFks:
         assert "error:" in err and "degree at least 2" in err
         assert "contradicts" not in err
 
-    def test_max_degree_reaches_audit(self, capsys, a5_on_pairs_file):
+    def test_max_elements_reaches_audit(self, capsys, a5_on_pairs_file):
         """The n! normalizer search of the audit counts against
         --max-elements."""
         code, out, err = run(capsys, "fks", "--group", a5_on_pairs_file,
@@ -218,7 +218,7 @@ class TestAudit:
         assert code == 2
         assert "error:" in err and "hypothesis violated" in err
 
-    def test_max_degree_reaches_normalizer(self, capsys, a5_on_pairs_file):
+    def test_max_elements_reaches_normalizer(self, capsys, a5_on_pairs_file):
         """The n! normalizer search counts against --max-elements."""
         code, out, err = run(capsys, "audit", "--group", a5_on_pairs_file,
                              "--max-elements", "3628799")

@@ -209,7 +209,7 @@ class TestTracePersistence:
         trace = fks_pipeline(cyclic_group(6))
         assert replay_trace(trace)
 
-    def test_replay_keeps_max_degree(self):
+    def test_replay_keeps_max_elements(self):
         """The audit of A5 on the 10 pairs of {1..5} records the element
         cap that stopped its n! normalizer search, so a replay must run
         with the same cap."""

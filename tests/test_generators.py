@@ -1,18 +1,19 @@
 """The generator contract of groups built from their elements.
 
 Every group generates itself: closing `H.generators` gives `H` back.
-A group built from images alone gets the greedy generators of
-`reduce_generators`, computed on first read, and orbits never read
-them. The greedy rule is checked against a brute-force reference that
+A group built from images alone gets the greedy generator rows of
+`reduce_generators`, computed on first read of `generator_rows`, and
+orbits never read them. The greedy rule is checked against a brute-force reference that
 closes from scratch after every generator it takes.
 """
 
 import pytest
 
 from korbits.group import (PermGroup, block_systems, close_group,
-                           cyclic_group, dihedral_group, is_transitive,
-                           normalizer_in, normalizer_in_sym, orbits_on_points,
-                           quotient_action, symmetric_group)
+                           cyclic_group, dihedral_group, generator_rows,
+                           is_transitive, normalizer_in, normalizer_in_sym,
+                           orbits_on_points, perm_to_row, quotient_action,
+                           row_to_perm, symmetric_group)
 from korbits.korbit import (acts_transitively_on, aut_of_kset, k_orbits,
                             orbit_of_tuple, orbits_on_kset, stab_of_ksuborbit)
 from korbits.propcheck import _is_normal
@@ -54,9 +55,12 @@ def G(request):
 
 def test_generators_computed_on_first_read(G):
     H = PermGroup(G.degree, G.images)
-    assert H._generators is None
+    assert H._gen_rows is None
     assert_images_only(H)
-    assert H._generators is H.generators
+    rows = generator_rows(H)
+    assert rows is H._gen_rows is generator_rows(H)
+    assert not rows.flags.writeable
+    assert H.generators == tuple(row_to_perm(r) for r in rows)
 
 
 def test_orbits_read_no_generators(G):
@@ -69,13 +73,15 @@ def test_orbits_read_no_generators(G):
     for X in k_orbits.__wrapped__(H, 2):
         for A in [H] + subs:
             orbits_on_kset(A, X)
-    assert all(A._generators is None for A in [H] + subs)
+    assert all(A._gen_rows is None for A in [H] + subs)
 
 
 def test_given_generators_kept():
     S3 = symmetric_group(3)
     gens = tuple(reversed(S3.elements[1:]))
-    assert PermGroup(3, S3.images, gens).generators == gens
+    H = PermGroup(3, S3.images, [perm_to_row(g) for g in gens])
+    assert H.generators == gens
+    assert not generator_rows(H).flags.writeable
 
 
 def test_subgroup_class_reps_and_normalizers(G):
@@ -101,7 +107,7 @@ def test_normality_reads_no_generators(G):
         H = PermGroup(cls.rep.degree, cls.rep.images)
         want = all(h.conjugate(g) in H for g in G.elements for h in H.elements)
         assert _is_normal(H, G) == want == (len(cls.conjugates) == 1)
-        assert H._generators is None
+        assert H._gen_rows is None
 
 
 def test_quotients(G):

@@ -78,6 +78,13 @@ class TestStandardGroups:
         G = klein_four_group()
         assert G.order == 4 and is_abelian(G) and is_transitive(G)
 
+    @pytest.mark.parametrize("make", [symmetric_group, alternating_group,
+                                      cyclic_group, dihedral_group],
+                             ids=lambda f: f.__name__)
+    def test_degree_zero_rejected(self, make):
+        with pytest.raises(DomainError, match="degree must be positive"):
+            make(0)
+
 
 class TestClosure:
     def test_membership(self):

@@ -83,6 +83,13 @@ class TestActions:
         with pytest.raises(DomainError):
             left_act(parse_permutation("(1 2)", 2), (1, 3))
 
+    @pytest.mark.parametrize("t", [(0, 1), (1, 1), ()])
+    def test_left_action_checks_the_tuple(self, t):
+        """Tuples take the checks of `KSet` and `orbit_of_tuple`: 1-based
+        distinct points; point 0 used to read the last image."""
+        with pytest.raises(DomainError):
+            left_act(parse_permutation("(1 2 3)", 3), t)
+
     @given(st.permutations(list(range(1, 6))), st.permutations(list(range(1, 6))))
     def test_left_action_is_an_action(self, a, b):
         p, q = Permutation(a), Permutation(b)
@@ -551,6 +558,18 @@ class TestStabilizers:
         G = symmetric_group(4)
         H = setwise_point_stabilizer(G, {1, 2})
         assert H.order == 4
+
+    @pytest.mark.parametrize("stabilizer, points", [
+        (setwise_point_stabilizer, {0}), (setwise_point_stabilizer, {5}),
+        (setwise_point_stabilizer, {2, 5}), (pointwise_tuple_stabilizer, (5,)),
+        (pointwise_tuple_stabilizer, (1, 5))])
+    def test_points_out_of_range(self, stabilizer, points):
+        with pytest.raises(DomainError, match="point out of range for this group"):
+            stabilizer(cyclic_group(4), points)
+
+    def test_setwise_of_no_points_is_the_group(self):
+        G = cyclic_group(4)
+        assert setwise_point_stabilizer(G, set()) == G
 
     def test_suborbit_stabilizer_and_flag(self):
         G = symmetric_group(3)

@@ -3,9 +3,10 @@
 module-level private function is read somewhere in the package, every
 public function of `_backend` is read by another module, every
 `ResourceLimitError` names a cap that `test_caps` raises and a flag
-that the CLI registers, only `group.generator_rows` turns a group's
-generators into rows, and the `functools.lru_cache` functions are the
-pinned ones."""
+that the CLI registers, only the report, file and trace boundary reads
+`.generators` and only `PermGroup.generators` turns generator rows into
+`Permutation`s, and the `functools.lru_cache` functions are the pinned
+ones."""
 
 import ast
 import pathlib
@@ -135,37 +136,70 @@ def test_every_cap_is_tested_and_every_flag_registered():
     assert {flag for _, flag in sites} - {None} <= set(_OPTIONS)
 
 
-def generator_row_builders(source):
-    """Functions of the module text `source`, nested ones included, that
-    both read an attribute `.generators` and call `perm_to_row`."""
-    found = []
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        nodes = list(ast.walk(fn))
-        if (any(isinstance(n, ast.Attribute) and n.attr == "generators"
-                for n in nodes)
-                and any(isinstance(n, ast.Call)
-                        and "perm_to_row" in (getattr(n.func, "id", None),
-                                              getattr(n.func, "attr", None))
-                        for n in nodes)):
-            found.append(fn.name)
-    return sorted(found)
+def _qualified_functions(source):
+    """(name, node) of every module-level function and method of the
+    module text `source`, a method named Class.method; nested functions
+    belong to the function that holds them."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
 
 
-def test_checker_flags_a_generator_row_builder():
-    source = ("def rows(G):\n    return [perm_to_row(g) for g in G.generators]\n"
-              "def rows_by_module(G):\n"
-              "    return [group.perm_to_row(g) for g in G.generators]\n"
-              "def gens(G):\n    return G.generators\n"
-              "def row(p):\n    return perm_to_row(p)\n")
-    assert generator_row_builders(source) == ["rows", "rows_by_module"]
+def generators_readers(source):
+    """Functions of the module text `source` that read an attribute
+    `.generators`."""
+    return sorted(name for name, fn in _qualified_functions(source)
+                  if any(isinstance(n, ast.Attribute) and n.attr == "generators"
+                         for n in ast.walk(fn)))
 
 
-def test_generator_rows_is_the_one_conversion():
-    builders = {(m, name) for m in MODULES
-                for name in generator_row_builders((SRC / m).read_text())}
-    assert builders == {("group.py", "generator_rows")}
+def generator_row_converters(source):
+    """Functions of the module text `source` that read `row_to_perm` and
+    also a group's generator rows, `generator_rows` or `_gen_rows`."""
+    return sorted(name for name, fn in _qualified_functions(source)
+                  if "row_to_perm" in _read([fn])
+                  and {"generator_rows", "_gen_rows"} & _read([fn]))
+
+
+# the report, file and trace boundary: the only functions that read
+# `.generators`, of a PermGroup, a CatalogEntry or a ReductionTrace
+BOUNDARY = {
+    ("group.py", "PermGroup.__repr__"), ("group.py", "render_group"),
+    ("propcheck.py", "_ser_group"), ("cli.py", "_group_header"),
+    ("fks.py", "fks_pipeline"), ("fks.py", "trace_to_dict"),
+    ("fks.py", "replay_trace"), ("fks.py", "render_trace"),
+    ("catalog.py", "_entry_from_group"), ("catalog.py", "CatalogEntry.group"),
+    ("catalog.py", "render_catalog"),
+}
+
+
+def test_checker_flags_a_generators_read():
+    source = ("class G:\n    def gens(self):\n        return self.generators\n"
+              "    def rows(self):\n        return generator_rows(self)\n"
+              "def outer(H):\n    def inner():\n        return H.generators\n"
+              "    return inner\n"
+              "def perms(H):\n    return [row_to_perm(r) for r in H._gen_rows]\n"
+              "def elements(H):\n    return [row_to_perm(r) for r in H.images]\n")
+    assert generators_readers(source) == ["G.gens", "outer"]
+    assert generator_row_converters(source) == ["perms"]
+    package = (SRC / "propcheck.py").read_text()
+    rows = "    rows = np.concatenate([generator_rows(A), generator_rows(B)])\n"
+    perms = "    rows = [perm_to_row(g) for g in A.generators + B.generators]\n"
+    assert rows in package
+    assert set(generators_readers(package.replace(rows, perms))) \
+        - set(generators_readers(package)) == {"_join_groups"}
+
+
+def test_generators_read_only_at_the_boundary():
+    readers = {(m, name) for m in MODULES
+               for name in generators_readers((SRC / m).read_text())}
+    converters = {(m, name) for m in MODULES
+                  for name in generator_row_converters((SRC / m).read_text())}
+    assert readers == BOUNDARY
+    assert converters == {("group.py", "PermGroup.generators")}
 
 
 def cached_functions(source):

@@ -3,8 +3,9 @@
 Every group generates itself: closing `H.generators` gives `H` back.
 A group built from images alone gets the greedy generator rows of
 `reduce_generators`, computed on first read of `generator_rows`, and
-orbits never read them. The greedy rule is checked against a brute-force reference that
-closes from scratch after every generator it takes.
+orbits never read them. The greedy rule is checked against a
+brute-force reference that closes from scratch after every generator
+it takes.
 """
 
 import pytest

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceLimitError
 from .group import (DEFAULT_ELEMENT_CAP, block_images, block_systems,
                     close_group, is_primitive, is_transitive, normalizer_in_sym,
                     perm_to_row, quotient_action, row_to_perm)
@@ -27,7 +27,8 @@ from .korbit import (automorphic_analysis, classify_coherence, orbit_of_tuple,
                      setwise_point_stabilizer, translate_keys)
 from .partition import Partition
 from .perm import analyze_element, parse_permutation
-from .subgroups import DEFAULT_SUBGROUP_CAP, _element_orders, subgroup_classes
+from .subgroups import (DEFAULT_SUBGROUP_CAP, _cycle_lengths, _element_orders,
+                        subgroup_classes)
 
 
 def find_fpf_prime_power(G):
@@ -147,15 +148,8 @@ def not_primitive_reason(G):
 
 
 def _has_full_cycle(G):
-    """Whether G holds an n-cycle: a row whose cycle through point 0 has
-    length n, walked for all rows at once."""
-    rows = np.arange(G.order)
-    at = G.images[:, 0]
-    full = at != 0
-    for _ in range(G.degree - 2):
-        at = G.images[rows, at]
-        full &= at != 0
-    return bool(full.any())
+    """Whether G holds an n-cycle, n > 1: a row whose cycle at point 0 is n long."""
+    return G.degree > 1 and bool((_cycle_lengths(G.images)[:, 0] == G.degree).any())
 
 
 def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
@@ -389,7 +383,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
                 try:
                     audit, audit_error = _audit_terminal(
                         G, max_subgroup_order, max_elements).as_dict(), None
-                except Exception as exc:   # caps; recorded, never fatal
+                except ResourceLimitError as exc:   # recorded, never fatal
                     audit_error = str(exc)
             steps.append({"kind": "primitive-terminal",
                           "audit": audit, "audit_error": audit_error})

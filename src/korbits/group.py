@@ -52,7 +52,9 @@ class PermGroup:
     The group takes ownership of the `images` and `gen_rows` arrays it
     is given: it makes them and `keys` read-only in place, since
     equality, hashing, membership and the caches that share groups read
-    them.
+    them. A point outside 0..degree-1 or a repeated row raises
+    `DomainError`; rows in range that are not bijections pass unchecked,
+    since a check per row would run on every group built internally.
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
@@ -61,11 +63,15 @@ class PermGroup:
     def __init__(self, degree, images, gen_rows=None):
         object.__setattr__(self, "degree", int(degree))
         images = np.asarray(images, dtype=np.int64)
+        if images.size and (images.min() < 0 or images.max() >= degree):
+            raise DomainError("point out of range for this group")
         keys = _backend.encode_rows(images, degree)
         if not np.all(np.diff(keys) > 0):
             order = np.argsort(keys)
             images = images[order]
             keys = keys[order]
+            if not np.all(np.diff(keys) > 0):
+                raise DomainError("repeated element row")
         images.flags.writeable = False
         keys.flags.writeable = False
         object.__setattr__(self, "images", images)
@@ -91,9 +97,6 @@ class PermGroup:
             elems = tuple(row_to_perm(r) for r in self.images)
             object.__setattr__(self, "_elements", elems)
         return self._elements
-
-    def identity(self):
-        return Permutation.identity(self.degree)
 
     def __contains__(self, p):
         if isinstance(p, Permutation):

@@ -5,7 +5,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 
 class Permutation:
@@ -39,7 +39,7 @@ class Permutation:
     def __mul__(self, other):
         """Composition self∘other: apply other first."""
         if self.degree != other.degree:
-            raise ValueError("degree mismatch")
+            raise DomainError("degree mismatch")
         im = self.images
         return Permutation(im[w - 1] for w in other.images)
 

@@ -392,37 +392,35 @@ def _eval_P_equal_classes(ctx, caps):
 def _eval_L_grAB(ctx, caps):
     G = _ctx_group(ctx, caps)
     if "subgroup" in ctx:    # pinned witness form
-        A = _ctx_group(ctx, caps, "subgroup")
-        B = _ctx_group(ctx, caps, "subgroup2")
+        regs = [_ctx_group(ctx, caps, key) for key in ("subgroup", "subgroup2")]
         alpha = tuple(int(v) for v in ctx["tuple"])
-        pairs = [(A, B, alpha)]
+        pairs = [(0, 1)] if all(len(orbit_of_tuple(A, alpha)) == A.order
+                                for A in regs) else []
     else:
         X = _orbit_from_ctx(G, ctx)
         aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
-        t0 = _rep(X)
-        # subgroup class reps of Aut whose orbit of t0 is regular
+        alpha = _rep(X)
+        # subgroup class reps of Aut whose orbit of alpha is regular
         regs = [cls.rep for cls in subgroup_classes(
                     aut, max_order=caps.max_subgroup_order)
-                if len(orbit_of_tuple(cls.rep, t0)) == cls.order]
-        pairs = [(A, B, t0) for A in regs for B in regs][:MAX_PAIRS]
-    checked = 0
-    for A, B, alpha in pairs:
-        Y = orbit_of_tuple(A, alpha)
-        Z = orbit_of_tuple(B, alpha)
-        if len(Y) != A.order or len(Z) != B.order:
-            continue
-        checked += 1
-        J = _join_groups(A, B, A.degree, caps.max_elements)
+                if len(orbit_of_tuple(cls.rep, alpha)) == cls.order]
+        pairs = [(i, j) for i in range(len(regs))
+                 for j in range(len(regs))][:MAX_PAIRS]
+    if not pairs:
+        return _na("no pair of regular suborbits through a common tuple")
+    # gr(A, A) = A is regular, and gr(B, A) = gr(A, B) with (j, i) listed
+    # before (i, j): only the pairs i < j are joined
+    for i, j in [(i, j) for i, j in pairs if i < j]:
+        J = _join_groups(regs[i], regs[j], G.degree, caps.max_elements)
         T = orbit_of_tuple(J, alpha)
         if len(T) != J.order:
             return _fail({"reason": "|T_k| != |gr(A, B)|",
                           "t_size": len(T), "join_order": J.order},
                          {"degree": ctx["degree"], "group": ctx["group"],
-                          "subgroup": _ser_group(A),
-                          "subgroup2": _ser_group(B), "tuple": list(alpha)})
-    if not checked:
-        return _na("no pair of regular suborbits through a common tuple")
-    return _pass({"pairs_checked": checked})
+                          "subgroup": _ser_group(regs[i]),
+                          "subgroup2": _ser_group(regs[j]),
+                          "tuple": list(alpha)})
+    return _pass({"pairs_checked": len(pairs)})
 
 
 def _pair_partitions(ly, lz):
@@ -601,8 +599,9 @@ def _eval_P_triv_norm(ctx, caps):
     if why:
         return _na(why)
     self_norm = None
+    # N_Aut(A) = A iff the class of A, of size |Aut : N_Aut(A)|, has |Aut|/|A| members
     for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
-        if 1 < cls.order < aut.order and normalizer_in(aut, cls.rep) == cls.rep:
+        if 1 < cls.order < aut.order and cls.order * len(cls.conjugates) == aut.order:
             self_norm = cls.rep
             break
     if self_norm is None:
@@ -739,9 +738,8 @@ def _ctx_index_like(G, base, ks, caps):
     for H in _normal_proper_nontrivial(G, caps.max_subgroup_order):
         for cls in subgroup_classes(H, max_order=caps.max_subgroup_order):
             A = cls.rep
-            if not 1 < A.order < H.order:
-                continue
-            if normalizer_in(H, A) != A:
+            # N_H(A) = A iff the class of A, of size |H : N_H(A)|, has |H|/|A| members
+            if not 1 < A.order < H.order or A.order * len(cls.conjugates) != H.order:
                 continue
             found = True
             yield {**base, "subgroup": _ser_group(H),

@@ -85,17 +85,21 @@ def _rows_of(G, b):
     return G.images[np.searchsorted(G.keys, _key_array(b))]
 
 
-def _element_orders(images):
-    """The order of each element row: the lcm of its cycle lengths, where
-    the cycle length of a point is the least m with g^m fixing it. The
-    powers g, g^2, ..., g^n of all rows are walked at once."""
+def _cycle_lengths(images):
+    """The cycle length of each point in each element row, the least m
+    with g^m fixing it; the powers g, ..., g^n of all rows at once."""
     n = images.shape[1]
     length = np.zeros_like(images)
     power = images
     for m in range(1, n + 1):
         length[(power == np.arange(n)) & (length == 0)] = m
         power = np.take_along_axis(images, power, axis=1)
-    return np.lcm.reduce(length, axis=1)
+    return length
+
+
+def _element_orders(images):
+    """The order of each element row: the lcm of its cycle lengths."""
+    return np.lcm.reduce(_cycle_lengths(images), axis=1)
 
 
 def _element_primes(images):

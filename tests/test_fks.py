@@ -371,6 +371,19 @@ class TestTerminalCase:
         assert elcoh.verdict == "fail"
         assert elcoh.witness["detail"]["classes"] == bad[0][0]
 
+    def test_audit_records_only_a_cap_error(self, monkeypatch):
+        """The pipeline records a cap error of the terminal audit
+        (`test_replay_keeps_max_elements`); any other exception of the
+        audit propagates."""
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
+        monkeypatch.setattr(fks, "normalizer_in_sym", lambda G, max_elements: G)
+
+        def broken(*args):
+            raise IndexError("audit bug")
+        monkeypatch.setattr(fks, "_audit_terminal", broken)
+        with pytest.raises(IndexError, match="audit bug"):
+            fks_pipeline(G, max_elements=3628800)
+
     def test_pipeline_decides_the_terminal_case_once(self, monkeypatch):
         """On a terminal G the pipeline hands its decision to the audit:
         one `terminal_case` per pipeline, and `block_systems` once in

@@ -245,6 +245,10 @@ class TestNormalizer:
             conj_ok = all(x * h * x.inverse() in G for h in G.elements)
             assert (x in N) == conj_ok
 
+    def test_degree_mismatch(self):
+        with pytest.raises(DomainError, match="degree mismatch"):
+            normalizer_in(symmetric_group(4), symmetric_group(3))
+
     def test_degree_cap(self):
         """10! permutations are over the default element cap, 9! are not."""
         with pytest.raises(ResourceLimitError):
@@ -294,6 +298,18 @@ def _identity_cases():
 
 class TestIdentity:
     """==, hash, `in` and is_subgroup against Python sets of image tuples."""
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 1, 2], [0, 1, 2]], "repeated element row"),
+        ([[0, 1, 2], [1, 0, 2], [0, 1, 2]], "repeated element row"),
+        ([[0, 1, 5]], "point out of range"),
+        ([[0, 2, 2], [0, 1, 3]], "point out of range"),
+        ([[-1, 1, 2]], "point out of range"),
+    ])
+    def test_rows_must_be_distinct_points_in_range(self, rows, message):
+        # [0, 1, 5] and [0, 2, 2] would share one key at degree 3
+        with pytest.raises(DomainError, match=message):
+            PermGroup(3, rows)
 
     def test_equality_hash_and_subgroup_match_sets(self):
         groups = _identity_cases()

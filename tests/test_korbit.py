@@ -83,6 +83,14 @@ class TestActions:
         with pytest.raises(DomainError):
             left_act(parse_permutation("(1 2)", 2), (1, 3))
 
+    def test_left_action_on_a_kset_range_check(self):
+        with pytest.raises(DomainError, match="point out of range"):
+            left_act(parse_permutation("(1 2)", 2), kset((1, 3), (3, 1)))
+
+    def test_right_action_on_a_kset_needs_full_arity(self):
+        with pytest.raises(DomainError, match="arity equal to the degree"):
+            right_act(kset((1, 2), (2, 1)), parse_permutation("(1 2 3)", 3))
+
     @pytest.mark.parametrize("t", [(0, 1), (1, 1), ()])
     def test_left_action_checks_the_tuple(self, t):
         """Tuples take the checks of `KSet` and `orbit_of_tuple`: 1-based
@@ -566,6 +574,10 @@ class TestStabilizers:
     def test_points_out_of_range(self, stabilizer, points):
         with pytest.raises(DomainError, match="point out of range for this group"):
             stabilizer(cyclic_group(4), points)
+
+    def test_suborbit_out_of_range(self):
+        with pytest.raises(DomainError, match="point out of range for this group"):
+            stab_of_ksuborbit(cyclic_group(4), kset((1, 5)))
 
     def test_setwise_of_no_points_is_the_group(self):
         G = cyclic_group(4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from korbits.errors import ParseError
+from korbits.errors import DomainError, ParseError
 from korbits.perm import (Permutation, analyze_element, parse_permutation)
 
 
@@ -89,6 +89,11 @@ class TestArithmetic:
     @given(perms())
     def test_order_is_cycle_lcm(self, p):
         assert p.order() == math.lcm(1, *(len(c) for c in p.cycles()))
+
+
+def test_product_of_different_degrees_is_a_domain_error():
+    with pytest.raises(DomainError, match="degree mismatch"):
+        Permutation([2, 1]) * Permutation([1, 2, 3])
 
 
 class TestAnalysis:

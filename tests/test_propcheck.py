@@ -129,6 +129,45 @@ class TestCounterexamples:
         assert replay.verdict == "fail"
 
 
+S4 = ["(1 2)", "(1 2 3 4)"]
+A4 = ["(1 2 3)", "(1 2)(3 4)"]
+INDEX_GUARDS = [
+    ({"subgroup": A4, "subgroup2": ["(1 2)"]},
+     "A is not a proper non-trivial subgroup of H"),
+    ({"subgroup": ["(1 2)", "(3 4)"], "subgroup2": ["(1 2)"]},
+     "H is not a proper normal subgroup of G"),
+    ({"subgroup": A4, "subgroup2": KLEIN}, "N_H(A) != A"),
+]
+# Contexts that break one hypothesis each, with the exact reason
+GUARDS = [
+    ("P_stab_co", {"degree": 4, "group": ["(1 2 3 4)"], "tuple": [1, 2]},
+     "tuple is not automorphic: its coordinate set is no suborbit"),
+    ("P_LkRk", klein_ctx(k=2, suborbit=[[1, 2], [1, 3]]),
+     "suborbit is not contained in a k-orbit"),
+    ("P_LkRk", klein_ctx(k=1, suborbit=[[1], [2], [3]]),
+     "stabilizer is not transitive on the k-set: not a suborbit"),
+    ("P_prim_normal", {"degree": 4, "group": S4, "subgroup": ["(1 2)"]},
+     "subgroup is trivial or not normal"),
+    ("P_prim_normal", {"degree": 4, "group": S4, "subgroup": []},
+     "subgroup is trivial or not normal"),
+    *((check_id, {"degree": 4, "group": S4, **extra}, reason)
+      for check_id in ("P_index", "P_giso") for extra, reason in INDEX_GUARDS),
+    ("L_grAB", klein_ctx(tuple=[1], subgroup=["(3 4)"], subgroup2=KLEIN),
+     "no pair of regular suborbits through a common tuple"),
+    ("L_grAB", klein_ctx(tuple=[1], subgroup=KLEIN, subgroup2=["(3 4)"]),
+     "no pair of regular suborbits through a common tuple"),
+]
+
+
+class TestHypothesisGuards:
+    @pytest.mark.parametrize("check_id,ctx,reason", GUARDS,
+                             ids=[f"{c}-{i}" for i, (c, _, _) in
+                                  enumerate(GUARDS)])
+    def test_broken_hypothesis_gives_its_reason(self, check_id, ctx, reason):
+        res = replay_witness({"context": ctx}, check_id)
+        assert (res.verdict, res.reason) == ("inapplicable", reason)
+
+
 class TestHypothesisOnlyChecks:
     """Checks whose hypothesis is never met at small degree: the
     evaluator must report inapplicable, and the underlying predicates

@@ -1,7 +1,10 @@
 """The per-orbit batched translate-partition tests of the check engine
 against per-pair and per-suborbit references: `P_capcup`'s meets and
 joins, and the Aut-suborbit partition test behind `L_H_order`,
-`P_triv_norm`, `T_coherent` and `L_elcoh_part`."""
+`P_triv_norm`, `T_coherent` and `L_elcoh_part`. Also the subgroup facts
+the checks read instead of recomputing them: `L_grAB` against its
+per-ordered-pair reference, and the class-size test of self-normalizing
+classes against `normalizer_in`."""
 
 import numpy as np
 import pytest
@@ -11,13 +14,15 @@ from hypothesis import strategies as st
 from korbits import _backend, propcheck
 from korbits.catalog import transitive_catalog
 from korbits.errors import DomainError
-from korbits.group import PermGroup
+from korbits.group import PermGroup, normalizer_in, symmetric_group
 from korbits.korbit import (KSet, _kset, aut_of_kset, k_orbits,
-                            stab_of_ksuborbit, translate_keys)
+                            orbit_of_tuple, stab_of_ksuborbit, translate_keys)
 from korbits.propcheck import (SuiteCaps, _aut_suborbit_partition_failure,
-                               _ctx_group, _ctx_per_orbit, _fail, _na,
+                               _ctx_group, _ctx_index_like, _ctx_per_orbit,
+                               _fail, _na, _normal_proper_nontrivial,
                                _orbit_from_ctx, _pair_partitions, _pass,
-                               _result, _ser_kset, _suborbit_pool, run_check)
+                               _result, _ser_group, _ser_kset, _suborbit_pool,
+                               run_check)
 from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 from test_partition import meet_labels
 
@@ -274,3 +279,180 @@ class TestAutSuborbitPartition:
             assert got == reference_aut_failure(aut, X)
             found += got is not None
         assert chunked > 0 and found > 0
+
+
+# ---------------------------------------------------------------------------
+# L_grAB
+# ---------------------------------------------------------------------------
+
+def _grab_regs(ctx, caps=CAPS):
+    """The tuple and the candidate subgroups of an `L_grAB` context: the
+    pinned pair, or the subgroup class representatives of Aut(X) whose
+    orbit of X's least tuple is regular."""
+    G = _ctx_group(ctx, caps)
+    if "subgroup" in ctx:
+        return (tuple(ctx["tuple"]), [_ctx_group(ctx, caps, "subgroup"),
+                                      _ctx_group(ctx, caps, "subgroup2")])
+    X = _orbit_from_ctx(G, ctx)
+    aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
+    t0 = tuple((X.rows[0] + 1).tolist())
+    return t0, [cls.rep for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order)
+                if len(orbit_of_tuple(cls.rep, t0)) == cls.order]
+
+
+def reference_grab(ctx, caps=CAPS):
+    """`L_grAB` over every ordered pair of its list, truncated at
+    MAX_PAIRS, with the regularity of both suborbits tested again at each
+    pair and each pair joined. `_join_groups` is read from the module on
+    every call, so a test can replace it in both evaluators."""
+    alpha, regs = _grab_regs(ctx, caps)
+    if "subgroup" in ctx:
+        pairs = [tuple(regs)]
+    else:
+        pairs = [(A, B) for A in regs for B in regs][:propcheck.MAX_PAIRS]
+    checked = 0
+    for A, B in pairs:
+        if (len(orbit_of_tuple(A, alpha)) != A.order
+                or len(orbit_of_tuple(B, alpha)) != B.order):
+            continue
+        checked += 1
+        J = propcheck._join_groups(A, B, A.degree, caps.max_elements)
+        T = orbit_of_tuple(J, alpha)
+        if len(T) != J.order:
+            return _result("L_grAB", ctx, _fail(
+                {"reason": "|T_k| != |gr(A, B)|", "t_size": len(T),
+                 "join_order": J.order},
+                {"degree": ctx["degree"], "group": ctx["group"],
+                 "subgroup": _ser_group(A), "subgroup2": _ser_group(B),
+                 "tuple": list(alpha)}))
+    if not checked:
+        return _result("L_grAB", ctx, _na("no pair of regular suborbits "
+                                          "through a common tuple"))
+    return _result("L_grAB", ctx, _pass({"pairs_checked": checked}))
+
+
+def _count_joins(monkeypatch, join):
+    """Replace `_join_groups` by `join`, recording the (A, B) of each call."""
+    calls = []
+
+    def counted(A, B, degree, max_elements):
+        calls.append((A, B))
+        return join(A, B, degree, max_elements)
+    monkeypatch.setattr(propcheck, "_join_groups", counted)
+    return calls
+
+
+class TestGrabPairs:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_joins_each_unordered_pair_once(self, monkeypatch, n):
+        """Every orbit context, at every k, joins the pairs (i, j) with
+        i < j of its truncated ordered list, in order, up to the first
+        failing one, and its result is the reference's."""
+        calls = _count_joins(monkeypatch, propcheck._join_groups)
+        contexts = joined = 0
+        for ctx in _contexts([n]):
+            del calls[:]
+            got = run_check("L_grAB", ctx).to_record()
+            seen = list(calls)
+            assert got == reference_grab(ctx).to_record(), ctx
+            _, regs = _grab_regs(ctx)
+            ordered = [(i, j) for i in range(len(regs))
+                       for j in range(len(regs))][:propcheck.MAX_PAIRS]
+            want = [(regs[i], regs[j]) for i, j in ordered if i < j]
+            if got["verdict"] == "fail":
+                assert seen and [_ser_group(A) for A in seen[-1]] == [
+                    got["witness"]["context"][key]
+                    for key in ("subgroup", "subgroup2")]
+                want = want[:len(seen)]
+            assert seen == want, ctx
+            contexts += 1
+            joined += len(seen)
+        assert contexts > 0
+        if n >= 4:
+            assert joined > 0
+
+    def test_first_failing_pair_matches_reference(self, monkeypatch):
+        """With a join that is S_n for some pairs, later pairs fail; both
+        evaluators name the same first pair, and the witness replays."""
+        real = propcheck._join_groups
+
+        def join(A, B, degree, max_elements):
+            if (A.order + B.order) % 3:
+                return real(A, B, degree, max_elements)
+            return symmetric_group(degree)
+        monkeypatch.setattr(propcheck, "_join_groups", join)
+        fails = 0
+        for ctx in _contexts([4, 5], ks=[1, 2, 3]):
+            got = run_check("L_grAB", ctx).to_record()
+            assert got == reference_grab(ctx).to_record(), ctx
+            if got["verdict"] == "fail":
+                fails += 1
+                pinned = got["witness"]["context"]
+                assert (run_check("L_grAB", pinned).to_record()
+                        == reference_grab(pinned).to_record())
+        assert fails > 0
+
+    @pytest.mark.parametrize("subgroup,subgroup2,verdict", [
+        (["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2)(3 4)", "(1 3 2 4)"], "fail"),
+        (["(1 2)(3 4)"], ["(1 3)(2 4)"], "pass"),
+        (["(1 2)(3 4)"], ["(1 2)(3 4)"], "pass"),
+        (["(3 4)"], ["(1 2)(3 4)"], "inapplicable"),
+        (["(1 2)(3 4)"], ["(3 4)"], "inapplicable"),
+    ])
+    def test_pinned_pair_matches_reference(self, subgroup, subgroup2, verdict):
+        ctx = {"degree": 4, "group": ["(1 2)(3 4)", "(1 3)(2 4)"],
+               "tuple": [1], "subgroup": subgroup, "subgroup2": subgroup2}
+        got = run_check("L_grAB", ctx).to_record()
+        assert got["verdict"] == verdict
+        assert got == reference_grab(ctx).to_record()
+
+
+# ---------------------------------------------------------------------------
+# self-normalizing classes
+# ---------------------------------------------------------------------------
+
+def _lattices_read(degrees):
+    """The distinct groups whose subgroup lattices `P_triv_norm` and
+    `_ctx_index_like` read: Aut(X) of every orbit context, and every
+    proper non-trivial normal subgroup of every catalog group."""
+    groups = set()
+    for n in degrees:
+        for e in transitive_catalog(n):
+            G = e.group()
+            groups.update(_normal_proper_nontrivial(G, DEFAULT_SUBGROUP_CAP))
+            for k in range(1, n + 1):
+                groups.update(aut_of_kset(X, degree=n) for X in k_orbits(G, k))
+    return groups
+
+
+class TestSelfNormalizingClasses:
+    def test_class_size_matches_normalizer(self):
+        """N_H(A) = A exactly when the class of A has |H|/|A| members."""
+        found = total = 0
+        for H in _lattices_read(range(2, 7)):
+            for cls in subgroup_classes(H, max_order=DEFAULT_SUBGROUP_CAP):
+                by_size = cls.order * len(cls.conjugates) == H.order
+                assert by_size == (normalizer_in(H, cls.rep) == cls.rep)
+                found += by_size and 1 < cls.order < H.order
+                total += 1
+        assert found > 0 and total > found
+
+    def test_sites_filter_no_normalizer(self, monkeypatch):
+        """`P_triv_norm` and the contexts of `P_index` and `P_giso` read
+        self-normalizing classes from class sizes, not from `normalizer_in`."""
+        calls = []
+        monkeypatch.setattr(propcheck, "normalizer_in",
+                            lambda *args: calls.append(args))
+        reached = 0
+        for ctx in _contexts(range(2, 6)):
+            res = run_check("P_triv_norm", ctx)
+            reached += res.reason != ("some suborbit's Aut-translate set is "
+                                      "not a partition")
+        pinned = 0
+        for n in range(2, 7):
+            for e in transitive_catalog(n):
+                base = {"degree": n, "group": _ser_group(e.group())}
+                pinned += sum("subgroup2" in ctx for ctx in _ctx_index_like(
+                    e.group(), base, range(1, n + 1), CAPS))
+        assert calls == []
+        assert reached > 0 and pinned > 0

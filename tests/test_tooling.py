@@ -5,8 +5,9 @@ public function of `_backend` is read by another module, every
 `ResourceLimitError` names a cap that `test_caps` raises and a flag
 that the CLI registers, only the report, file and trace boundary reads
 `.generators` and only `PermGroup.generators` turns generator rows into
-`Permutation`s, and the `functools.lru_cache` functions are the pinned
-ones."""
+`Permutation`s, only the checks that read their groups from a context
+read `normalizer_in`, and the `functools.lru_cache` functions are the
+pinned ones."""
 
 import ast
 import pathlib
@@ -200,6 +201,35 @@ def test_generators_read_only_at_the_boundary():
                   for name in generator_row_converters((SRC / m).read_text())}
     assert readers == BOUNDARY
     assert converters == {("group.py", "PermGroup.generators")}
+
+
+def readers_of(source, name):
+    """Functions of the module text `source` that read `name`, by name
+    or as an attribute."""
+    return sorted(f for f, fn in _qualified_functions(source)
+                  if name in _read([fn]))
+
+
+def test_checker_flags_a_normalizer_filter():
+    source = ("from .group import normalizer_in\n"
+              "def by_name(H, A):\n    return normalizer_in(H, A)\n"
+              "def by_attribute(H, A):\n    return group.normalizer_in(H, A)\n"
+              "def by_size(H, cls):\n    return len(cls.conjugates)\n")
+    assert readers_of(source, "normalizer_in") == ["by_attribute", "by_name"]
+    package = (SRC / "propcheck.py").read_text()
+    size = "cls.order * len(cls.conjugates) == aut.order"
+    assert size in package
+    put_back = package.replace(size, "normalizer_in(aut, cls.rep) == cls.rep")
+    assert set(readers_of(put_back, "normalizer_in")) \
+        - set(readers_of(package, "normalizer_in")) == {"_eval_P_triv_norm"}
+
+
+def test_normalizer_in_read_only_from_a_context():
+    """Self-normalizing class representatives are read from class sizes;
+    `normalizer_in` serves only the checks whose groups come from a
+    context, which has no class record."""
+    assert readers_of((SRC / "propcheck.py").read_text(), "normalizer_in") \
+        == ["_eval_P_index", "_index_hypothesis"]
 
 
 def cached_functions(source):

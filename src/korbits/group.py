@@ -52,9 +52,10 @@ class PermGroup:
     The group takes ownership of the `images` and `gen_rows` arrays it
     is given: it makes them and `keys` read-only in place, since
     equality, hashing, membership and the caches that share groups read
-    them. A point outside 0..degree-1 or a repeated row raises
-    `DomainError`; rows in range that are not bijections pass unchecked,
-    since a check per row would run on every group built internally.
+    them. Rows that are not `degree` wide, a point outside 0..degree-1
+    or a repeated row raise `DomainError`; rows in range that are not
+    bijections pass unchecked, since a check per row would run on every
+    group built internally.
     """
 
     __slots__ = ("degree", "images", "keys", "order", "_hash",
@@ -63,6 +64,8 @@ class PermGroup:
     def __init__(self, degree, images, gen_rows=None):
         object.__setattr__(self, "degree", int(degree))
         images = np.asarray(images, dtype=np.int64)
+        if images.ndim != 2 or images.shape[1] != self.degree:
+            raise DomainError(f"element rows must form an (m, {self.degree}) array")
         if images.size and (images.min() < 0 or images.max() >= degree):
             raise DomainError("point out of range for this group")
         keys = _backend.encode_rows(images, degree)

@@ -239,7 +239,6 @@ def acts_transitively_on(G, points):
     return not points or any(points <= c for c in orbits_on_points(G).classes)
 
 
-@dataclass(frozen=True)
 class CoherenceVerdict:
     """Classification of a k-orbit.
 
@@ -248,15 +247,56 @@ class CoherenceVerdict:
     witness: incoherent -> the merged coordinate-set partition;
     coherent-but-not-elementary -> (U, suborbit) with U a proper point
     subset supporting the offending k-suborbit.
+
+    A coherent, non-trivial verdict of `classify_coherence` builds its
+    witness, and with it the suborbit's KSet, on the first read of
+    `witness` and keeps it; `classify_coherence` itself builds no KSet.
+    Equality, hashing and repr read (kind, trivial, witness).
     """
 
-    kind: str
-    trivial: bool = False
-    witness: object = None
+    __slots__ = ("kind", "trivial", "_witness", "_source")
+
+    def __init__(self, kind, trivial=False, witness=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "_witness", witness)
+        object.__setattr__(self, "_source", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CoherenceVerdict is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def witness(self):
+        if self._source is not None:
+            object.__setattr__(self, "_witness",
+                               _coherent_witness(*self._source))
+            object.__setattr__(self, "_source", None)
+        return self._witness
 
     @property
     def is_coherent(self):
         return self.kind in ("coherent", "elementary-coherent")
+
+    def _fields(self):
+        return self.kind, self.trivial, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return CoherenceVerdict, self._fields()
+
+    def __repr__(self):
+        kind, trivial, witness = self._fields()
+        return (f"CoherenceVerdict(kind={kind!r}, trivial={trivial!r}, "
+                f"witness={witness!r})")
 
 
 @functools.lru_cache(maxsize=64)
@@ -287,7 +327,8 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     is F's, X is trivial iff k = 1 or |F| = 1, and whether a tuple hits
     a class (below) depends on its point set alone. A coherent X's
     witness is the suborbit, under the first class rep that hits, of
-    X's first row whose point set it hits.
+    X's first row whose point set it hits; `_coherent_witness` builds it
+    on the verdict's first read of `witness`.
 
     A coherent X is elementary unless some subgroup class rep H has a
     suborbit Ht of more than one tuple on a proper subset of X's points.
@@ -309,13 +350,22 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     family = _coherence_family(G, int(masks.min()), max_subgroup_order)
     if isinstance(family, CoherenceVerdict):
         return family
+    verdict = CoherenceVerdict(kind="coherent")
+    object.__setattr__(verdict, "_source", (G, rows, family))
+    return verdict
+
+
+def _coherent_witness(G, rows, family):
+    """The witness of a coherent k-orbit with these rows, whose family
+    record (rep, hits, supports) is `family`: see `classify_coherence`."""
+    pw = _backend.powers_for(G.degree, rows.shape[1])
+    masks = np.bitwise_or.reduce(1 << rows, axis=1)
     rep, hits, supports = family
     r = int(np.argmax(_backend.in_sorted(hits, masks)))
     u = supports[np.searchsorted(hits, masks[r])] >> np.arange(G.degree) & 1
     sub = rep[:, rows[r]]
     sub = sub[np.unique(sub @ pw, return_index=True)[1]]
-    return CoherenceVerdict(kind="coherent", witness=(
-        frozenset((np.flatnonzero(u) + 1).tolist()), _kset(sub)))
+    return frozenset((np.flatnonzero(u) + 1).tolist()), _kset(sub)
 
 
 @functools.lru_cache(maxsize=2048)

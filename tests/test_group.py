@@ -311,6 +311,16 @@ class TestIdentity:
         with pytest.raises(DomainError, match=message):
             PermGroup(3, rows)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1]],                   # narrower than the degree
+        [[0, 1, 2, 0]],             # wider than the degree
+        [0, 1, 2],                  # one row, not a matrix of rows
+        [[[0, 1, 2]]],
+    ])
+    def test_rows_must_be_degree_wide(self, rows):
+        with pytest.raises(DomainError, match=r"\(m, 3\) array"):
+            PermGroup(3, rows)
+
     def test_equality_hash_and_subgroup_match_sets(self):
         groups = _identity_cases()
         # a copy built from the rows in reverse order, to be re-sorted

@@ -1,8 +1,10 @@
 """k-orbit actions, projections, coherence, stabilizers, automorphism
 groups, coset partitions, automorphic numbers, rendering, persistence."""
 
+import copy
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 from korbits import _backend, korbit
 from korbits.catalog import transitive_catalog
+from korbits.cli import main
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
-                           klein_four_group, parse_group, symmetric_group)
+                           klein_four_group, parse_group, save_group,
+                           symmetric_group)
 from korbits.partition import Partition, SetFamily, smash
 from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
                             _cyclic_classes,
@@ -29,6 +33,7 @@ from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
                             setwise_point_stabilizer, stab_of_ksuborbit,
                             translate_keys, translates_of_kset)
 from korbits.perm import Permutation, parse_permutation
+from korbits.propcheck import run_suite
 from korbits.subgroups import subgroup_classes
 
 
@@ -533,6 +538,89 @@ class TestCoherenceFamilies:
         for Z in cases:
             with pytest.raises(DomainError, match="not a k-orbit"):
                 classify_coherence.__wrapped__(G, Z)
+
+
+def _unread_witness(*args):
+    raise AssertionError("a coherence witness was read")
+
+
+class TestDeferredWitness:
+    """A coherent, non-trivial verdict builds its witness on the first
+    read of `witness`, through `korbit._coherent_witness`."""
+
+    @staticmethod
+    def _coherent_d9_orbits():
+        G = dihedral_group(9)
+        orbits = [X for X in k_orbits(G, 5)
+                  if (v := classify_coherence(G, X)).kind == "coherent"
+                  and not v.trivial]
+        assert orbits
+        return G, orbits
+
+    def test_classify_builds_no_kset_until_the_witness_is_read(
+            self, monkeypatch):
+        G, orbits = self._coherent_d9_orbits()
+        kset_of = korbit._kset
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return kset_of(*args)
+
+        monkeypatch.setattr(korbit, "_kset", counted)
+        verdicts = [classify_coherence.__wrapped__(G, X) for X in orbits]
+        assert made == []
+        first = [v.witness for v in verdicts]
+        assert len(made) == len(orbits)
+        assert all(v.witness is w for v, w in zip(verdicts, first))
+        assert len(made) == len(orbits)
+
+    def test_deferred_verdict_equals_the_eager_one(self):
+        G, orbits = self._coherent_d9_orbits()
+        for X in orbits[:20]:
+            deferred = classify_coherence.__wrapped__(G, X)
+            eager = CoherenceVerdict(
+                kind="coherent",
+                witness=classify_coherence.__wrapped__(G, X).witness)
+            assert deferred == eager and eager == deferred
+            assert hash(deferred) == hash(eager)
+            assert repr(deferred) == repr(eager)
+            assert repr(eager).startswith(
+                "CoherenceVerdict(kind='coherent', trivial=False, "
+                "witness=(frozenset(")
+            assert copy.copy(deferred) == deferred
+        assert CoherenceVerdict(kind="coherent") != eager
+        assert CoherenceVerdict(kind="coherent", trivial=True) == \
+            CoherenceVerdict("coherent", True, None)
+
+    def test_verdicts_are_immutable(self):
+        G, orbits = self._coherent_d9_orbits()
+        v = classify_coherence.__wrapped__(G, orbits[0])
+        for name in ("kind", "trivial", "witness", "_source"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert v.kind == "coherent" and v.witness is not None
+
+    def test_a_non_orbit_raises_at_classify_time(self, monkeypatch):
+        G, orbits = self._coherent_d9_orbits()
+        monkeypatch.setattr(korbit, "_coherent_witness", _unread_witness)
+        X = orbits[0]
+        classify_coherence.__wrapped__(G, X)       # the family is cached
+        with pytest.raises(DomainError, match="not a k-orbit"):
+            classify_coherence.__wrapped__(G, KSet(X.tuples[1:]))
+
+    def test_no_engine_path_reads_a_witness(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(korbit, "_coherent_witness", _unread_witness)
+        group = tmp_path / "d8.grp"
+        save_group(dihedral_group(8), group)
+        report = tmp_path / "d8.orbits.jsonl"
+        assert main(["orbits", "--group", str(group),
+                     "--out", str(report)]) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert {r.get("k") for r in records} == {None, *range(1, 9)}
+        assert run_suite(transitive_catalog(5)).results
 
 
 class TestKBlocks:

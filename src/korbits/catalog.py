@@ -44,12 +44,6 @@ class GroupCatalog:
     def __len__(self):
         return len(self.entries)
 
-    def entry(self, entry_id):
-        for e in self.entries:
-            if e.entry_id == entry_id:
-                return e
-        raise KeyError(entry_id)
-
 
 def _entry_from_group(entry_id, G):
     return CatalogEntry(

@@ -326,7 +326,8 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     least 2 and return a ReductionTrace ending in a verified fpf
     prime-power element.
 
-    Imprimitive groups quotient by a minimal block system and lift;
+    Imprimitive groups quotient by the minimal block system with the
+    smallest blocks and lift (a lift that fails raises DomainError);
     primitive non-Abelian groups descend to the canonically least
     proper transitive subgroup when one exists, and otherwise run
     proof_audit; Abelian groups with no block system (prime degree) go
@@ -340,29 +341,22 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
         raise DomainError("the pipeline requires a transitive group")
     steps = []
     reduced = None
-    # smallest imprimitivity blocks first (deepest quotient), canonically
-    systems = sorted(block_systems(G),
-                     key=lambda p: (max(len(c) for c in p.classes),
-                                    tuple(tuple(sorted(c)) for c in p.classes)))
-    if systems:
-        for Q in systems:
-            quot = quotient_action(G, Q)
-            sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
-                               max_elements=max_elements)
-            g_quot = sub.element()
-            step = {"kind": "quotient",
-                    "blocks": [sorted(c) for c in Q.classes],
-                    "quotient_degree": quot.degree,
-                    "quotient_trace": trace_to_dict(sub),
-                    "quotient_element": g_quot.cycle_string()}
-            try:
-                lifted = lift_fpf(G, Q, g_quot)
-            except DomainError as exc:
-                steps.append({**step, "failed": str(exc)})
-                continue
-            steps.append({**step, "lifted": lifted.cycle_string()})
-            reduced = lifted
-            break
+    # smallest imprimitivity blocks (deepest quotient), canonically
+    Q = min(block_systems(G), default=None,
+            key=lambda p: (max(len(c) for c in p.classes),
+                           tuple(tuple(sorted(c)) for c in p.classes)))
+    if Q is not None:
+        quot = quotient_action(G, Q)
+        sub = fks_pipeline(quot, max_subgroup_order=max_subgroup_order,
+                           max_elements=max_elements)
+        g_quot = sub.element()
+        reduced = lift_fpf(G, Q, g_quot)
+        steps.append({"kind": "quotient",
+                      "blocks": [sorted(c) for c in Q.classes],
+                      "quotient_degree": quot.degree,
+                      "quotient_trace": trace_to_dict(sub),
+                      "quotient_element": g_quot.cycle_string(),
+                      "lifted": reduced.cycle_string()})
     else:
         why, A = terminal_case(G, max_subgroup_order)
         if A is not None:

@@ -8,6 +8,7 @@ k-tuples are plain Python tuples of 1-based points; a KSet is the
 sorted int64 matrix of their 0-based points, one row per tuple."""
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,11 @@ DEFAULT_TUPLE_CAP = 10 ** 7
 
 
 def check_ktuple(t):
-    t = tuple(int(v) for v in t)
+    t = tuple(t)
+    try:
+        t = tuple(map(operator.index, t))
+    except TypeError:
+        raise DomainError(f"points must be integers: {t}") from None
     if not t:
         raise DomainError("empty tuple")
     if any(v < 1 for v in t):
@@ -69,7 +74,7 @@ class KSet:
 
     def __contains__(self, t):
         try:
-            row = np.array(t, dtype=np.int64) - 1
+            row = np.array([operator.index(v) for v in t], dtype=np.int64) - 1
         except (TypeError, ValueError, OverflowError):
             return False
         return (row.shape == (self.arity,)
@@ -85,9 +90,6 @@ class KSet:
 
     def union_of_points(self):
         return frozenset((np.unique(self.rows) + 1).tolist())
-
-    def render_matrix(self):
-        return "\n".join(" ".join(str(v) for v in t) for t in self.tuples)
 
     def __repr__(self):
         inner = ", ".join("".join(map(str, t)) if max(t) <= 9
@@ -136,7 +138,7 @@ def right_act(t, g):
         if t.arity != g.degree:
             raise DomainError("right action needs arity equal to the degree")
         return _kset(np.unique(t.rows[:, perm_to_row(g)], axis=0))
-    t = tuple(t)
+    t = check_ktuple(t)
     if len(t) != g.degree:
         raise DomainError("right action needs arity equal to the degree")
     return tuple(t[g(i) - 1] for i in range(1, g.degree + 1))

@@ -81,9 +81,6 @@ class Permutation:
     def fixed_points(self):
         return frozenset(i + 1 for i, v in enumerate(self.images) if v == i + 1)
 
-    def is_even(self):
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
     def cycle_string(self):
         cyc = self.cycles()
         if not cyc:

@@ -504,11 +504,10 @@ def _eval_P_capcup(ctx, caps):
     """Meet and join of the translate partitions of each pair of
     suborbits of the orbit, or of the pinned pair.
 
-    The pairs to check are collected first, with the skip rules, up to
-    the first pair whose unions differ; `_first_capcup_failure` then
-    checks them in one batch, in order, so the first failing pair is the
-    one reported. A union mismatch raises only when no pair before it
-    fails.
+    The pairs to check are collected first, with the skip rules; a pair
+    whose unions differ raises where it is found. `_first_capcup_failure`
+    then checks the pairs in one batch, in order, so the first failing
+    pair is the one reported.
     """
     G = _ctx_group(ctx, caps)
     if "suborbit" in ctx:    # pinned witness form
@@ -527,17 +526,15 @@ def _eval_P_capcup(ctx, caps):
     sets = sets[:max(j for _, j in pairs) + 1]
     trans = [translate_keys(G, Y.rows) for Y in sets]
     stabs = [stab_of_ksuborbit(G, Y) for Y in sets]
-    # the pairs to check, up to the first whose unions differ; every pool
-    # suborbit contains X's least tuple, so in the pool all unions are X
+    # every pool suborbit contains X's least tuple, so in the pool all
+    # unions are X; only the pinned pair can differ
     todo = []
-    mismatch = False
     for i, j in pairs:
         if (sets[i] == sets[j] or trans[i][3] is None or trans[j][3] is None
                 or not (stabs[i][1] and stabs[j][1])):
             continue
         if not np.array_equal(trans[i][2], trans[j][2]):
-            mismatch = True
-            break
+            raise DomainError("domain mismatch in meet")
         todo.append((i, j))
     failure = (_first_capcup_failure(G, sets, trans, stabs, todo,
                                      caps.max_elements) if todo else None)
@@ -548,8 +545,6 @@ def _eval_P_capcup(ctx, caps):
                 "k": sets[i].arity, "suborbit": _ser_kset(sets[i]),
                 "suborbit2": _ser_kset(sets[j])}
         return _fail({"reason": reason}, wctx)
-    if mismatch:
-        raise DomainError("domain mismatch in meet")
     if not todo:
         return _na("no pair of distinct suborbits with partition translate sets")
     return _pass({"pairs_checked": len(todo)})

@@ -48,12 +48,6 @@ class TestGeneration:
         ids = [e.entry_id for e in transitive_catalog(5)]
         assert ids == [f"t5.{i}" for i in range(1, 6)]
 
-    def test_entry_lookup(self):
-        cat = transitive_catalog(4)
-        assert cat.entry("t4.1").order >= 4
-        with pytest.raises(KeyError):
-            cat.entry("t4.99")
-
     def test_degree_cap(self):
         with pytest.raises(DomainError):
             transitive_catalog(8)

@@ -189,6 +189,41 @@ class TestPipeline:
         assert trace.result["search_element"] == \
             find_fpf_prime_power(G).cycle_string()
 
+    def test_a_failed_lift_raises(self, monkeypatch):
+        """D4 has one block system; a lift that fails there raises
+        instead of being recorded in the trace."""
+        assert len(block_systems(dihedral_group(4))) == 1
+
+        def broken(G, Q, g_quot):
+            raise DomainError("lift postcondition failed")
+
+        monkeypatch.setattr(fks, "lift_fpf", broken)
+        with pytest.raises(DomainError, match="lift postcondition failed"):
+            fks_pipeline(dihedral_group(4))
+
+    def test_one_quotient_per_level(self):
+        """Each imprimitive level of a trace quotients once, by the block
+        system with the smallest blocks, and records its lift."""
+        def check(trace):
+            quotients = [s for s in trace["steps"] if s["kind"] == "quotient"]
+            assert len(quotients) <= 1
+            for s in quotients:
+                assert set(s) == {"kind", "blocks", "quotient_degree",
+                                  "quotient_trace", "quotient_element",
+                                  "lifted"}
+                check(s["quotient_trace"])
+            return len(quotients)
+
+        for n in range(2, 7):
+            for entry in transitive_catalog(n):
+                G = entry.group()
+                systems = block_systems(G)
+                trace = trace_to_dict(fks_pipeline(G))
+                assert check(trace) == (1 if systems else 0)
+                if systems:
+                    size = min(max(map(len, Q.classes)) for Q in systems)
+                    assert len(trace["steps"][0]["blocks"][0]) == size
+
 
 class TestTracePersistence:
     def test_roundtrip_file(self, tmp_path):

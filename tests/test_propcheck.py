@@ -82,6 +82,14 @@ class TestPassFixtures:
                          "subgroup": ["(1 2 3)", "(1 2)(3 4)"]})
         assert res.verdict == "pass"
 
+    def test_capcup_pinned_pair_with_different_unions_raises(self):
+        """The translates of {(1,2)} cover the C4-orbit of (1,2), those of
+        {(1,3)} the orbit of (1,3): the meet has no common domain."""
+        ctx = {"degree": 4, "group": ["(1 2 3 4)"], "k": 2,
+               "suborbit": [[1, 2]], "suborbit2": [[1, 3]]}
+        with pytest.raises(DomainError, match="domain mismatch in meet"):
+            run_check("P_capcup", ctx)
+
 
 # Recorded counterexamples: real contexts where the claimed statement is
 # false. These are findings, and the checks must keep reporting them.

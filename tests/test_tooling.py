@@ -6,8 +6,8 @@ public function of `_backend` is read by another module, every
 that the CLI registers, only the report, file and trace boundary reads
 `.generators` and only `PermGroup.generators` turns generator rows into
 `Permutation`s, only the checks that read their groups from a context
-read `normalizer_in`, and the `functools.lru_cache` functions are the
-pinned ones."""
+read `normalizer_in`, no `except` clause names `DomainError`, and the
+`functools.lru_cache` functions are the pinned ones."""
 
 import ast
 import pathlib
@@ -135,6 +135,32 @@ def test_every_cap_is_tested_and_every_flag_registered():
     sites = [s for m in MODULES for s in raise_sites((SRC / m).read_text())]
     assert {name for name, _ in sites} == {site[0] for site in SITES.values()}
     assert {flag for _, flag in sites} - {None} <= set(_OPTIONS)
+
+
+def domain_error_handlers(source):
+    """Line numbers of the `except` clauses of the module text `source`
+    that name `DomainError`, alone or in a tuple."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "DomainError" in _read([node.type])]
+
+
+def test_checker_flags_a_domain_error_handler():
+    source = ("try:\n    f()\nexcept DomainError:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, DomainError) as exc:\n"
+              "    pass\n"
+              "try:\n    f()\nexcept (ValueError, KorbitsError):\n    pass\n"
+              "try:\n    f()\nexcept errors.DomainError:\n    pass\n"
+              "try:\n    f()\nexcept:\n    raise\n")
+    assert domain_error_handlers(source) == [3, 7, 15]
+
+
+def test_no_domain_error_is_caught():
+    """A domain error is a refusal or a theorem violation, never a
+    recorded outcome: no module catches it. The CLI's `KorbitsError`
+    handler is the report boundary."""
+    assert {m: domain_error_handlers((SRC / m).read_text())
+            for m in MODULES} == {m: [] for m in MODULES}
 
 
 def _qualified_functions(source):

@@ -1,15 +1,17 @@
-"""Hot kernels: closure, orbit labels, label join, sorted-key
-membership, and the element index of a group with closure inside it,
-in numpy.
+"""Hot kernels: closure, tuple orbits, orbit labels, label join,
+sorted-key membership, and the element index of a group with closure
+inside it, in numpy.
 
 Permutations are 0-based image arrays of shape (n,). A permutation p is
 encoded as the integer key sum(p[i] * n**(n-1-i)), so numeric key order
 equals lexicographic order on image sequences; a row of k points is
 keyed the same way with k digits. Keys fit int64 for degree <=
 MAX_KEY_DEGREE. The closure keeps the keys it has found as a sorted
-array; `orbit_labels` reads every orbit from the full element array,
-matching image keys against the sorted keys of the rows by
-`searchsorted`, so neither allocates anything indexed by the key space.
+array. `tuple_orbits` finds the orbits on k-tuples level by level from
+their least tuples and lists each orbit's rows as the sorted images of
+its least tuple; `orbit_labels` labels given rows, matching image keys
+against the rows' sorted keys by `searchsorted`. Neither allocates
+anything indexed by the key space.
 `row_index`, `close_index`, `greedy_generators` and `least_in_orbits`
 work on row numbers of a group's sorted element array instead of keys;
 `close_index` closes many index sets at once. `fixed_rows`, the
@@ -28,12 +30,13 @@ BACKEND = "numpy"
 
 MAX_KEY_DEGREE = 12
 
-# Hard limit on n**k in tuple_orbits. Nothing is allocated per key, so
-# it bounds no memory; it stays because lifting it turns the 4 degree-9
-# ops of the `orbits` benchmark workload that fail on it into about
-# 1.45 M more classified tuples, which changes that workload's work,
-# memory and seed-0 digest. It goes together with a sparse path for
-# large k and a benchmark update.
+# Hard limit on n**k in tuple_orbits. It bounds no allocation: the
+# kernel holds about KEY_BUDGET image keys at a time beside its output,
+# one row per tuple, which max_tuples bounds. It stays because lifting
+# it turns the 4 degree-9 ops of the `orbits` benchmark workload that
+# fail on it into about 1.45 M more classified tuples, which changes
+# that workload's work, memory and seed-0 digest; it goes together with
+# a benchmark update.
 _DENSE_SPACE_LIMIT = 40_000_000
 
 # Image keys gathered per batch of orbit_labels: a batch takes
@@ -44,10 +47,11 @@ _DENSE_SPACE_LIMIT = 40_000_000
 # batch marks about _BATCH_KEYS elements.
 _BATCH_KEYS = 4096
 
-# Image keys per chunk of `fixed_rows` and of the position matrix of
-# propcheck._aut_suborbit_partition_failure: a chunk of elements that
-# map w point rows each holds about max(KEY_BUDGET, w) keys. A chunk
-# of `sym_chunks` holds about KEY_BUDGET points.
+# Image keys per chunk of `fixed_rows`, of `tuple_orbits`, of the
+# translate test of propcheck._eval_P_giso and of the position matrix
+# of propcheck._aut_suborbit_partition_failure: a chunk of elements
+# that map w point rows each holds about max(KEY_BUDGET, w) keys. A
+# chunk of `sym_chunks` holds about KEY_BUDGET points.
 KEY_BUDGET = 1 << 18
 
 
@@ -67,8 +71,14 @@ def encode_rows(rows, n):
 
 
 def decode_keys(keys, n, width):
-    """The inverse of encode_rows: 0-based point rows of int64 keys."""
-    return np.asarray(keys, dtype=np.int64)[..., None] // powers_for(n, width) % n
+    """The inverse of encode_rows: int64 0-based point rows of integer
+    keys, one `divmod` per position, last position first, in the keys'
+    own dtype (int32 keys divide faster than int64)."""
+    keys = np.asarray(keys)
+    rows = np.empty(keys.shape + (width,), dtype=np.int64)
+    for i in range(width - 1, -1, -1):
+        keys, rows[..., i] = np.divmod(keys, n)
+    return rows
 
 
 def in_sorted(sorted_keys, keys):
@@ -80,7 +90,7 @@ def in_sorted(sorted_keys, keys):
 
 def _arrangements(n, k, rows):
     """All k-tuples of distinct points of range(n), in key order, in
-    chunks of at most `rows` tuples."""
+    chunks of at most `rows` tuples; read by `sym_chunks`."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
     left = math.perm(n, k)
     while left:
@@ -308,19 +318,68 @@ def join_labels(a, b):
             return np.unique(lab, return_inverse=True)[1]
 
 
+def _least_extensions(images, least, last):
+    """The least tuples, in ascending order, of the orbits on tuples one
+    point longer than the rows of `least`, which are the least tuples of
+    every orbit on the shorter tuples, in ascending order.
+
+    A k-orbit's least tuple extends the least tuple of the orbit of its
+    (k-1)-prefix by one unused point, since any element that lowers the
+    prefix lowers the whole tuple. So the candidates are the rows of
+    `least` extended by each point they miss, in ascending order, and a
+    candidate is kept when no image of it under G is lower. Image keys
+    are built a prefix at a time, in chunks of about KEY_BUDGET keys.
+    On the `last` level, also returns the sorted distinct image keys of
+    each kept tuple, orbit after orbit, and the orbit sizes; else
+    (kept, None, None).
+    """
+    order, n = images.shape
+    m, w = least.shape
+    free = np.ones((m, n), dtype=bool)
+    free[np.arange(m)[:, None], least] = False
+    parent, point = np.nonzero(free)
+    pw = powers_for(n, w).astype(images.dtype)
+    step = max(1, KEY_BUDGET // (order * (n - w)))      # parents per chunk
+    kept, keys, sizes = [], [], []
+    for start in range(0, m, step):
+        lo, hi = np.searchsorted(parent, [start, start + step])
+        par, pt = parent[lo:hi], point[lo:hi]
+        prefix = images[:, least[start:start + step]] @ pw  # (|G|, parents)
+        img = prefix[:, par - start] * n + images[:, pt]    # (|G|, candidates)
+        own = (least[par] @ pw) * n + pt
+        is_least = img.min(axis=0) == own
+        kept.append(np.column_stack((least[par[is_least]], pt[is_least])))
+        if last:
+            col = np.sort(img[:, is_least], axis=0).T       # one orbit a row
+            new = np.ones(col.shape, dtype=bool)
+            new[:, 1:] = col[:, 1:] != col[:, :-1]
+            keys.append(col[new])
+            sizes.append(np.count_nonzero(new, axis=1))
+    if not last:
+        return np.concatenate(kept), None, None
+    return np.concatenate(kept), np.concatenate(keys), np.concatenate(sizes)
+
+
 def tuple_orbits(images, k, max_tuples):
     """Partition all non-diagonal k-tuples over 0-based points into orbits
     of the group whose full element array is `images`.
 
-    Returns (tuples, orbit_ids): tuples in lexicographic order, orbit ids
-    assigned in order of least tuple.
+    The orbits are found level by level from their least tuples (see
+    `_least_extensions`), and each orbit's rows are the sorted distinct
+    images of its least tuple, so nothing is indexed by the n**k key
+    space. Returns (tuples, orbit_ids), one row per tuple, grouped by
+    orbit: orbits in order of least tuple, rows ascending within each
+    orbit, ids 0, 1, ... non-decreasing.
     """
-    images = np.asarray(images, dtype=np.int64)
     n = images.shape[1]
     total = math.perm(n, k)
     if total > max_tuples:
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
         raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
-    [tuples] = _arrangements(n, k, total)
-    return tuples, orbit_labels(images, tuples)
+    # keys below 2**31 are int32, which sorts and divides faster than int64
+    images = np.asarray(images, dtype=np.int32 if n ** k <= 1 << 31 else np.int64)
+    least = np.empty((1, 0), dtype=np.int64)
+    for width in range(1, k + 1):
+        least, keys, sizes = _least_extensions(images, least, width == k)
+    return decode_keys(keys, n, k), np.repeat(np.arange(sizes.size), sizes)

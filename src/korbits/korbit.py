@@ -25,10 +25,18 @@ from .subgroups import (DEFAULT_SUBGROUP_CAP, _element_orders,
 DEFAULT_TUPLE_CAP = 10 ** 7
 
 
+def _point(v):
+    """A point as an int: any integer but a bool, which Python takes for
+    one (`operator.index(True)` is 1)."""
+    if isinstance(v, bool):
+        raise TypeError(f"a bool is not a point: {v}")
+    return operator.index(v)
+
+
 def check_ktuple(t):
     t = tuple(t)
     try:
-        t = tuple(map(operator.index, t))
+        t = tuple(map(_point, t))
     except TypeError:
         raise DomainError(f"points must be integers: {t}") from None
     if not t:
@@ -62,6 +70,9 @@ class KSet:
     def __setattr__(self, *a):
         raise AttributeError("KSet is immutable")
 
+    def __reduce__(self):
+        return _kset, (self.rows,)
+
     @property
     def tuples(self):
         return tuple(map(tuple, (self.rows + 1).tolist()))
@@ -74,7 +85,7 @@ class KSet:
 
     def __contains__(self, t):
         try:
-            row = np.array([operator.index(v) for v in t], dtype=np.int64) - 1
+            row = np.array([_point(v) for v in t], dtype=np.int64) - 1
         except (TypeError, ValueError, OverflowError):
             return False
         return (row.shape == (self.arity,)
@@ -146,7 +157,10 @@ def right_act(t, g):
 
 def orbit_of_tuple(G, t):
     """The G-orbit of one k-tuple, given as any sequence of points."""
-    return _orbit_of_tuple(G, tuple(t))
+    t = tuple(t)
+    if bool in map(type, t):    # (True, 2) == (1, 2) would read its cache entry
+        check_ktuple(t)
+    return _orbit_of_tuple(G, t)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -170,9 +184,8 @@ def k_orbits(G, k, max_tuples=DEFAULT_TUPLE_CAP):
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     tuples, orbit_ids = _backend.tuple_orbits(G.images, k, max_tuples)
-    by_orbit = tuples[np.argsort(orbit_ids, kind="stable")]
-    ends = np.cumsum(np.bincount(orbit_ids))[:-1]
-    return tuple(_kset(rows) for rows in np.split(by_orbit, ends))
+    ends = np.cumsum(np.bincount(orbit_ids)).tolist()
+    return tuple(_kset(tuples[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def project(X, I):

@@ -25,6 +25,9 @@ class Permutation:
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return Permutation, (self.images,)
+
     @property
     def degree(self):
         return len(self.images)

@@ -334,24 +334,60 @@ def _eval_P_index(ctx, caps):
     return _pass()
 
 
+def _left_coset_reps(G, A):
+    """The row numbers in G of the least element of each left coset gA of
+    its subgroup A: the least index of each orbit of G's elements under
+    right multiplication by A's generators."""
+    index = _backend.row_index(G.images)
+    maps = [index(G.images[:, a]) for a in generator_rows(A)]
+    return np.unique(_backend.least_in_orbits(maps, G.order))
+
+
+def _isomorphic_orbits(reps, tuples, sizes, keys, key_ids):
+    """The mask of the A-orbits Z with some gZ another A-orbit for a g
+    among the element rows `reps`: every image of Z lies in one A-orbit,
+    of Z's size, other than Z. The orbits are the consecutive segments
+    of `tuples` of lengths `sizes`; `keys` are the sorted tuple keys and
+    `key_ids` their orbit ids. Runs over `reps` in chunks of about
+    KEY_BUDGET image keys."""
+    starts = np.cumsum(sizes) - sizes
+    pw = _backend.powers_for(reps.shape[1], tuples.shape[1])
+    own = np.arange(sizes.size)
+    hits = np.zeros(sizes.size, dtype=bool)
+    step = max(1, _backend.KEY_BUDGET // len(tuples))
+    for start in range(0, len(reps), step):
+        at = key_ids[np.searchsorted(keys, reps[start:start + step, tuples] @ pw)]
+        lo = np.minimum.reduceat(at, starts, axis=1)
+        hi = np.maximum.reduceat(at, starts, axis=1)
+        hits |= ((lo == hi) & (sizes[lo] == sizes) & (lo != own)).any(axis=0)
+    return hits
+
+
 def _eval_P_giso(ctx, caps):
     G, H, A, why = _index_hypothesis(ctx, caps)
     if why:
         return _na(why)
+    # gZ depends only on the left coset gA, since A fixes its own orbit Z
+    reps = G.images[_left_coset_reps(G, A)]
     for k in range(1, G.degree + 1):
         tuples, ids = _backend.tuple_orbits(A.images, k, caps.max_tuples)
         keys = _backend.encode_rows(tuples, G.degree)
+        by_key = np.argsort(keys)
+        keys, key_ids = keys[by_key], ids[by_key]
         sizes = np.bincount(ids)
-        for z in range(sizes.size):
-            Z = tuples[ids == z]
-            T = translate_keys(G, Z)[0]
-            at = ids[np.searchsorted(keys, T)]
-            hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
-                   & (at[:, 0] != z))
-            if hit.any():
-                T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
-                return _pass({"k": k, "orbit": (Z + 1).tolist(),
-                              "translate": (T + 1).tolist()})
+        hits = _isomorphic_orbits(reps, tuples, sizes, keys, key_ids)
+        if not hits.any():
+            continue
+        # the first hit in the order of the translates of the first orbit
+        z = int(np.argmax(hits))
+        Z = tuples[ids == z]
+        T = translate_keys(G, Z)[0]
+        at = key_ids[np.searchsorted(keys, T)]
+        hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
+               & (at[:, 0] != z))
+        T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
+        return _pass({"k": k, "orbit": (Z + 1).tolist(),
+                      "translate": (T + 1).tolist()})
     return _fail({"reason": "no pair of distinct G-isomorphic k-orbits of A "
                             "for any k"})
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from korbits import _backend, group, korbit
@@ -182,45 +182,57 @@ class TestIndexSpace:
 
 
 def _brute_tuple_orbits(images, k, n):
-    """Oracle: expand each orbit fully, label by least tuple."""
+    """Oracle: expand each orbit fully from its least tuple. Returns the
+    (tuples, ids) of the kernel's contract: orbits in order of least
+    tuple, each orbit's tuples ascending."""
     elems = [tuple(r) for r in images.tolist()]
-    labels = {}
+    orbits, seen = [], set()
     for t in itertools.permutations(range(n), k):
-        if t in labels:
-            continue
-        members = {tuple(e[v] for v in t) for e in elems}
-        rep = min(members)
-        for m in members:
-            labels[m] = rep
-    return labels
+        if t not in seen:
+            members = {tuple(e[v] for v in t) for e in elems}
+            seen |= members
+            orbits.append(sorted(members))
+    tuples = [list(t) for orbit in orbits for t in orbit]
+    ids = [i for i, orbit in enumerate(orbits) for _ in orbit]
+    return tuples, ids
+
+
+# C3 on {0, 1, 2} and a transposition of {3, 4}, fixing 5 and 6
+INTRANSITIVE_7 = [_cycle(3) + (3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6)]
 
 
 class TestTupleOrbits:
-    @given(gen_lists(max_degree=5), st.integers(min_value=1, max_value=3))
-    @example((9, [_cycle(9)]), 5)             # rows need several batches
-    @example((8, S7_FIXING_8), 2)             # |G| alone exceeds the batch budget
+    @given(gen_lists(max_degree=5), st.integers(min_value=1, max_value=5))
+    @example((9, [_cycle(9)]), 7)             # 181,440 tuples in 20,160 orbits
+    @example((8, S7_FIXING_8), 2)             # intransitive, |G| = 5,040
+    @example((7, INTRANSITIVE_7), 5)          # intransitive, orbits of sizes 3 and 6
+    @example((4, [(1, 0, 2, 3)]), 4)          # k = n
     def test_matches_brute_force(self, data, k):
         n, gens = data
-        if k > n:
-            return
+        assume(k <= n)
         images = _backend.closure_images(np.array(gens, dtype=np.int64), n, 10 ** 4)
-        tuples, ids = _backend.tuple_orbits(images, k, 10 ** 5)
-        oracle = _brute_tuple_orbits(images, k, n)
-        got = {}
-        for row, oid in zip(tuples.tolist(), ids.tolist()):
-            got.setdefault(oid, []).append(tuple(row))
-        by_rep = {min(v): sorted(v) for v in got.values()}
-        want = {}
-        for t, rep in oracle.items():
-            want.setdefault(rep, []).append(t)
-        assert by_rep == {rep: sorted(v) for rep, v in want.items()}
+        tuples, ids = _backend.tuple_orbits(images, k, 10 ** 6)
+        assert (tuples.tolist(), ids.tolist()) == _brute_tuple_orbits(images, k, n)
 
-    def test_tuples_lexicographic_and_ids_by_least_tuple(self):
-        images = _backend.closure_images(
-            np.array([[1, 0, 2], [1, 2, 0]], dtype=np.int64), 3, 10)
+    def test_rows_grouped_by_orbit_in_order_of_least_tuple(self):
+        """<(0 1)> on 3 points has three orbits on pairs; the rows come
+        orbit by orbit, not in lexicographic order."""
+        images = _backend.closure_images(np.array([[1, 0, 2]]), 3, 10)
         tuples, ids = _backend.tuple_orbits(images, 2, 100)
-        assert tuples.tolist() == sorted(map(list, itertools.permutations(range(3), 2)))
-        assert ids[0] == 0
+        assert tuples.tolist() == [[0, 1], [1, 0], [0, 2], [1, 2], [2, 0], [2, 1]]
+        assert ids.tolist() == [0, 0, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("budget", [1, 5, 64])
+    def test_small_key_budget_gives_the_same_orbits(self, monkeypatch, budget):
+        """Chunks of image keys smaller than one candidate's images, or
+        than a few parents' candidates, do not change the output."""
+        for n, gens, k in [(7, INTRANSITIVE_7, 4), (6, _dihedral(6), 6)]:
+            images = _backend.closure_images(np.array(gens), n, 10 ** 4)
+            want = _backend.tuple_orbits(images, k, 10 ** 6)
+            monkeypatch.setattr(_backend, "KEY_BUDGET", budget)
+            got = _backend.tuple_orbits(images, k, 10 ** 6)
+            monkeypatch.undo()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_cap_enforced(self):
         images = np.arange(5, dtype=np.int64)[None, :]

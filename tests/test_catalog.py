@@ -1,6 +1,8 @@
 """Transitive-group catalogs: counts, flags, persistence."""
 
+import copy
 import hashlib
+import pickle
 import re
 
 import pytest
@@ -153,3 +155,10 @@ class TestPersistence:
         (e,) = cat.entries
         assert e.degree == 3 and e.group().degree == 3
         assert e.group() == close_group([], degree=3)
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
+    def test_entries_copy_and_pickle(self, copier):
+        for e in transitive_catalog(4):
+            c = copier(e)
+            assert c == e and hash(c) == hash(e) and c.group() == e.group()

@@ -35,6 +35,10 @@ CLI_DIGESTS = {
     "orbits": "8ad6f91c889c3095d02ee8ee441a785a781e84703c732a2893b8b93ed161d420",
     "blocks": "f2536b18310c44979543d907708512dda6181fce3843e72731b437293ae7ae3f",
 }
+# the rows of every k_orbits(G, k), k = 1..n, over the catalogs of
+# degree 6 and 7, each orbit prefixed by its arity and size; recorded
+# when the tuples were still enumerated in lexicographic order
+KORBITS_DIGEST = "b17a6295f66f5d1ae367b925b3b30fc3b7574fa5db020c97f1a90523d27d2dd6"
 
 _SCRIPT = r"""
 import contextlib, hashlib, io, json, os, tempfile
@@ -42,6 +46,7 @@ from korbits.catalog import transitive_catalog
 from korbits.cli import main
 from korbits.fks import fks_pipeline, render_trace
 from korbits.group import save_group
+from korbits.korbit import k_orbits
 
 sha = lambda data: hashlib.sha256(data).hexdigest()
 out = {"check": {}}
@@ -71,6 +76,15 @@ out["fks"] = sha(traces.encode())
 traces = "".join(render_trace(fks_pipeline(e.group()))
                  for e in transitive_catalog(7))
 out["fks7"] = sha(traces.encode())
+h = hashlib.sha256()
+for n in (6, 7):
+    for e in transitive_catalog(n):
+        G = e.group()
+        for k in range(1, n + 1):
+            for X in k_orbits(G, k):
+                h.update(b"%d:%d;" % (k, len(X)))
+                h.update(X.rows.tobytes())
+out["korbits"] = h.hexdigest()
 print(json.dumps(out))
 """
 
@@ -91,6 +105,7 @@ def test_golden_digests(hash_seed):
     assert got["check"] == CHECK_DIGESTS
     assert got["fks"] == FKS_DIGEST
     assert got["fks7"] == FKS7_DIGEST
+    assert got["korbits"] == KORBITS_DIGEST
     assert {cmd: got[cmd] for cmd in CLI_DIGESTS} == CLI_DIGESTS
 
 

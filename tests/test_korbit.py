@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -80,6 +81,27 @@ class TestKSet:
     def test_union_and_matrix(self):
         X = kset((1, 3), (2, 4))
         assert X.union_of_points() == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("t", [(True, 2), (1, False), (True, False)])
+    def test_bool_points_are_refused(self, t):
+        """`operator.index(True)` is 1, so (True, 2) used to be (1, 2)."""
+        with pytest.raises(DomainError, match="points must be integers"):
+            KSet([t])
+        assert t not in kset((1, 2), (2, 1), (1, 3))
+        G = cyclic_group(4)
+        orbit_of_tuple(G, (1, 2))       # (True, 2) == (1, 2): a cache hit
+        with pytest.raises(DomainError, match="points must be integers"):
+            orbit_of_tuple(G, t)
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda X: pickle.loads(pickle.dumps(X))])
+    def test_copies_and_pickles(self, copier):
+        for X in (kset((1, 2), (2, 1)), k_orbits(dihedral_group(5), 3)[1]):
+            Y = copier(X)
+            assert Y == X and hash(Y) == hash(X) and Y.tuples == X.tuples
+            assert not Y.rows.flags.writeable
+            with pytest.raises(AttributeError):
+                Y.arity = 3
 
 
 class TestActions:

@@ -1,6 +1,8 @@
 """Permutation arithmetic, cycle-notation parsing, element analysis."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -117,3 +119,13 @@ class TestAnalysis:
         a = analyze_element(p)
         for prime, m, d in a.prime_power_split:
             assert prime ** m * d == a.order and d % prime != 0
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_copies_and_pickles(copier):
+    for p in (Permutation.identity(1), parse_permutation("(1 3 2)(4 5)", 6)):
+        q = copier(p)
+        assert q == p and hash(q) == hash(p) and q.images == p.images
+        with pytest.raises(AttributeError):
+            q.images = (1,)

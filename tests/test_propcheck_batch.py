@@ -456,3 +456,86 @@ class TestSelfNormalizingClasses:
                     e.group(), base, range(1, n + 1), CAPS))
         assert calls == []
         assert reached > 0 and pinned > 0
+
+
+# ---------------------------------------------------------------------------
+# P_giso
+# ---------------------------------------------------------------------------
+
+def reference_giso(ctx, caps=CAPS):
+    """`P_giso` orbit by orbit: every A-orbit Z at every k, in order of
+    least tuple, against each distinct translate gZ, g in G."""
+    G, H, A, why = propcheck._index_hypothesis(ctx, caps)
+    if why:
+        return _result("P_giso", ctx, _na(why))
+    for k in range(1, G.degree + 1):
+        tuples, ids = _backend.tuple_orbits(A.images, k, caps.max_tuples)
+        keys = _backend.encode_rows(tuples, G.degree)
+        by_key = np.argsort(keys)
+        tuples, ids, keys = tuples[by_key], ids[by_key], keys[by_key]
+        sizes = np.bincount(ids)
+        for z in range(sizes.size):
+            Z = tuples[ids == z]
+            T = translate_keys(G, Z)[0]
+            at = ids[np.searchsorted(keys, T)]
+            hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
+                   & (at[:, 0] != z))
+            if hit.any():
+                T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
+                return _result("P_giso", ctx, _pass(
+                    {"k": k, "orbit": (Z + 1).tolist(),
+                     "translate": (T + 1).tolist()}))
+    return _result("P_giso", ctx, _fail(
+        {"reason": "no pair of distinct G-isomorphic k-orbits of A for any k"}))
+
+
+def _index_contexts(degrees):
+    for n in degrees:
+        for e in transitive_catalog(n):
+            G = e.group()
+            base = {"degree": n, "group": _ser_group(G), "group_id": e.entry_id}
+            yield from _ctx_index_like(G, base, range(1, n + 1), CAPS)
+
+
+class TestGiso:
+    def test_matches_reference(self):
+        """Every `P_index`/`P_giso` context of the degree 2-6 catalogs gives
+        the reference's record, the first translate of the first orbit
+        included."""
+        verdicts, ks = {}, set()
+        for ctx in _index_contexts(range(2, 7)):
+            got = run_check("P_giso", dict(ctx)).to_record()
+            assert got == reference_giso(dict(ctx)).to_record(), ctx
+            verdicts[got["verdict"]] = verdicts.get(got["verdict"], 0) + 1
+            if got["verdict"] == "pass":
+                ks.add(got["notes"]["k"])
+        assert verdicts.get("pass", 0) > 0 and verdicts.get("inapplicable", 0) > 0
+        assert len(ks) > 1
+
+    def test_small_key_budget_forces_chunks(self, monkeypatch):
+        monkeypatch.setattr(_backend, "KEY_BUDGET", 16)
+        for ctx in _index_contexts(range(2, 6)):
+            assert (run_check("P_giso", dict(ctx)).to_record()
+                    == reference_giso(dict(ctx)).to_record()), ctx
+
+    def test_translates_only_the_first_hit(self, monkeypatch):
+        """A passing context builds the translates of one orbit, the one
+        its notes name."""
+        read = []
+        real = propcheck.translate_keys
+
+        def spy(G, rows):
+            read.append(rows.tolist())
+            return real(G, rows)
+        monkeypatch.setattr(propcheck, "translate_keys", spy)
+        passed = 0
+        for ctx in _index_contexts(range(2, 6)):
+            del read[:]
+            got = run_check("P_giso", dict(ctx)).to_record()
+            if got["verdict"] == "pass":
+                passed += 1
+                assert [[[v + 1 for v in t] for t in rows] for rows in read] \
+                    == [got["notes"]["orbit"]]
+            else:
+                assert read == []
+        assert passed > 0

@@ -72,9 +72,13 @@ def encode_rows(rows, n):
 
 def decode_keys(keys, n, width):
     """The inverse of encode_rows: int64 0-based point rows of integer
-    keys, one `divmod` per position, last position first, in the keys'
-    own dtype (int32 keys divide faster than int64)."""
+    keys. Up to a thousand keys are divided by every weight in one
+    broadcast, which costs least per call; more keys take one `divmod`
+    per position in the keys' own dtype, which costs least per key
+    (int32 keys divide faster than int64)."""
     keys = np.asarray(keys)
+    if keys.size <= 1000:
+        return keys.astype(np.int64, copy=False)[..., None] // powers_for(n, width) % n
     rows = np.empty(keys.shape + (width,), dtype=np.int64)
     for i in range(width - 1, -1, -1):
         keys, rows[..., i] = np.divmod(keys, n)
@@ -318,20 +322,18 @@ def join_labels(a, b):
             return np.unique(lab, return_inverse=True)[1]
 
 
-def _least_extensions(images, least, last):
-    """The least tuples, in ascending order, of the orbits on tuples one
-    point longer than the rows of `least`, which are the least tuples of
-    every orbit on the shorter tuples, in ascending order.
+def _least_extensions(images, least):
+    """The extensions by one point of the rows of `least`, the least
+    tuples of every orbit on shorter tuples in ascending order, that are
+    least in their own orbits: in ascending order, chunk by chunk, as
+    (row numbers in `least`, added points, (|G|, c) image keys).
 
     A k-orbit's least tuple extends the least tuple of the orbit of its
     (k-1)-prefix by one unused point, since any element that lowers the
     prefix lowers the whole tuple. So the candidates are the rows of
-    `least` extended by each point they miss, in ascending order, and a
-    candidate is kept when no image of it under G is lower. Image keys
-    are built a prefix at a time, in chunks of about KEY_BUDGET keys.
-    On the `last` level, also returns the sorted distinct image keys of
-    each kept tuple, orbit after orbit, and the orbit sizes; else
-    (kept, None, None).
+    `least` extended by each point they miss, and a candidate is kept
+    when no image of it under G is lower. Image keys are built a prefix
+    at a time, in chunks of about KEY_BUDGET keys.
     """
     order, n = images.shape
     m, w = least.shape
@@ -340,7 +342,6 @@ def _least_extensions(images, least, last):
     parent, point = np.nonzero(free)
     pw = powers_for(n, w).astype(images.dtype)
     step = max(1, KEY_BUDGET // (order * (n - w)))      # parents per chunk
-    kept, keys, sizes = [], [], []
     for start in range(0, m, step):
         lo, hi = np.searchsorted(parent, [start, start + step])
         par, pt = parent[lo:hi], point[lo:hi]
@@ -348,16 +349,7 @@ def _least_extensions(images, least, last):
         img = prefix[:, par - start] * n + images[:, pt]    # (|G|, candidates)
         own = (least[par] @ pw) * n + pt
         is_least = img.min(axis=0) == own
-        kept.append(np.column_stack((least[par[is_least]], pt[is_least])))
-        if last:
-            col = np.sort(img[:, is_least], axis=0).T       # one orbit a row
-            new = np.ones(col.shape, dtype=bool)
-            new[:, 1:] = col[:, 1:] != col[:, :-1]
-            keys.append(col[new])
-            sizes.append(np.count_nonzero(new, axis=1))
-    if not last:
-        return np.concatenate(kept), None, None
-    return np.concatenate(kept), np.concatenate(keys), np.concatenate(sizes)
+        yield par[is_least], pt[is_least], img[:, is_least]
 
 
 def tuple_orbits(images, k, max_tuples):
@@ -380,6 +372,16 @@ def tuple_orbits(images, k, max_tuples):
     # keys below 2**31 are int32, which sorts and divides faster than int64
     images = np.asarray(images, dtype=np.int32 if n ** k <= 1 << 31 else np.int64)
     least = np.empty((1, 0), dtype=np.int64)
-    for width in range(1, k + 1):
-        least, keys, sizes = _least_extensions(images, least, width == k)
-    return decode_keys(keys, n, k), np.repeat(np.arange(sizes.size), sizes)
+    for _ in range(k - 1):
+        least = np.concatenate([np.concatenate((least[par], pt[:, None]), axis=1)
+                                for par, pt, _ in _least_extensions(images, least)])
+    keys, sizes = [], []
+    for _, _, img in _least_extensions(images, least):
+        col = np.sort(img, axis=0).T                        # one orbit a row
+        new = np.ones(col.shape, dtype=bool)
+        new[:, 1:] = col[:, 1:] != col[:, :-1]
+        keys.append(col[new])
+        sizes.append(np.count_nonzero(new, axis=1))
+    sizes = np.concatenate(sizes)
+    return (decode_keys(np.concatenate(keys), n, k),
+            np.repeat(np.arange(sizes.size), sizes))

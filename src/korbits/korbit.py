@@ -25,18 +25,12 @@ from .subgroups import (DEFAULT_SUBGROUP_CAP, _element_orders,
 DEFAULT_TUPLE_CAP = 10 ** 7
 
 
-def _point(v):
-    """A point as an int: any integer but a bool, which Python takes for
-    one (`operator.index(True)` is 1)."""
-    if isinstance(v, bool):
-        raise TypeError(f"a bool is not a point: {v}")
-    return operator.index(v)
-
-
 def check_ktuple(t):
     t = tuple(t)
     try:
-        t = tuple(map(_point, t))
+        if bool in map(type, t):    # operator.index(True) is 1
+            raise TypeError
+        t = tuple(map(operator.index, t))
     except TypeError:
         raise DomainError(f"points must be integers: {t}") from None
     if not t:
@@ -85,7 +79,9 @@ class KSet:
 
     def __contains__(self, t):
         try:
-            row = np.array([_point(v) for v in t], dtype=np.int64) - 1
+            if bool in map(type, t):
+                return False
+            row = np.array([operator.index(v) for v in t], dtype=np.int64) - 1
         except (TypeError, ValueError, OverflowError):
             return False
         return (row.shape == (self.arity,)

@@ -172,12 +172,12 @@ def _orbit_of_tuple(G, t):
 orbit_of_tuple.cache_info = _orbit_of_tuple.cache_info
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)     # k = True is not k = 1
 def k_orbits(G, k, max_tuples=DEFAULT_TUPLE_CAP):
     """All G-orbits on non-diagonal k-tuples, ordered by least tuple, as
     a tuple, since the cache hands the same value to every caller."""
     n = G.degree
-    if not 1 <= k <= n:
+    if isinstance(k, bool) or not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
     tuples, orbit_ids = _backend.tuple_orbits(G.images, k, max_tuples)
     ends = np.cumsum(np.bincount(orbit_ids)).tolist()

@@ -207,6 +207,14 @@ class TestOrbits:
         with pytest.raises(DomainError):
             k_orbits(cyclic_group(3), 0)
 
+    def test_bool_k_is_refused(self):
+        """The cache used to key True like 1, and the kernel took it for 1."""
+        G = cyclic_group(3)
+        k_orbits(G, 1)
+        for k in (True, False):
+            with pytest.raises(DomainError, match="k must be in"):
+                k_orbits(G, k)
+
     def test_tuple_cap(self):
         with pytest.raises(ResourceLimitError):
             k_orbits(symmetric_group(6), 5, max_tuples=100)

@@ -36,7 +36,9 @@ MAX_KEY_DEGREE = 12
 # it turns the 4 degree-9 ops of the `orbits` benchmark workload that
 # fail on it into about 1.45 M more classified tuples, which changes
 # that workload's work, memory and seed-0 digest; it goes together with
-# a benchmark update.
+# a benchmark update. It also keeps every tuple key below 2**31, so
+# tuple_orbits holds image keys as int32: raising it past 2**31, or
+# removing it, means widening that dtype to int64.
 _DENSE_SPACE_LIMIT = 40_000_000
 
 # Image keys gathered per batch of orbit_labels: a batch takes
@@ -72,16 +74,10 @@ def encode_rows(rows, n):
 
 def decode_keys(keys, n, width):
     """The inverse of encode_rows: int64 0-based point rows of integer
-    keys. Up to a thousand keys are divided by every weight in one
-    broadcast, which costs least per call; more keys take one `divmod`
-    per position in the keys' own dtype, which costs least per key
-    (int32 keys divide faster than int64)."""
-    keys = np.asarray(keys)
-    if keys.size <= 1000:
-        return keys.astype(np.int64, copy=False)[..., None] // powers_for(n, width) % n
-    rows = np.empty(keys.shape + (width,), dtype=np.int64)
-    for i in range(width - 1, -1, -1):
-        keys, rows[..., i] = np.divmod(keys, n)
+    keys. The remainder is taken in place, so no second array of the
+    rows' size is held."""
+    rows = np.asarray(keys, dtype=np.int64)[..., None] // powers_for(n, width)
+    rows %= n
     return rows
 
 
@@ -369,8 +365,8 @@ def tuple_orbits(images, k, max_tuples):
         raise ResourceLimitError("max-tuples", max_tuples, total, flag="--max-tuples")
     if n ** k > _DENSE_SPACE_LIMIT:
         raise ResourceLimitError("tuple-key-space", _DENSE_SPACE_LIMIT, n ** k)
-    # keys below 2**31 are int32, which sorts and divides faster than int64
-    images = np.asarray(images, dtype=np.int32 if n ** k <= 1 << 31 else np.int64)
+    # int32 keys sort and divide faster than int64; see _DENSE_SPACE_LIMIT
+    images = np.asarray(images, dtype=np.int32)
     least = np.empty((1, 0), dtype=np.int64)
     for _ in range(k - 1):
         least = np.concatenate([np.concatenate((least[par], pt[:, None]), axis=1)

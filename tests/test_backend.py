@@ -302,15 +302,9 @@ class TestEncoding:
         keys = _backend.encode_rows(np.array([row, row[::-1]]), n)
         assert _backend.decode_keys(keys, n, width).tolist() == [row, row[::-1]]
         assert _backend.decode_keys(keys[0], n, width).tolist() == row
-
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_many_keys_roundtrip(self, dtype):
-        """Past a thousand keys the decode runs one position at a time,
-        in the keys' dtype, and still returns int64 rows of any shape."""
-        rows = np.random.default_rng(3).integers(0, 9, size=(2, 1500, 7))
-        keys = _backend.encode_rows(rows.reshape(-1, 7), 9).reshape(2, 1500)
-        got = _backend.decode_keys(keys.astype(dtype), 9, 7)
-        assert got.dtype == np.int64 and np.array_equal(got, rows)
+        # tuple_orbits decodes int32 keys; the rows are int64 of any shape
+        got = _backend.decode_keys(keys.astype(np.int32)[:, None], n, width)
+        assert got.dtype == np.int64 and got.tolist() == [[row], [row[::-1]]]
 
     def test_key_order_is_lex_order(self):
         rows = np.array(list(itertools.permutations(range(4))), dtype=np.int64)

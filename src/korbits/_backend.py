@@ -14,8 +14,9 @@ against the rows' sorted keys by `searchsorted`. Neither allocates
 anything indexed by the key space.
 `row_index`, `close_index`, `greedy_generators` and `least_in_orbits`
 work on row numbers of a group's sorted element array instead of keys;
-`close_index` closes many index sets at once. `fixed_rows`, the
-one setwise-stabilizer filter, reads a group's rows or `sym_chunks`.
+`close_index` closes many index sets at once. `fixed_rows` keeps the
+rows of a group, or of `sym_chunks`, that map given point rows onto
+themselves.
 """
 
 import functools
@@ -88,25 +89,19 @@ def in_sorted(sorted_keys, keys):
     return sorted_keys[pos] == keys
 
 
-def _arrangements(n, k, rows):
-    """All k-tuples of distinct points of range(n), in key order, in
-    chunks of at most `rows` tuples; read by `sym_chunks`."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    left = math.perm(n, k)
-    while left:
-        count = min(rows, left)
-        left -= count
-        yield np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
-
-
 def sym_chunks(n, max_elements):
     """Every permutation of degree n as an image row, in key order, in
     chunks of at most max(1, KEY_BUDGET // n) rows. Raises
     ResourceLimitError, before it enumerates any, when n! > max_elements."""
-    total = math.factorial(n)
-    if total > max_elements:
-        raise ResourceLimitError("max-elements", max_elements, total, flag="--max-elements")
-    return _arrangements(n, n, max(1, KEY_BUDGET // n))
+    left = math.factorial(n)
+    if left > max_elements:
+        raise ResourceLimitError("max-elements", max_elements, left, flag="--max-elements")
+    rows = max(1, KEY_BUDGET // n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    while left:
+        count = min(rows, left)
+        left -= count
+        yield np.fromiter(flat, dtype=np.int64, count=count * n).reshape(count, n)
 
 
 def fixed_rows(images, rows):

@@ -101,14 +101,14 @@ def lift_fpf(G, Q, g_quot, preimage=None):
 # terminal-case audit
 # ---------------------------------------------------------------------------
 
-def iso_partitions(G, N, k, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+def iso_partitions(G, N, k):
     """Partitions of the point set into k-element automorphic subsets of
     G that are pairwise N-isomorphic and whose n-orbit projections are
     pairwise N-isomorphic k-orbits.  Deterministic order."""
     n = G.degree
     if k < 1 or n % k != 0:
         return []
-    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
+    report = automorphic_analysis(G)
     cands = sorted((s for s in report.subsets if len(s) == k), key=sorted)
     out = []
 
@@ -182,10 +182,10 @@ def terminal_partitions(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     the (partition, projections, coherence kind of each projection) of
     every iso partition of G into k-element sets."""
     N = normalizer_in_sym(G, max_elements=max_elements)
-    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
+    report = automorphic_analysis(G)
     k = report.max_automorphic_degree_divisor() or 1
     found = []
-    for part, projs in iso_partitions(G, N, k, max_subgroup_order):
+    for part, projs in iso_partitions(G, N, k):
         kinds = [classify_coherence(G, X, max_subgroup_order=max_subgroup_order).kind
                  for X in projs]
         found.append((part, projs, kinds))
@@ -248,7 +248,7 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
 def _audit_terminal(G, max_subgroup_order, max_elements):
     """`proof_audit` on a G that `terminal_case` has found terminal."""
     N, k, found = terminal_partitions(G, max_subgroup_order, max_elements)
-    report = automorphic_analysis(G, max_subgroup_order=max_subgroup_order)
+    report = automorphic_analysis(G)
     k_var = report.max_automorphic_order_divisor() or 1
     findings = []
     any_closed = False
@@ -427,10 +427,7 @@ def render_trace(trace):
 
 
 def parse_trace(text):
-    degree = None
-    generators = ()
-    steps = []
-    result = None
+    group, steps, result = None, [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -440,18 +437,16 @@ def parse_trace(text):
             raise ParseError(f"line {lineno}: bad JSON ({exc})") from None
         kind = rec.pop("record", None)
         if kind == "group":
-            degree = int(rec["degree"])
-            generators = tuple(rec["generators"])
+            group = rec
         elif kind == "step":
             steps.append(rec)
         elif kind == "result":
             result = rec
         else:
             raise ParseError(f"line {lineno}: unknown record type {kind!r}")
-    if degree is None or result is None:
+    if group is None or result is None:
         raise ParseError("trace file must contain group and result records")
-    return ReductionTrace(degree=degree, generators=generators,
-                          steps=tuple(steps), result=result)
+    return trace_from_dict({**group, "steps": steps, "result": result})
 
 
 def save_trace(trace, path):

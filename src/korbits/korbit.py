@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError
-from .group import (DEFAULT_ELEMENT_CAP, PermGroup, is_subgroup,
-                    orbits_on_points, perm_to_row)
+from .group import (DEFAULT_ELEMENT_CAP, PermGroup, generator_rows,
+                    is_subgroup, orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
 from .perm import content_lines, parse_header
 from .subgroups import (DEFAULT_SUBGROUP_CAP, _element_orders,
@@ -564,16 +564,25 @@ def _divisors(m):
 
 
 @functools.lru_cache(maxsize=128)
-def automorphic_analysis(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
-    classes = subgroup_classes(G, max_order=max_subgroup_order)
-    sizes = set()
-    subsets = set()
-    for cls in classes:
-        for c in orbits_on_points(cls.rep).classes:
-            sizes.add(len(c))
-            cols = sorted(p - 1 for p in c)
-            imgs = np.unique(np.sort(G.images[:, cols], axis=1), axis=0) + 1
-            subsets.update(frozenset(r) for r in imgs.tolist())
+def automorphic_analysis(G):
+    """The automorphic subsets of G, the point orbits of its subgroups,
+    read from setwise stabilizers: a point set S is an orbit of some
+    subgroup exactly when its setwise stabilizer G_S is transitive on S
+    (an H-orbit S has H <= G_S), and then so is every gS. Point sets are
+    bit masks, and each G-orbit of masks is tested once, at its least
+    mask, found by `_backend.least_in_orbits` over the generators'
+    action on all 2**n masks."""
+    masks = np.arange(1 << G.degree)
+    bits = (masks[:, None] >> np.arange(G.degree)) & 1
+    least = _backend.least_in_orbits([bits @ (1 << g) for g in generator_rows(G)],
+                                     masks.size)
+    subsets = []
+    for m in np.flatnonzero(least == masks)[1:]:    # mask 0 is the empty set
+        points = (np.flatnonzero(bits[m]) + 1).tolist()
+        if acts_transitively_on(setwise_point_stabilizer(G, points), points):
+            subsets += [frozenset((np.flatnonzero(r) + 1).tolist())
+                        for r in bits[least == m]]
+    sizes = {len(s) for s in subsets}
     order_div = tuple((k, k in sizes) for k in _divisors(G.order))
     degree_div = tuple((k, k in sizes) for k in _divisors(G.degree))
     return AutomorphicReport(order_divisors=order_div,

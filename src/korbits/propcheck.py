@@ -23,11 +23,11 @@ from .fks import not_primitive_reason, terminal_case, terminal_partitions
 from .group import (DEFAULT_ELEMENT_CAP, PermGroup, close_group,
                     conjugate_rows_by, generator_rows, is_subgroup,
                     is_transitive, normalizer_in, normalizer_in_sym)
-from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, aut_of_kset,
-                     automorphic_analysis, classify_coherence, k_blocks,
-                     k_orbits, orbit_of_tuple, pointwise_tuple_stabilizer,
-                     setwise_point_stabilizer, stab_of_ksuborbit,
-                     translate_keys)
+from .korbit import (DEFAULT_TUPLE_CAP, KSet, _kset, acts_transitively_on,
+                     aut_of_kset, automorphic_analysis, classify_coherence,
+                     k_blocks, k_orbits, orbit_of_tuple,
+                     pointwise_tuple_stabilizer, setwise_point_stabilizer,
+                     stab_of_ksuborbit, translate_keys)
 from .perm import parse_permutation
 from .subgroups import DEFAULT_SUBGROUP_CAP, _odd, subgroup_classes
 
@@ -158,13 +158,6 @@ def _normalizer_exceeds(G, caps):
     return _pass()
 
 
-def _is_automorphic(G, points, caps):
-    """Whether `points` is the coordinate set of an automorphic tuple of G:
-    the hypothesis of P_stab_co and L_block_aut."""
-    report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
-    return frozenset(points) in report.subsets
-
-
 def _aut_partition_gate(G, X, caps):
     """(Aut(X), why): why the hypothesis of L_H_order, P_triv_norm and
     T_coherent, that every suborbit's Aut-translate set is a partition,
@@ -236,9 +229,9 @@ def _orbit_from_ctx(G, ctx):
 def _eval_P_stab_co(ctx, caps):
     W = _ctx_group(ctx, caps)
     alpha = tuple(int(v) for v in ctx["tuple"])
-    if not _is_automorphic(W, alpha, caps):
+    G = setwise_point_stabilizer(W, alpha)
+    if not acts_transitively_on(G, alpha):
         return _na("tuple is not automorphic: its coordinate set is no suborbit")
-    G = setwise_point_stabilizer(W, frozenset(alpha))
     H = pointwise_tuple_stabilizer(G, alpha)
     X = orbit_of_tuple(G, alpha)
     aut = aut_of_kset(X, degree=W.degree, max_elements=caps.max_elements)
@@ -344,23 +337,24 @@ def _left_coset_reps(G, A):
 
 
 def _isomorphic_orbits(reps, tuples, sizes, keys, key_ids):
-    """The mask of the A-orbits Z with some gZ another A-orbit for a g
-    among the element rows `reps`: every image of Z lies in one A-orbit,
-    of Z's size, other than Z. The orbits are the consecutive segments
-    of `tuples` of lengths `sizes`; `keys` are the sorted tuple keys and
-    `key_ids` their orbit ids. Runs over `reps` in chunks of about
-    KEY_BUDGET image keys."""
+    """For each A-orbit Z, the least A-orbit gZ other than Z for a g among
+    the element rows `reps`, and sizes.size where there is none: every
+    image of Z lies in one A-orbit, of Z's size, other than Z. The
+    orbits are the consecutive segments of `tuples` of lengths `sizes`;
+    `keys` are the sorted tuple keys and `key_ids` their orbit ids. Runs
+    over `reps` in chunks of about KEY_BUDGET image keys."""
     starts = np.cumsum(sizes) - sizes
     pw = _backend.powers_for(reps.shape[1], tuples.shape[1])
     own = np.arange(sizes.size)
-    hits = np.zeros(sizes.size, dtype=bool)
+    least = np.full(sizes.size, sizes.size)
     step = max(1, _backend.KEY_BUDGET // len(tuples))
     for start in range(0, len(reps), step):
         at = key_ids[np.searchsorted(keys, reps[start:start + step, tuples] @ pw)]
         lo = np.minimum.reduceat(at, starts, axis=1)
         hi = np.maximum.reduceat(at, starts, axis=1)
-        hits |= ((lo == hi) & (sizes[lo] == sizes) & (lo != own)).any(axis=0)
-    return hits
+        hit = (lo == hi) & (sizes[lo] == sizes) & (lo != own)
+        least = np.minimum(least, np.where(hit, lo, sizes.size).min(axis=0))
+    return least
 
 
 def _eval_P_giso(ctx, caps):
@@ -373,21 +367,16 @@ def _eval_P_giso(ctx, caps):
         tuples, ids = _backend.tuple_orbits(A.images, k, caps.max_tuples)
         keys = _backend.encode_rows(tuples, G.degree)
         by_key = np.argsort(keys)
-        keys, key_ids = keys[by_key], ids[by_key]
         sizes = np.bincount(ids)
-        hits = _isomorphic_orbits(reps, tuples, sizes, keys, key_ids)
+        least = _isomorphic_orbits(reps, tuples, sizes, keys[by_key], ids[by_key])
+        hits = least < sizes.size
         if not hits.any():
             continue
-        # the first hit in the order of the translates of the first orbit
+        # the first orbit with a hit, and its least hit: orbit ids follow
+        # least tuples, so that is its first hit in translate order
         z = int(np.argmax(hits))
-        Z = tuples[ids == z]
-        T = translate_keys(G, Z)[0]
-        at = key_ids[np.searchsorted(keys, T)]
-        hit = ((at == at[:, :1]).all(axis=1) & (sizes[at[:, 0]] == len(Z))
-               & (at[:, 0] != z))
-        T = _backend.decode_keys(T[np.argmax(hit)], G.degree, k)
-        return _pass({"k": k, "orbit": (Z + 1).tolist(),
-                      "translate": (T + 1).tolist()})
+        return _pass({"k": k, "orbit": (tuples[ids == z] + 1).tolist(),
+                      "translate": (tuples[ids == least[z]] + 1).tolist()})
     return _fail({"reason": "no pair of distinct G-isomorphic k-orbits of A "
                             "for any k"})
 
@@ -696,7 +685,8 @@ def _eval_T_elcoh(ctx, caps):
 def _eval_L_block_aut(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    if not _is_automorphic(G, _rep(X), caps):
+    t0 = _rep(X)
+    if not acts_transitively_on(setwise_point_stabilizer(G, t0), t0):
         return _na("not a right-automorphic k-orbit: no automorphic tuple")
     _, blocks = k_blocks(X, max_elements=caps.max_elements)
     for b in blocks:
@@ -730,7 +720,7 @@ def _eval_L_proof_elcoh(ctx, caps):
 # ---------------------------------------------------------------------------
 
 def _ctx_P_stab_co(G, base, ks, caps):
-    report = automorphic_analysis(G, max_subgroup_order=caps.max_subgroup_order)
+    report = automorphic_analysis(G)
     for k in ks:
         for s in report.subsets:
             if len(s) == k:

@@ -301,9 +301,11 @@ class TestAudit:
 
     def test_subgroup_cap_reaches_every_lattice(self, monkeypatch):
         """Every subgroup lattice that the audit of A5 on the 10 pairs
-        reads, the iso partitions' included, is built at the cap the
-        audit is given. The normalizer, S5 on the pairs, is stubbed in:
-        the n! search at degree 10 is too large here."""
+        reads, the terminal case's and the coherence classes' of the
+        projections, is built at the cap the audit is given; the
+        automorphic subsets are read from setwise stabilizers, with no
+        lattice. The normalizer, S5 on the pairs, is stubbed in: the n!
+        search at degree 10 is too large here."""
         calls = []
 
         def spy(H, max_order=DEFAULT_SUBGROUP_CAP, **bound):

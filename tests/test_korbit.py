@@ -19,8 +19,8 @@ from korbits.catalog import transitive_catalog
 from korbits.cli import main
 from korbits.errors import DomainError, ParseError, ResourceLimitError
 from korbits.group import (PermGroup, cyclic_group, dihedral_group,
-                           klein_four_group, parse_group, save_group,
-                           symmetric_group)
+                           klein_four_group, orbits_on_points, parse_group,
+                           save_group, symmetric_group)
 from korbits.partition import Partition, SetFamily, smash
 from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
                             _cyclic_classes,
@@ -35,7 +35,8 @@ from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
                             translate_keys, translates_of_kset)
 from korbits.perm import Permutation, parse_permutation
 from korbits.propcheck import run_suite
-from korbits.subgroups import subgroup_classes
+from korbits.subgroups import all_subgroups, subgroup_classes
+from test_fks import on_pairs
 
 
 def kset(*tuples):
@@ -916,7 +917,49 @@ class TestTranslatesAndCosets:
             coset_k_partitions(cyclic_group(3), symmetric_group(3), (1, 2))
 
 
+def lattice_automorphic_analysis(G):
+    """`automorphic_analysis` read from the subgroup lattice: the point
+    orbits of every class representative, and their G-translates."""
+    sizes, subsets = set(), set()
+    for cls in subgroup_classes(G):
+        for c in orbits_on_points(cls.rep).classes:
+            sizes.add(len(c))
+            cols = sorted(p - 1 for p in c)
+            imgs = np.unique(np.sort(G.images[:, cols], axis=1), axis=0) + 1
+            subsets.update(frozenset(r) for r in imgs.tolist())
+    return korbit.AutomorphicReport(
+        order_divisors=tuple((k, k in sizes) for k in korbit._divisors(G.order)),
+        degree_divisors=tuple((k, k in sizes) for k in korbit._divisors(G.degree)),
+        subsets=tuple(sorted(subsets, key=sorted)))
+
+
+def _automorphic_cases():
+    for n in range(1, 7):
+        for e in transitive_catalog(n):
+            yield e.entry_id, e.group()
+    for i, H in enumerate(all_subgroups(symmetric_group(4))):
+        yield f"S4-sub{i}", H
+    yield "A5-pairs", on_pairs("(1 2 3)", "(1 2 3 4 5)")
+
+
 class TestAutomorphicNumbers:
+    def test_matches_the_lattice(self):
+        """The setwise-stabilizer test finds the automorphic subsets that
+        the point orbits of the subgroup classes give."""
+        cases = list(_automorphic_cases())
+        assert len(cases) == 1 + 1 + 2 + 5 + 5 + 16 + 30 + 1
+        for name, G in cases:
+            assert automorphic_analysis(G) == lattice_automorphic_analysis(G), name
+
+    def test_builds_no_lattice(self, monkeypatch):
+        """A5 on the 10 pairs, uncached, with `subgroup_classes` refusing."""
+        def refuse(*a, **kw):
+            raise AssertionError("subgroup lattice built")
+        G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
+        want = lattice_automorphic_analysis(G)
+        monkeypatch.setattr(korbit, "subgroup_classes", refuse)
+        assert automorphic_analysis.__wrapped__(G) == want
+
     def test_s3_report(self):
         rep = automorphic_analysis(symmetric_group(3))
         assert rep.order_divisors == ((1, True), (2, True), (3, True),

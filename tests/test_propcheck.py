@@ -310,7 +310,7 @@ class TestAutPointCap:
 
     @pytest.mark.parametrize("check_id, ctx", C9_CONTEXTS,
                              ids=[c for c, _ in C9_CONTEXTS])
-    def test_max_degree_reaches_aut(self, check_id, ctx):
+    def test_max_elements_reaches_aut(self, check_id, ctx):
         with pytest.raises(ResourceLimitError,
                            match=r"max-elements cap exceeded: need 362880, "
                                  r"cap is 362879 \(raise with --max-elements\)"):

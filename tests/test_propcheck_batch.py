@@ -519,23 +519,26 @@ class TestGiso:
                     == reference_giso(dict(ctx)).to_record()), ctx
 
     def test_translates_only_the_first_hit(self, monkeypatch):
-        """A passing context builds the translates of one orbit, the one
-        its notes name."""
-        read = []
-        real = propcheck.translate_keys
+        """A passing context reads its notes' translate from the orbit
+        ids it found: no context builds a translate set."""
+        def refuse(G, rows):
+            raise AssertionError("translate set built")
+        monkeypatch.setattr(propcheck, "translate_keys", refuse)
+        verdicts = {run_check("P_giso", dict(ctx)).verdict
+                    for ctx in _index_contexts(range(2, 6))}
+        assert "pass" in verdicts
 
-        def spy(G, rows):
-            read.append(rows.tolist())
-            return real(G, rows)
-        monkeypatch.setattr(propcheck, "translate_keys", spy)
-        passed = 0
-        for ctx in _index_contexts(range(2, 6)):
-            del read[:]
-            got = run_check("P_giso", dict(ctx)).to_record()
-            if got["verdict"] == "pass":
-                passed += 1
-                assert [[[v + 1 for v in t] for t in rows] for rows in read] \
-                    == [got["notes"]["orbit"]]
-            else:
-                assert read == []
-        assert passed > 0
+    def test_fail_implies_index_fail(self):
+        """Where `P_giso` fails, `P_index` fails on the same context with
+        N_G(A) = A: an element g of N_G(A) outside A maps the A-orbit of
+        an n-tuple t, on which A acts regularly, to the A-orbit of gt,
+        another one."""
+        fails = index_fails = 0
+        for ctx in _index_contexts(range(2, 7)):
+            index = run_check("P_index", dict(ctx))
+            index_fails += index.verdict == "fail"
+            if run_check("P_giso", dict(ctx)).verdict == "fail":
+                fails += 1
+                assert index.verdict == "fail", ctx
+                assert index.witness["detail"]["reason"] == "N_G(A) = A", ctx
+        assert (fails, index_fails) == (8, 14)

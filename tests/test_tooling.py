@@ -6,8 +6,9 @@ public function of `_backend` is read by another module, every
 that the CLI registers, only the report, file and trace boundary reads
 `.generators` and only `PermGroup.generators` turns generator rows into
 `Permutation`s, only the checks that read their groups from a context
-read `normalizer_in`, no `except` clause names `DomainError`, and the
-`functools.lru_cache` functions are the pinned ones."""
+read `normalizer_in`, no `except` clause names `DomainError`, every
+parameter of every function is read, and the `functools.lru_cache`
+functions are the pinned ones."""
 
 import ast
 import pathlib
@@ -256,6 +257,67 @@ def test_normalizer_in_read_only_from_a_context():
     context, which has no class record."""
     assert readers_of((SRC / "propcheck.py").read_text(), "normalizer_in") \
         == ["_eval_P_index", "_index_hypothesis"]
+
+
+def _signature(fn):
+    """The parameter names of the function or lambda `fn`, starred as
+    written."""
+    a = fn.args
+    return ([p.arg for p in a.posonlyargs + a.args]
+            + [f"*{p.arg}" for p in [a.vararg] if p]
+            + [p.arg for p in a.kwonlyargs]
+            + [f"**{p.arg}" for p in [a.kwarg] if p])
+
+
+# signatures whose parameters may go unread: the context generators of
+# the check registry, which all take (G, base, ks, caps), and the
+# immutable classes' `__setattr__`, which refuses every assignment
+UNREAD_ALLOWED = {"(G, base, ks, caps)", "__setattr__(self, *a)"}
+
+
+def unread_parameters(source):
+    """(function, parameter), sorted, for every parameter of every
+    function and lambda of the module text `source`, nested ones
+    included, that its body never reads by name; the signatures of
+    UNREAD_ALLOWED, with or without the function's name, are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        params = _signature(fn)
+        sig = f"({', '.join(params)})"
+        if {sig, name + sig} & UNREAD_ALLOWED:
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [(name, p) for p in params if p.lstrip("*") not in read]
+    return sorted(out)
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def f(a, b=1, *c, d, **e):\n    return a + d\n"
+              "def g(x):\n    def inner(y):\n        return x\n"
+              "    return inner, lambda z, w: z\n"
+              "def _ctx(G, base, ks, caps):\n    yield base\n"
+              "class C:\n    def __setattr__(self, *a):\n        raise TypeError\n"
+              "    def set(self, *a):\n        return self\n")
+    assert unread_parameters(source) == [
+        ("<lambda>", "w"), ("f", "**e"), ("f", "*c"), ("f", "b"),
+        ("inner", "y"), ("set", "*a")]
+    package = (SRC / "korbit.py").read_text()
+    head = "def automorphic_analysis(G):"
+    assert head in package
+    capped = package.replace(
+        head, "def automorphic_analysis(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):")
+    assert unread_parameters(capped) == [("automorphic_analysis",
+                                          "max_subgroup_order")]
+
+
+def test_every_parameter_is_read():
+    assert {m: unread_parameters((SRC / m).read_text()) for m in MODULES} \
+        == {m: [] for m in MODULES}
 
 
 def cached_functions(source):

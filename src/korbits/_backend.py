@@ -52,9 +52,9 @@ _BATCH_KEYS = 4096
 
 # Image keys per chunk of `fixed_rows`, of `tuple_orbits`, of the
 # translate test of propcheck._eval_P_giso and of the position matrix
-# of propcheck._aut_suborbit_partition_failure: a chunk of elements
-# that map w point rows each holds about max(KEY_BUDGET, w) keys. A
-# chunk of `sym_chunks` holds about KEY_BUDGET points.
+# of propcheck._aut_suborbits: a chunk of elements that map w point
+# rows each holds about max(KEY_BUDGET, w) keys. A chunk of
+# `sym_chunks` holds about KEY_BUDGET points.
 KEY_BUDGET = 1 << 18
 
 

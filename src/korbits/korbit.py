@@ -422,6 +422,8 @@ def translate_keys(G, rows):
     order; the mask of g with gY = Y; the sorted union keys; and for each
     union key the row of its translate, or None when the translates overlap."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.min() < 0 or rows.max() >= G.degree:
+        raise DomainError("point out of range for this group")
     return _translates(G, rows.shape[1], rows.tobytes())
 
 
@@ -447,11 +449,8 @@ def _translates(G, k, data):
 def stab_of_ksuborbit(G, Y):
     """Setwise stabilizer {g in G : gY = Y} and whether it acts
     transitively on Y's tuples."""
-    rows = Y.rows
-    if rows.max() >= G.degree:
-        raise DomainError("point out of range for this group")
-    stab = PermGroup(G.degree, G.images[translate_keys(G, rows)[1]])
-    images = _backend.encode_rows(stab.images[:, rows[0]], G.degree)
+    stab = PermGroup(G.degree, G.images[translate_keys(G, Y.rows)[1]])
+    images = _backend.encode_rows(stab.images[:, Y.rows[0]], G.degree)
     return stab, np.unique(images).size == len(Y)
 
 

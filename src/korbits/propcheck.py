@@ -163,7 +163,7 @@ def _aut_partition_gate(G, X, caps):
     T_coherent, that every suborbit's Aut-translate set is a partition,
     fails on X; None when it holds."""
     aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
-    if _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order) is None:
+    if _aut_suborbits(aut, X, caps.max_subgroup_order)[2] is None:
         return aut, None
     return aut, "some suborbit's Aut-translate set is not a partition"
 
@@ -179,18 +179,20 @@ def _suborbit_pool(G, X, max_order):
 
 
 @functools.lru_cache(maxsize=4096)
-def _aut_suborbit_partition_failure(Gaut, X, max_order):
-    """First suborbit Y of X (orbit of a subgroup of Aut) whose Aut
-    translate set is not a partition; None when all are partitions.
+def _aut_suborbits(Gaut, X, max_order):
+    """(first, equal, bad) of one walk over Aut's subgroup classes in class
+    order, labelling X once per class rep: first[c], the size of rep c's
+    suborbit of X's least tuple (label 0); whether every rep's suborbits
+    have equal sizes; the first suborbit Y, by class and then least
+    tuple, whose Aut-translates are not a partition, or None.
 
-    Suborbits come in class order of the subgroups, then in order of
-    least tuple. Aut maps X onto itself, so pos[g, x], the row of g x in
-    X, is a position matrix; the translates of Y form a partition iff
-    |gY ∩ Y| is 0 or |Y| for every g. For one class representative, one
-    `bincount` over (g, suborbit of x) of the x whose image stays in its
-    suborbit gives |gY ∩ Y| for every suborbit Y and every g at once.
-    The matrix is built in chunks of _backend.KEY_BUDGET entries (one
-    chunk for every Aut at degree 6), and the first chunk is kept.
+    Aut maps X onto itself, so pos[g, x], the row of g x in X, is a
+    position matrix; the translates of Y form a partition iff |gY ∩ Y|
+    is 0 or |Y| for every g. For one class rep, one `bincount` over
+    (g, suborbit of x) of the x whose image stays in its suborbit gives
+    |gY ∩ Y| for every suborbit Y and every g at once, in chunks of
+    _backend.KEY_BUDGET entries (one at degree 6; the first is kept),
+    up to the first bad class.
     """
     rows = X.rows
     pw = _backend.powers_for(Gaut.degree, X.arity)
@@ -200,21 +202,23 @@ def _aut_suborbit_partition_failure(Gaut, X, max_order):
     def positions(start):
         return np.searchsorted(keys, Gaut.images[start:start + step, rows] @ pw)
 
-    first = positions(0)
+    kept = positions(0)
+    first, equal, bad = [], True, None
     for cls in subgroup_classes(Gaut, max_order=max_order):
         labels = _backend.orbit_labels(cls.rep.images, rows)
-        count = int(labels.max()) + 1
         sizes = np.bincount(labels)
-        bad = np.zeros(count, dtype=bool)
-        for start in range(0, Gaut.order, step):
-            pos = first if start == 0 else positions(start)
-            cells = np.arange(len(pos))[:, None] * count + labels
+        first.append(int(sizes[0]))
+        equal &= bool(sizes.min() == sizes.max())
+        overlap = np.zeros(sizes.size, dtype=bool)
+        for start in range(0, Gaut.order if bad is None else 0, step):
+            pos = kept if start == 0 else positions(start)
+            cells = np.arange(len(pos))[:, None] * sizes.size + labels
             meets = np.bincount(cells[labels[pos] == labels],
-                                minlength=len(pos) * count).reshape(-1, count)
-            bad |= ((meets > 0) & (meets < sizes)).any(axis=0)
-        if bad.any():
-            return _kset(rows[labels == np.argmax(bad)])
-    return None
+                                minlength=len(pos) * sizes.size).reshape(len(pos), -1)
+            overlap |= ((meets > 0) & (meets < sizes)).any(axis=0)
+        if overlap.any():
+            bad = _kset(rows[labels == np.argmax(overlap)])
+    return tuple(first), equal, bad
 
 
 def _orbit_from_ctx(G, ctx):
@@ -252,15 +256,15 @@ def _eval_P_stab_co(ctx, caps):
 def _eval_P_LkRk(ctx, caps):
     G = _ctx_group(ctx, caps)
     Y = KSet(tuple(t) for t in ctx["suborbit"])
+    left = translate_keys(G, Y.rows)[3]    # refuses a point beyond the degree
     X = orbit_of_tuple(G, _rep(Y))
     n = G.degree
-    if Y.rows.max() >= n or not _backend.in_sorted(
-            _backend.encode_rows(X.rows, n), _backend.encode_rows(Y.rows, n)).all():
+    if not _backend.in_sorted(_backend.encode_rows(X.rows, n),
+                              _backend.encode_rows(Y.rows, n)).all():
         return _na("suborbit is not contained in a k-orbit")
     H, h_trans = stab_of_ksuborbit(G, Y)
     if not h_trans:
         return _na("stabilizer is not transitive on the k-set: not a suborbit")
-    left = translate_keys(G, Y.rows)[3]
     if left is None or not np.array_equal(
             left, _backend.orbit_labels(H.images, X.rows)):
         return _na("L_k != R_k")
@@ -402,11 +406,8 @@ def _eval_P_equal_classes(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
     aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
-    rows = X.rows
-    for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
-        sizes = np.bincount(_backend.orbit_labels(cls.rep.images, rows))
-        if sizes.min() != sizes.max():
-            return _na("a subgroup of Aut(X) has unequal class sizes on X")
+    if not _aut_suborbits(aut, X, caps.max_subgroup_order)[1]:
+        return _na("a subgroup of Aut(X) has unequal class sizes on X")
     if aut.order != len(X):
         return _fail({"reason": "|Aut(X)| != |X| although every subgroup "
                                 "partitions X into equal classes",
@@ -426,9 +427,9 @@ def _eval_L_grAB(ctx, caps):
         aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
         alpha = _rep(X)
         # subgroup class reps of Aut whose orbit of alpha is regular
-        regs = [cls.rep for cls in subgroup_classes(
-                    aut, max_order=caps.max_subgroup_order)
-                if len(orbit_of_tuple(cls.rep, alpha)) == cls.order]
+        classes = subgroup_classes(aut, max_order=caps.max_subgroup_order)
+        first = _aut_suborbits(aut, X, caps.max_subgroup_order)[0]
+        regs = [c.rep for c, size in zip(classes, first) if size == c.order]
         pairs = [(i, j) for i in range(len(regs))
                  for j in range(len(regs))][:MAX_PAIRS]
     if not pairs:
@@ -581,9 +582,9 @@ def _eval_L_H_order(ctx, caps):
     aut, why = _aut_partition_gate(G, X, caps)
     if why:
         return _na(why)
-    for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):
-        if (len(cls.conjugates) == 1 and cls.order == len(X)
-                and orbit_of_tuple(cls.rep, _rep(X)) == X):
+    for cls, size in zip(subgroup_classes(aut, max_order=caps.max_subgroup_order),
+                         _aut_suborbits(aut, X, caps.max_subgroup_order)[0]):
+        if len(cls.conjugates) == 1 and cls.order == size == len(X):
             return _pass()
     return _fail({"reason": "no transitive normal subgroup of Aut(X) of "
                             "order |X|",
@@ -659,7 +660,7 @@ def _eval_L_elcoh_part(ctx, caps):
     if verdict.kind != "elementary-coherent":
         return _na("k-orbit is not elementary coherent")
     aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
-    bad = _aut_suborbit_partition_failure(aut, X, caps.max_subgroup_order)
+    bad = _aut_suborbits(aut, X, caps.max_subgroup_order)[2]
     if bad is not None:
         return _fail({"reason": "Aut(X)-translates of a suborbit are not a "
                                 "partition",

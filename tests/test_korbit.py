@@ -721,6 +721,15 @@ class TestStabilizers:
         with pytest.raises(DomainError, match="point out of range for this group"):
             stab_of_ksuborbit(cyclic_group(4), kset((1, 5)))
 
+    def test_translates_out_of_range(self):
+        with pytest.raises(DomainError, match="point out of range for this group"):
+            translates_of_kset(cyclic_group(4), kset((1, 5)))
+
+    def test_translate_keys_refuses_rows_out_of_range(self):
+        for rows in ([[0, 4]], [[-1, 2]]):
+            with pytest.raises(DomainError, match="point out of range for this group"):
+                translate_keys(cyclic_group(4), np.array(rows))
+
     def test_setwise_of_no_points_is_the_group(self):
         G = cyclic_group(4)
         assert setwise_point_stabilizer(G, set()) == G

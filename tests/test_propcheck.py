@@ -167,6 +167,16 @@ GUARDS = [
 ]
 
 
+C5 = {"degree": 5, "group": ["(1 2 3 4 5)"], "k": 2}
+# pinned k-sets with a point beyond the degree, as a hand-edited witness
+# replays: refused wherever the point is
+OUT_OF_RANGE = [
+    ("P_LkRk", {**C5, "suborbit": [[1, 2], [2, 9]]}),
+    ("P_LkRk", {**C5, "suborbit": [[7, 8], [8, 9]]}),
+    ("P_capcup", {**C5, "suborbit": [[1, 6]], "suborbit2": [[1, 2]]}),
+]
+
+
 class TestHypothesisGuards:
     @pytest.mark.parametrize("check_id,ctx,reason", GUARDS,
                              ids=[f"{c}-{i}" for i, (c, _, _) in
@@ -174,6 +184,13 @@ class TestHypothesisGuards:
     def test_broken_hypothesis_gives_its_reason(self, check_id, ctx, reason):
         res = replay_witness({"context": ctx}, check_id)
         assert (res.verdict, res.reason) == ("inapplicable", reason)
+
+    @pytest.mark.parametrize("check_id,ctx", OUT_OF_RANGE,
+                             ids=[f"{c}-{i}" for i, (c, _) in
+                                  enumerate(OUT_OF_RANGE)])
+    def test_point_beyond_the_degree_is_refused(self, check_id, ctx):
+        with pytest.raises(DomainError, match="point out of range for this group"):
+            replay_witness({"context": ctx}, check_id)
 
 
 class TestHypothesisOnlyChecks:

@@ -1,10 +1,13 @@
 """The per-orbit batched translate-partition tests of the check engine
 against per-pair and per-suborbit references: `P_capcup`'s meets and
-joins, and the Aut-suborbit partition test behind `L_H_order`,
-`P_triv_norm`, `T_coherent` and `L_elcoh_part`. Also the subgroup facts
-the checks read instead of recomputing them: `L_grAB` against its
-per-ordered-pair reference, and the class-size test of self-normalizing
-classes against `normalizer_in`."""
+joins, and the walk over Aut(X)'s subgroup classes behind
+`P_equal_classes`, `L_grAB`, `L_H_order`, `P_triv_norm`, `T_coherent`
+and `L_elcoh_part`. Also the subgroup facts the checks read instead of
+recomputing them: `L_grAB` against its per-ordered-pair reference, and
+the class-size test of self-normalizing classes against
+`normalizer_in`."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -17,12 +20,12 @@ from korbits.errors import DomainError
 from korbits.group import PermGroup, normalizer_in, symmetric_group
 from korbits.korbit import (KSet, _kset, aut_of_kset, k_orbits,
                             orbit_of_tuple, stab_of_ksuborbit, translate_keys)
-from korbits.propcheck import (SuiteCaps, _aut_suborbit_partition_failure,
-                               _ctx_group, _ctx_index_like, _ctx_per_orbit,
-                               _fail, _na, _normal_proper_nontrivial,
+from korbits.propcheck import (SuiteCaps, _aut_suborbits, _ctx_group,
+                               _ctx_index_like, _ctx_per_orbit, _fail, _na,
+                               _normal_proper_nontrivial,
                                _orbit_from_ctx, _pair_partitions, _pass,
                                _result, _ser_group, _ser_kset, _suborbit_pool,
-                               run_check)
+                               run_check, run_suite)
 from korbits.subgroups import DEFAULT_SUBGROUP_CAP, subgroup_classes
 from test_partition import meet_labels
 
@@ -251,13 +254,13 @@ def _aut_cases(degrees, ks):
 class TestAutSuborbitPartition:
     def test_matches_union_count_reference(self):
         for G, X, aut in _aut_cases(range(2, 6), (2, 3)):
-            assert (_aut_suborbit_partition_failure(aut, X, CAPS.max_subgroup_order)
+            assert (_aut_suborbits(aut, X, CAPS.max_subgroup_order)[2]
                     == reference_aut_failure(aut, X))
 
     def test_degree6_failures_and_elcoh_witnesses(self):
         found = 0
         for G, X, aut in _aut_cases([6], (2, 3, 4)):
-            got = _aut_suborbit_partition_failure(aut, X, CAPS.max_subgroup_order)
+            got = _aut_suborbits(aut, X, CAPS.max_subgroup_order)[2]
             assert got == reference_aut_failure(aut, X)
             found += got is not None
             ctx = {"degree": 6, "group": propcheck._ser_group(G),
@@ -271,14 +274,53 @@ class TestAutSuborbitPartition:
 
     def test_small_key_budget_forces_chunks(self, monkeypatch):
         monkeypatch.setattr(_backend, "KEY_BUDGET", 2048)
-        uncached = _aut_suborbit_partition_failure.__wrapped__
+        uncached = _aut_suborbits.__wrapped__
         chunked = found = 0
         for G, X, aut in _aut_cases([5, 6], (2, 3)):
             chunked += aut.order > 2048 // len(X)
-            got = uncached(aut, X, CAPS.max_subgroup_order)
+            got = uncached(aut, X, CAPS.max_subgroup_order)[2]
             assert got == reference_aut_failure(aut, X)
             found += got is not None
         assert chunked > 0 and found > 0
+
+
+class TestAutSuborbitWalk:
+    """`_aut_suborbits` against per-class oracles, and the one labelling
+    of each (class rep, k-orbit) pair that it stands for."""
+
+    def test_matches_per_class_oracles(self):
+        bad = unequal = 0
+        for G, X, aut in _aut_cases(range(2, 7), (2, 3)):
+            first, equal, got = _aut_suborbits(aut, X, CAPS.max_subgroup_order)
+            classes = subgroup_classes(aut, max_order=CAPS.max_subgroup_order)
+            t0 = X.tuples[0]
+            assert first == tuple(len(orbit_of_tuple(c.rep, t0)) for c in classes)
+            sizes = [np.bincount(_backend.orbit_labels(c.rep.images, X.rows))
+                     for c in classes]
+            assert equal == all(s.min() == s.max() for s in sizes)
+            assert got == reference_aut_failure(aut, X)
+            bad += got is not None
+            unequal += not equal
+        assert bad > 0 and unequal > 0
+
+    def test_suite_labels_each_class_rep_and_orbit_once(self, monkeypatch):
+        """`P_LkRk` labels a k-orbit under stabilizers of its suborbits;
+        every other label call of the checks is one of the walk's."""
+        labelled = {}
+        orbit_labels = _backend.orbit_labels
+
+        def spy(images, rows):
+            caller = sys._getframe(1)
+            if (caller.f_globals is vars(propcheck)
+                    and caller.f_code.co_name != "_eval_P_LkRk"):
+                key = (images.tobytes(), images.shape, rows.tobytes(), rows.shape)
+                labelled[key] = labelled.get(key, 0) + 1
+            return orbit_labels(images, rows)
+
+        monkeypatch.setattr(_backend, "orbit_labels", spy)
+        _aut_suborbits.cache_clear()
+        run_suite(transitive_catalog(5))
+        assert labelled and max(labelled.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ public function of `_backend` is read by another module, every
 that the CLI registers, only the report, file and trace boundary reads
 `.generators` and only `PermGroup.generators` turns generator rows into
 `Permutation`s, only the checks that read their groups from a context
-read `normalizer_in`, no `except` clause names `DomainError`, every
-parameter of every function is read, and the `functools.lru_cache`
-functions are the pinned ones."""
+read `normalizer_in`, only the walk over Aut(X)'s subgroup classes and
+`P_LkRk` label rows in the checks, no `except` clause names
+`DomainError`, every parameter of every function is read, and the
+`functools.lru_cache` functions are the pinned ones."""
 
 import ast
 import pathlib
@@ -259,6 +260,28 @@ def test_normalizer_in_read_only_from_a_context():
         == ["_eval_P_index", "_index_hypothesis"]
 
 
+def test_checker_flags_a_class_walk_put_back():
+    package = (SRC / "propcheck.py").read_text()
+    walk = ("    if not _aut_suborbits(aut, X, caps.max_subgroup_order)[1]:\n"
+            "        return _na(")
+    assert walk in package
+    loop = ("    for cls in subgroup_classes(aut, max_order=caps.max_subgroup_order):\n"
+            "        sizes = np.bincount(_backend.orbit_labels(cls.rep.images, X.rows))\n"
+            "        if sizes.min() != sizes.max():\n"
+            "            return _na(")
+    put_back = package.replace(walk, loop)
+    assert set(readers_of(put_back, "orbit_labels")) \
+        - set(readers_of(package, "orbit_labels")) == {"_eval_P_equal_classes"}
+
+
+def test_orbit_labels_read_only_by_the_walk_and_P_LkRk():
+    """The checks label a k-orbit's rows under Aut(X)'s class reps in one
+    cached walk, `_aut_suborbits`; `P_LkRk` labels it under a suborbit's
+    stabilizer in G."""
+    assert readers_of((SRC / "propcheck.py").read_text(), "orbit_labels") \
+        == ["_aut_suborbits", "_eval_P_LkRk"]
+
+
 def _signature(fn):
     """The parameter names of the function or lambda `fn`, starred as
     written."""
@@ -338,7 +361,7 @@ CACHED = {
     "korbit._coherence_family", "korbit._translates",
     "korbit.stab_of_ksuborbit", "korbit.aut_of_kset",
     "korbit.automorphic_analysis", "propcheck._deser_group",
-    "propcheck._join_groups", "propcheck._aut_suborbit_partition_failure",
+    "propcheck._join_groups", "propcheck._aut_suborbits",
     "subgroups.subgroup_classes",
 }
 

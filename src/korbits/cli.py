@@ -49,7 +49,7 @@ _OPTIONS = {
 
 # the cap and convention flags of each subcommand: those its code reads
 _FLAGS = {
-    "orbits": ("--max-elements", "--max-tuples", "--max-subgroup-order", "--convention"),
+    "orbits": ("--max-elements", "--max-tuples", "--convention"),
     "blocks": ("--max-elements", "--max-tuples", "--convention"),
     "render": ("--max-elements",),
     "catalog": ("--max-subgroup-order",),
@@ -136,8 +136,7 @@ def cmd_orbits(args):
     lines = []
     for k in _ks(args, G.degree):
         for X in k_orbits(G, k, max_tuples=args.max_tuples):
-            v = classify_coherence(G, X,
-                                   max_subgroup_order=args.max_subgroup_order)
+            v = classify_coherence(G, X)
             rep = (X.rows[0] + 1).tolist()
             records.append({"record": "orbit", "k": k,
                             "rep": rep, "size": len(X),

@@ -175,8 +175,7 @@ def terminal_case(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
     return None, None
 
 
-def terminal_partitions(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
-                        max_elements=DEFAULT_ELEMENT_CAP):
+def terminal_partitions(G, max_elements=DEFAULT_ELEMENT_CAP):
     """(N, k, found) for a terminal G: N its normalizer in Sym, k the
     largest automorphic divisor of the degree (1 when none), and found
     the (partition, projections, coherence kind of each projection) of
@@ -186,8 +185,7 @@ def terminal_partitions(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     k = report.max_automorphic_degree_divisor() or 1
     found = []
     for part, projs in iso_partitions(G, N, k):
-        kinds = [classify_coherence(G, X, max_subgroup_order=max_subgroup_order).kind
-                 for X in projs]
+        kinds = [classify_coherence(G, X).kind for X in projs]
         found.append((part, projs, kinds))
     return N, k, found
 
@@ -242,12 +240,12 @@ def proof_audit(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
     why, _ = terminal_case(G, max_subgroup_order)
     if why:
         raise DomainError(f"audit hypothesis violated: {why}")
-    return _audit_terminal(G, max_subgroup_order, max_elements)
+    return _audit_terminal(G, max_elements)
 
 
-def _audit_terminal(G, max_subgroup_order, max_elements):
+def _audit_terminal(G, max_elements):
     """`proof_audit` on a G that `terminal_case` has found terminal."""
-    N, k, found = terminal_partitions(G, max_subgroup_order, max_elements)
+    N, k, found = terminal_partitions(G, max_elements)
     report = automorphic_analysis(G)
     k_var = report.max_automorphic_order_divisor() or 1
     findings = []
@@ -376,7 +374,7 @@ def fks_pipeline(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP,
             if not why:
                 try:
                     audit, audit_error = _audit_terminal(
-                        G, max_subgroup_order, max_elements).as_dict(), None
+                        G, max_elements).as_dict(), None
                 except ResourceLimitError as exc:   # recorded, never fatal
                     audit_error = str(exc)
             steps.append({"kind": "primitive-terminal",

@@ -15,12 +15,11 @@ import numpy as np
 
 from . import _backend
 from .errors import DomainError, ParseError
-from .group import (DEFAULT_ELEMENT_CAP, PermGroup, generator_rows,
-                    is_subgroup, orbits_on_points, perm_to_row)
+from .group import (DEFAULT_ELEMENT_CAP, PermGroup, conjugate_rows_by,
+                    generator_rows, is_subgroup, orbits_on_points, perm_to_row)
 from .partition import Partition, SetFamily
 from .perm import content_lines, parse_header
-from .subgroups import (DEFAULT_SUBGROUP_CAP, _element_orders,
-                        subgroup_classes)
+from .subgroups import _element_orders
 
 DEFAULT_TUPLE_CAP = 10 ** 7
 
@@ -311,23 +310,40 @@ class CoherenceVerdict:
 
 
 @functools.lru_cache(maxsize=64)
-def _cyclic_classes(G, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+def _cyclic_classes(G):
     """G's non-trivial cyclic subgroup classes in class order, as (cyc,
     reps): cyc[c, p] is the bit mask of the orbit of point p under class
     c's rep, the cycle through p of its generator, and reps[c] the
-    rep's element rows, the powers of that generator. A rep H is cyclic
-    iff it holds an element of order |H|."""
+    rep's element rows, the powers of that generator. <g> is read as the
+    sorted row numbers of g, ..., g^ord(g); rows are in key order, so
+    these lists order each order's subgroups, and pick each class's rep,
+    as `subgroup_classes` does. The classes of order m are the orbits of
+    the distinct <g>, g of order m, under <g> -> <x g x^-1>, x in G's
+    generators."""
+    index = _backend.row_index(G.images)
     orders = _element_orders(G.images)
-    reps = [cls.rep.images
-            for cls in subgroup_classes(G, max_order=max_subgroup_order)[1:]
-            if cls.order in orders[np.searchsorted(G.keys, cls.rep.keys)]]
+    conj = [index(conjugate_rows_by(G.images, x)) for x in generator_rows(G)]
+    cyclic = np.empty(G.order, dtype=np.int64)     # <g>'s number among its order
+    reps = []
+    for m in np.unique(orders)[1:].tolist():
+        sel = np.flatnonzero(orders == m)
+        powers = [G.images[sel]]
+        for _ in range(m - 1):
+            powers.append(np.take_along_axis(powers[0], powers[-1], axis=1))
+        rows = index(np.concatenate(powers)).reshape(m, -1).T
+        subs, first, at = np.unique(np.sort(rows, axis=1), axis=0,
+                                    return_index=True, return_inverse=True)
+        cyclic[sel] = at.ravel()
+        least = _backend.least_in_orbits(
+            [cyclic[c[sel[first]]] for c in conj], len(subs))
+        reps += [G.images[s] for s in subs[least == np.arange(len(subs))]]
     cyc = np.array([np.bitwise_or.reduce(1 << H, axis=0) for H in reps],
                    dtype=np.int64).reshape(-1, G.degree)
     return cyc, reps
 
 
 @functools.lru_cache(maxsize=2048)
-def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
+def classify_coherence(G, X):
     """Coherence classification of a k-orbit X = G t0 of G.
 
     One sort checks X: the keys of G t0 hold each tuple of t0's orbit
@@ -358,7 +374,7 @@ def classify_coherence(G, X, max_subgroup_order=DEFAULT_SUBGROUP_CAP):
                                  != (rows @ pw)[:, None]).any():
         raise DomainError("X is not a k-orbit of G")
     masks = np.bitwise_or.reduce(1 << rows, axis=1)
-    family = _coherence_family(G, int(masks.min()), max_subgroup_order)
+    family = _coherence_family(G, int(masks.min()))
     if isinstance(family, CoherenceVerdict):
         return family
     verdict = CoherenceVerdict(kind="coherent")
@@ -380,7 +396,7 @@ def _coherent_witness(G, rows, family):
 
 
 @functools.lru_cache(maxsize=2048)
-def _coherence_family(G, least, max_subgroup_order):
+def _coherence_family(G, least):
     """The verdict shared by the k-orbits whose coordinate sets form the
     G-orbit F of the point set with bit mask `least`: trivial, incoherent
     (witness: F's smash) or elementary-coherent, or for a coherent F
@@ -395,7 +411,7 @@ def _coherence_family(G, least, max_subgroup_order):
     part = _smash(sets)
     if len(part) > 1:
         return CoherenceVerdict(kind="incoherent", witness=part)
-    cyc, reps = _cyclic_classes(G, max_subgroup_order)
+    cyc, reps = _cyclic_classes(G)
     own = 1 << sets
     full = np.bitwise_or.reduce(own, axis=None)       # F's points
     step = max(1, _backend.KEY_BUDGET // sets.size)

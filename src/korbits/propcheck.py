@@ -594,8 +594,7 @@ def _eval_L_H_order(ctx, caps):
 def _eval_P_incoherent(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    verdict = classify_coherence(G, X,
-                                 max_subgroup_order=caps.max_subgroup_order)
+    verdict = classify_coherence(G, X)
     if verdict.kind != "incoherent":
         return _na(f"k-orbit is {verdict.kind}"
                    + (" (trivial)" if verdict.trivial else ""))
@@ -638,8 +637,7 @@ def _eval_P_triv_norm(ctx, caps):
 def _eval_T_coherent(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    verdict = classify_coherence(G, X,
-                                 max_subgroup_order=caps.max_subgroup_order)
+    verdict = classify_coherence(G, X)
     if not verdict.is_coherent or verdict.trivial:
         return _na("k-orbit is not (non-trivially) coherent")
     aut, why = _aut_partition_gate(G, X, caps)
@@ -655,8 +653,7 @@ def _eval_T_coherent(ctx, caps):
 def _eval_L_elcoh_part(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    verdict = classify_coherence(G, X,
-                                 max_subgroup_order=caps.max_subgroup_order)
+    verdict = classify_coherence(G, X)
     if verdict.kind != "elementary-coherent":
         return _na("k-orbit is not elementary coherent")
     aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
@@ -671,8 +668,7 @@ def _eval_L_elcoh_part(ctx, caps):
 def _eval_T_elcoh(ctx, caps):
     G = _ctx_group(ctx, caps)
     X = _orbit_from_ctx(G, ctx)
-    verdict = classify_coherence(G, X,
-                                 max_subgroup_order=caps.max_subgroup_order)
+    verdict = classify_coherence(G, X)
     if verdict.kind != "elementary-coherent":
         return _na("k-orbit is not elementary coherent")
     aut = aut_of_kset(X, degree=G.degree, max_elements=caps.max_elements)
@@ -703,7 +699,7 @@ def _eval_L_proof_elcoh(ctx, caps):
     G, why = _terminal(ctx, caps)
     if why:
         return _na(why)
-    _, k, found = terminal_partitions(G, caps.max_subgroup_order, caps.max_elements)
+    _, k, found = terminal_partitions(G, caps.max_elements)
     if not found:
         return _na(f"no qualifying partition into {k}-element isomorphic "
                    f"suborbits exists")

@@ -1,6 +1,7 @@
 """The command-line front end: subcommands, exit codes, deterministic
 machine-readable output."""
 
+import hashlib
 import itertools
 import json
 
@@ -8,8 +9,8 @@ import pytest
 
 from korbits.catalog import save_catalog, transitive_catalog
 from korbits.cli import main
-from korbits.group import (close_group, klein_four_group, save_group,
-                           symmetric_group)
+from korbits.group import (alternating_group, close_group, klein_four_group,
+                           save_group, symmetric_group)
 from korbits.perm import Permutation, parse_permutation
 
 
@@ -81,6 +82,27 @@ class TestOrbits:
         code, out, err = run(capsys, "orbits", "--group",
                              str(tmp_path / "nope.grp"))
         assert code == 2 and "error:" in err
+
+    # SHA-256 of the S8 report at k 1..4, recorded with the classification
+    # that read the cyclic classes off S8's subgroup lattice, run with
+    # --max-subgroup-order 50000
+    S8_REPORT = "dee040e8188ef09603f4b9cae4b0fa333eed7bb4852df3b9516a9882d9bbc839"
+
+    @pytest.mark.parametrize("make", [symmetric_group, alternating_group],
+                             ids=["S8", "A8"])
+    def test_degree_8_classifies_at_default_caps(self, capsys, tmp_path, make):
+        """Coherence builds no subgroup lattice, so |G| past the subgroup
+        cap of `catalog`, `check`, `fks` and `audit` needs no flag."""
+        group, out_path = tmp_path / "g.grp", tmp_path / "orbits.jsonl"
+        save_group(make(8), group)
+        code, out, err = run(capsys, "orbits", "--group", str(group),
+                             "--k-range", "1..4", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        kinds = [line.split()[-1] for line in out.splitlines()]
+        assert kinds == ["(trivial)", "coherent", "coherent", "coherent"]
+        if make is symmetric_group:
+            digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+            assert digest == self.S8_REPORT
 
 
 class TestBlocks:

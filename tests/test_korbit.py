@@ -35,7 +35,7 @@ from korbits.korbit import (CoherenceVerdict, KSet, _coherence_family,
                             translate_keys, translates_of_kset)
 from korbits.perm import Permutation, parse_permutation
 from korbits.propcheck import run_suite
-from korbits.subgroups import all_subgroups, subgroup_classes
+from korbits.subgroups import _element_orders, all_subgroups, subgroup_classes
 from test_fks import on_pairs
 
 
@@ -521,6 +521,50 @@ class TestCoherenceOracle:
         assert calls == [] and "coherent" in kinds
 
 
+def _lattice_cyclic_classes(G):
+    """(cyc, reps) of `_cyclic_classes` read off G's subgroup lattice: the
+    non-trivial class reps that hold an element of their own order."""
+    orders = _element_orders(G.images)
+    reps = [cls.rep.images for cls in subgroup_classes(G)[1:]
+            if cls.order in orders[np.searchsorted(G.keys, cls.rep.keys)]]
+    cyc = np.array([np.bitwise_or.reduce(1 << H, axis=0) for H in reps],
+                   dtype=np.int64).reshape(-1, G.degree)
+    return cyc, reps
+
+
+def _cyclic_cases():
+    """The degree 1..7 catalogs, every subgroup of S4 and of S5, and D8,
+    C2 wr C4, D9 and C3 wr C3."""
+    for n in range(1, 8):
+        for e in transitive_catalog(n):
+            yield e.group()
+    yield from all_subgroups(symmetric_group(4))
+    yield from all_subgroups(symmetric_group(5))
+    yield from [dihedral_group(8), WREATH_C2_C4, dihedral_group(9), WREATH_C3_C3]
+
+
+class TestCyclicClasses:
+    """`_cyclic_classes`, read from element powers, against the lattice."""
+
+    def test_matches_the_lattice(self):
+        count = 0
+        for G in _cyclic_cases():
+            cyc, reps = _cyclic_classes.__wrapped__(G)
+            want_cyc, want_reps = _lattice_cyclic_classes(G)
+            assert cyc.shape == want_cyc.shape
+            assert np.array_equal(cyc, want_cyc)
+            assert len(reps) == len(want_reps)
+            for got, want in zip(reps, want_reps):
+                assert np.array_equal(got, want)
+            count += 1
+        assert count == 1 + 1 + 2 + 5 + 5 + 16 + 7 + 30 + 156 + 4
+
+    def test_trivial_group(self):
+        for G in (cyclic_group(1), PermGroup(3, np.arange(3)[None])):
+            cyc, reps = _cyclic_classes.__wrapped__(G)
+            assert reps == [] and cyc.shape == (0, G.degree)
+
+
 def _witness_text(w):
     if w is None:
         return "-"
@@ -554,24 +598,19 @@ class TestCoherenceFamilies:
                     count += 1
         assert (count, h.hexdigest()) == (23388, self.DIGEST)
 
-    def test_d9_at_k7_classifies_four_families(self, monkeypatch):
+    def test_d9_at_k7_classifies_four_families(self):
         G = dihedral_group(9)
         orbits = k_orbits(G, 7)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return subgroup_classes(*args, **kwargs)
-
-        monkeypatch.setattr(korbit, "subgroup_classes", counted)
         _coherence_family.cache_clear()
         _cyclic_classes.cache_clear()
+        lattice = subgroup_classes.cache_info()
         for X in orbits:
             classify_coherence.__wrapped__(G, X)
         info = _coherence_family.cache_info()
         assert len(orbits) == 10080
         assert (info.misses, info.hits) == (4, 10080 - 4)
-        assert len(calls) == 1
+        assert _cyclic_classes.cache_info().misses == 1
+        assert subgroup_classes.cache_info() == lattice
 
     # in C3 x <(7 8)>, of order 6, the union of the 2-orbits of (1, 2)
     # and (1, 3) has 6 tuples and either orbit less a tuple has 2, so
@@ -960,14 +999,13 @@ class TestAutomorphicNumbers:
         for name, G in cases:
             assert automorphic_analysis(G) == lattice_automorphic_analysis(G), name
 
-    def test_builds_no_lattice(self, monkeypatch):
-        """A5 on the 10 pairs, uncached, with `subgroup_classes` refusing."""
-        def refuse(*a, **kw):
-            raise AssertionError("subgroup lattice built")
+    def test_builds_no_lattice(self):
+        """A5 on the 10 pairs, uncached, reading no `subgroup_classes`."""
         G = on_pairs("(1 2 3)", "(1 2 3 4 5)")
         want = lattice_automorphic_analysis(G)
-        monkeypatch.setattr(korbit, "subgroup_classes", refuse)
+        lattice = subgroup_classes.cache_info()
         assert automorphic_analysis.__wrapped__(G) == want
+        assert subgroup_classes.cache_info() == lattice
 
     def test_s3_report(self):
         rep = automorphic_analysis(symmetric_group(3))

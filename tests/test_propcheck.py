@@ -298,6 +298,20 @@ class TestSuite:
                    for r in report.results)
         assert any(r.verdict == "skipped" for r in report.results)
 
+    def test_subgroup_cap_leaves_coherence_checks_evaluated(self):
+        """`P_incoherent` and `T_elcoh` read cyclic classes from element
+        powers and no subgroup lattice, so a subgroup cap of 2 skips none
+        of their 51 contexts each (23 of each were skipped when coherence
+        read the lattice) and changes none of their results."""
+        def coherence(caps):
+            report = run_suite(transitive_catalog(4), caps=caps)
+            return [r for r in report.results
+                    if r.check_id in ("P_incoherent", "T_elcoh")]
+        small = coherence(SuiteCaps(max_subgroup_order=2))
+        assert len(small) == 2 * 51
+        assert not any(r.verdict == "skipped" for r in small)
+        assert small == coherence(SuiteCaps())
+
     @pytest.mark.parametrize("cap, reasons", [
         # the closure of S3, and the 3! filter of Sym on the points of C3
         ({"max_elements": 5}, {"max-elements cap exceeded: need > 5, cap is 5",

@@ -7,9 +7,10 @@ that the CLI registers, only the report, file and trace boundary reads
 `.generators` and only `PermGroup.generators` turns generator rows into
 `Permutation`s, only the checks that read their groups from a context
 read `normalizer_in`, only the walk over Aut(X)'s subgroup classes and
-`P_LkRk` label rows in the checks, no `except` clause names
-`DomainError`, every parameter of every function is read, and the
-`functools.lru_cache` functions are the pinned ones."""
+`P_LkRk` label rows in the checks, the k-orbit engine reads nothing of
+the subgroup lattice, no `except` clause names `DomainError`, every
+parameter of every function is read, and the `functools.lru_cache`
+functions are the pinned ones."""
 
 import ast
 import pathlib
@@ -280,6 +281,39 @@ def test_orbit_labels_read_only_by_the_walk_and_P_LkRk():
     stabilizer in G."""
     assert readers_of((SRC / "propcheck.py").read_text(), "orbit_labels") \
         == ["_aut_suborbits", "_eval_P_LkRk"]
+
+
+def subgroups_imports(source):
+    """The names that the module text `source` imports from `.subgroups`,
+    sorted; `subgroups` itself when it imports the module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            out += (names if node.module == "subgroups"
+                    else ["subgroups"] if "subgroups" in names else [])
+    return sorted(out)
+
+
+def test_checker_flags_a_lattice_import_put_back():
+    assert subgroups_imports("from . import _backend, subgroups\n"
+                             "from .subgroups import a, b\n"
+                             "from .group import subgroup_classes\n") \
+        == ["a", "b", "subgroups"]
+    package = (SRC / "korbit.py").read_text()
+    line = "from .subgroups import _element_orders\n"
+    assert line in package
+    put_back = package.replace(
+        line, "from .subgroups import _element_orders, subgroup_classes\n")
+    assert subgroups_imports(put_back) == ["_element_orders", "subgroup_classes"]
+
+
+def test_korbit_reads_no_lattice():
+    """Coherence reads cyclic classes from element powers and automorphy
+    from setwise stabilizers: the k-orbit engine takes only element
+    orders from `subgroups`."""
+    assert subgroups_imports((SRC / "korbit.py").read_text()) \
+        == ["_element_orders"]
 
 
 def _signature(fn):
